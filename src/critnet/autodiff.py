@@ -214,12 +214,14 @@ def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     return _make(p, (logits,), backward)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
     """Inverted dropout; identity when not training or rate == 0."""
     if not training or rate <= 0.0:
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
+    if rng is None:
+        raise ValueError("training-mode dropout needs an rng")
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
 
     def backward(g):

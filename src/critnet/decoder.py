@@ -21,14 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from critnet import autodiff as ad
-from critnet.encoder import EMBEDDING_DIM, EncoderParams, encode, encode_original_gat
+from critnet.encoder import DROPOUT_PROFILES, EMBEDDING_DIM, EncoderParams, encode
 from critnet.features import aggregate_features, degree_only_features
 from critnet.graph import Graph, with_alive_mask
 
 Q_HIDDEN_DIM = 256
 
 FEATURE_MODES = ("aggregate", "degree")
-DROPOUT_PROFILES = ("reduced", "original")
 
 
 @dataclass
@@ -106,15 +105,6 @@ def q_from_embeddings(emb: ad.Tensor, params: DecoderParams) -> QOutput:
     value = _mlp(ad.mean_rows(emb), params.value_head)
     center = ad.add(value, ad.scale(ad.mean_rows(adv), -1.0))
     return QOutput(q=ad.add_bias(adv, center), value=value, advantage=adv)
-
-
-def q_values(emb: ad.Tensor, alive_mask: np.ndarray, params: DecoderParams) -> np.ndarray:
-    """Full-length Q vector (dead nodes get -inf), inference mode."""
-    with ad.no_grad():
-        out = q_from_embeddings(emb, params)
-    q = np.full(len(alive_mask), -np.inf)
-    q[np.flatnonzero(alive_mask)] = out.q.data[:, 0]
-    return q
 
 
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -202,10 +192,9 @@ class Model:
         return aggregate_features(g)
 
     def embed(self, g: Graph, training: bool = False, rng: np.random.Generator | None = None) -> ad.Tensor:
-        feats = self.features(g)
-        if self.dropout_profile == "original":
-            return encode_original_gat(g, feats, self.encoder, training, rng)
-        return encode(g, feats, self.encoder, training, rng)
+        if g.n_alive() == 0:
+            raise ValueError("no alive nodes to score")
+        return encode(g, self.features(g), self.encoder, training, rng, self.dropout_profile)
 
     def q_output(self, g: Graph, training: bool = False, rng: np.random.Generator | None = None) -> QOutput:
         return q_from_embeddings(self.embed(g, training, rng), self.decoder)

@@ -6,13 +6,13 @@ are always included so isolated residual nodes keep non-empty support),
 then an attention-weighted sum. Head outputs are concatenated and passed
 through an ELU.
 
-Two dropout profiles are provided:
+``encode`` takes one of two dropout profiles from ``DROPOUT_PROFILES``:
 
-* ``encode``             - no dropout on layer 1, attention dropout 0.3 on
-                           layer 2 while training (reduced-variance profile,
-                           the default for the Q-learning agent);
-* ``encode_original_gat`` - the classic profile with dropout 0.6 on the
-                           inputs and attention coefficients of both layers.
+* ``"reduced"``  - no dropout on layer 1, attention dropout 0.3 on layer 2
+                   while training (reduced-variance profile, the default for
+                   the Q-learning agent);
+* ``"original"`` - the classic GAT profile with dropout 0.6 on the inputs
+                   and attention coefficients of both layers.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from critnet import autodiff as ad
-from critnet.graph import Graph
+from critnet.graph import Graph, alive_edges
 
 IN_FEATURES = 4
 N_HEADS = 8
@@ -32,8 +32,9 @@ HIDDEN_DIM = N_HEADS * HIDDEN_PER_HEAD
 EMBEDDING_DIM = N_HEADS * OUT_PER_HEAD
 
 ATTENTION_SLOPE = 0.2
-REDUCED_LAYER2_DROPOUT = 0.3
-ORIGINAL_DROPOUT = 0.6
+# training-mode dropout rates: (layer-1 input, layer-1 attention,
+# layer-2 input, layer-2 attention)
+DROPOUT_PROFILES = {"reduced": (0.0, 0.0, 0.0, 0.3), "original": (0.6, 0.6, 0.6, 0.6)}
 
 
 @dataclass
@@ -101,14 +102,8 @@ def init_encoder_params(rng: np.random.Generator) -> EncoderParams:
 
 def attention_mask(g: Graph) -> np.ndarray:
     """Closed-neighborhood mask of the alive subgraph (adjacency + self-loops)."""
-    ids = g.alive_ids()
-    index = {int(v): i for i, v in enumerate(ids)}
-    mask = np.eye(len(ids))
-    for u, v in g.edges:
-        if g.alive[u] and g.alive[v]:
-            iu, iv = index[u], index[v]
-            mask[iu, iv] = 1.0
-            mask[iv, iu] = 1.0
+    mask = alive_edges(g).adjacency()
+    np.fill_diagonal(mask, 1.0)
     return mask
 
 
@@ -125,8 +120,6 @@ def gat_layer(
     n = h.shape[0]
     if mask.shape != (n, n):
         raise ValueError(f"mask shape {mask.shape} does not match {n} nodes")
-    if training and dropout_rate > 0 and rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     ones_row = ad.tensor(np.ones((1, n)))
     ones_col = ad.tensor(np.ones((n, 1)))
     outputs = []
@@ -149,24 +142,14 @@ def encode(
     params: EncoderParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    profile: str = "reduced",
 ) -> ad.Tensor:
-    """Per-node embeddings (n_alive x 96), reduced-dropout profile."""
+    """Per-node embeddings (n_alive x 96) under a ``DROPOUT_PROFILES`` profile."""
+    if profile not in DROPOUT_PROFILES:
+        raise ValueError(f"unknown dropout profile {profile!r}; known: {', '.join(DROPOUT_PROFILES)}")
+    in1, att1, in2, att2 = DROPOUT_PROFILES[profile]
     mask = attention_mask(g)
-    h = ad.tensor(features)
-    h = gat_layer(h, mask, params.layer1, 0.0, training, rng)
-    return gat_layer(h, mask, params.layer2, REDUCED_LAYER2_DROPOUT, training, rng)
-
-
-def encode_original_gat(
-    g: Graph,
-    features: np.ndarray,
-    params: EncoderParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> ad.Tensor:
-    """Same architecture with the original dropout-0.6 profile on both layers."""
-    mask = attention_mask(g)
-    h = ad.dropout(ad.tensor(features), ORIGINAL_DROPOUT, rng, training)
-    h = gat_layer(h, mask, params.layer1, ORIGINAL_DROPOUT, training, rng)
-    h = ad.dropout(h, ORIGINAL_DROPOUT, rng, training)
-    return gat_layer(h, mask, params.layer2, ORIGINAL_DROPOUT, training, rng)
+    h = ad.dropout(ad.tensor(features), in1, rng, training)
+    h = gat_layer(h, mask, params.layer1, att1, training, rng)
+    h = ad.dropout(h, in2, rng, training)
+    return gat_layer(h, mask, params.layer2, att2, training, rng)

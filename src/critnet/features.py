@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from critnet.graph import Graph
+from critnet.graph import Graph, alive_edges
 
 FEATURE_COLUMNS = ("degree", "degree_centrality", "eigenvector_centrality", "pagerank")
 
@@ -22,23 +22,9 @@ EIGENVECTOR_TOL = 1e-8
 EIGENVECTOR_MAX_ITER = 1000
 
 
-def _alive_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Dense adjacency of the alive subgraph plus the alive id vector."""
-    ids = g.alive_ids()
-    index = {int(v): i for i, v in enumerate(ids)}
-    a = np.zeros((len(ids), len(ids)))
-    for u, v in g.edges:
-        if g.alive[u] and g.alive[v]:
-            iu, iv = index[u], index[v]
-            a[iu, iv] = 1.0
-            a[iv, iu] = 1.0
-    return a, ids
-
-
 def degree_vector(g: Graph) -> np.ndarray:
     """Degree of each alive node counting alive neighbors only."""
-    ids = g.alive_ids()
-    return np.array([len(g.alive_neighbors(int(v))) for v in ids], dtype=float)
+    return alive_edges(g).degrees().astype(float)
 
 
 def degree_centrality(g: Graph) -> np.ndarray:
@@ -70,8 +56,8 @@ def eigenvector_centrality(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a, ids = _alive_adjacency(g)
-    n = len(ids)
+    a = alive_edges(g).adjacency()
+    n = len(a)
     if n == 0:
         return EigenvectorResult(np.zeros(0), True)
     x = np.full(n, 1.0 / np.sqrt(n))
@@ -98,8 +84,8 @@ def pagerank(
     Isolated (dangling) nodes redistribute their mass uniformly; the result
     sums to 1 whenever any node is alive.
     """
-    a, ids = _alive_adjacency(g)
-    n = len(ids)
+    a = alive_edges(g).adjacency()
+    n = len(a)
     if n == 0:
         return np.zeros(0)
     deg = a.sum(axis=1)

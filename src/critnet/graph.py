@@ -1,11 +1,13 @@
 """Undirected simple graphs with incremental node removal.
 
 The residual graph of a partially-dismantled network is represented by an
-immutable edge/adjacency structure plus a per-node ``alive`` mask; removing
-nodes returns a new view with bits cleared, so evaluation never mutates the
-original instance. The module also holds edge-list ingestion, the synthetic
-generators used for training data, connectivity analytics, and the exact
-pairwise-connectivity objective.
+immutable edge list plus a per-node ``alive`` mask; removing nodes returns a
+new view with bits cleared, so evaluation never mutates the original
+instance. ``alive_edges`` is the one place that restricts the edge list to
+the alive subgraph; features, the encoder and the objective all read the
+residual graph through it. The module also holds edge-list ingestion, the
+synthetic generators used for training data, connectivity analytics, and the
+exact pairwise-connectivity objective.
 """
 from __future__ import annotations
 
@@ -23,14 +25,13 @@ class GraphParseError(ValueError):
 class Graph:
     """Undirected simple graph with dense 0-based node ids.
 
-    ``edges`` and ``adj`` are fixed after construction; only the ``alive``
-    mask changes between residual views (and always via copy, never in
-    place on a shared instance).
+    ``edges`` is fixed after construction; only the ``alive`` mask changes
+    between residual views (and always via copy, never in place on a shared
+    instance).
     """
 
     n: int
     edges: list[tuple[int, int]]
-    adj: list[list[int]] = field(repr=False)
     alive: np.ndarray = field(repr=False)
 
     @property
@@ -43,11 +44,8 @@ class Graph:
     def alive_ids(self) -> np.ndarray:
         return np.flatnonzero(self.alive)
 
-    def alive_neighbors(self, v: int) -> list[int]:
-        return [u for u in self.adj[v] if self.alive[u]]
-
     def copy(self) -> "Graph":
-        return Graph(self.n, self.edges, self.adj, self.alive.copy())
+        return Graph(self.n, self.edges, self.alive.copy())
 
 
 @dataclass
@@ -72,7 +70,6 @@ class ComponentPartition(NamedTuple):
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Assemble a Graph from a clean edge set (no dups, no self-loops)."""
     edge_list = [(int(u), int(v)) for u, v in edges]
-    adj: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for u, v in edge_list:
         if u == v:
@@ -83,9 +80,38 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if key in seen:
             raise ValueError(f"duplicate edge ({u}, {v})")
         seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(n=n, edges=edge_list, adj=adj, alive=np.ones(n, dtype=bool))
+    return Graph(n=n, edges=edge_list, alive=np.ones(n, dtype=bool))
+
+
+class AliveEdges(NamedTuple):
+    """The alive subgraph: alive ids plus edges as positions into ``ids``.
+
+    ``ids`` is increasing, so position ``i`` is the ``i``-th alive node and
+    the row order of every per-node array built on the residual graph.
+    """
+
+    ids: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+
+    def adjacency(self) -> np.ndarray:
+        """Dense symmetric 0/1 adjacency, rows and columns in ``ids`` order."""
+        a = np.zeros((len(self.ids), len(self.ids)))
+        a[self.src, self.dst] = 1.0
+        a[self.dst, self.src] = 1.0
+        return a
+
+    def degrees(self) -> np.ndarray:
+        """Alive-neighbor count of each alive node, in ``ids`` order."""
+        return np.bincount(np.concatenate((self.src, self.dst)), minlength=len(self.ids))
+
+
+def alive_edges(g: Graph) -> AliveEdges:
+    """Restrict ``g.edges`` to edges whose two endpoints are alive."""
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    keep = g.alive[e[:, 0]] & g.alive[e[:, 1]]
+    position = np.cumsum(g.alive) - 1
+    return AliveEdges(g.alive_ids(), position[e[keep, 0]], position[e[keep, 1]])
 
 
 class ParseResult(NamedTuple):
@@ -166,15 +192,13 @@ class _UnionFind:
 
 def connected_components(g: Graph) -> ComponentPartition:
     """Label alive nodes by component, components ordered by decreasing size."""
-    uf = _UnionFind(g.n)
-    alive = g.alive
-    for u, v in g.edges:
-        if alive[u] and alive[v]:
-            uf.union(u, v)
+    sub = alive_edges(g)
+    uf = _UnionFind(len(sub.ids))
+    for i, j in zip(sub.src.tolist(), sub.dst.tolist()):
+        uf.union(i, j)
     roots: dict[int, list[int]] = {}
-    for v in range(g.n):
-        if alive[v]:
-            roots.setdefault(uf.find(v), []).append(v)
+    for i, v in enumerate(sub.ids.tolist()):
+        roots.setdefault(uf.find(i), []).append(v)
     groups = sorted(roots.values(), key=lambda grp: (-len(grp), grp[0]))
     component_id = np.full(g.n, -1, dtype=np.int64)
     for label, grp in enumerate(groups):
@@ -201,7 +225,7 @@ def with_alive_mask(g: Graph, alive: np.ndarray) -> Graph:
     """Residual view of ``g`` under a stored alive mask (mask is copied)."""
     if alive.shape != (g.n,):
         raise ValueError("alive mask length must equal node count")
-    return Graph(g.n, g.edges, g.adj, alive.astype(bool).copy())
+    return Graph(g.n, g.edges, alive.astype(bool).copy())
 
 
 def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
@@ -298,17 +322,4 @@ def gen_er(n: int, p_edge: float, seed: int) -> Graph:
         for v in range(u + 1, n)
         if rng.random() < p_edge
     ]
-    return Graph(
-        n=n,
-        edges=edges,
-        adj=_adj_from_edges(n, edges),
-        alive=np.ones(n, dtype=bool),
-    )
-
-
-def _adj_from_edges(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+    return build_graph(n, edges)

@@ -78,10 +78,20 @@ def random_graph(rng, max_n=30):
     return gen_ws(n, 4, float(rng.uniform(0.0, 0.5)), seed)
 
 
+def neighbor_lists(g):
+    """Adjacency lists rebuilt from ``g.edges`` alone, ignoring the alive mask."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def bfs_components(g):
     """Independent BFS labeling used as the union-find oracle."""
     from collections import deque
 
+    adj = neighbor_lists(g)
     seen = set()
     groups = []
     for s in range(g.n):
@@ -93,7 +103,7 @@ def bfs_components(g):
         while queue:
             v = queue.popleft()
             comp.append(v)
-            for u in g.adj[v]:
+            for u in adj[v]:
                 if g.alive[u] and u not in seen:
                     seen.add(u)
                     queue.append(u)
@@ -108,13 +118,14 @@ def brute_pairwise(g, removed=()):
     dead = set(removed)
     alive = [v for v in range(g.n) if g.alive[v] and v not in dead]
     alive_set = set(alive)
+    adj = neighbor_lists(g)
     total = 0
     for s in alive:
         reach = {s}
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for u in g.adj[v]:
+            for u in adj[v]:
                 if u in alive_set and u not in reach:
                     reach.add(u)
                     queue.append(u)

@@ -94,6 +94,13 @@ class TestPrimitives:
         assert ad.dropout(x, 0.5, rng, training=False) is x
         assert ad.dropout(x, 0.0, rng, training=True) is x
 
+    def test_dropout_needs_rng_only_when_it_draws(self):
+        x = ad.tensor(np.ones((3, 3)))
+        assert ad.dropout(x, 0.5, None, training=False) is x
+        assert ad.dropout(x, 0.0, None, training=True) is x
+        with pytest.raises(ValueError, match="needs an rng"):
+            ad.dropout(x, 0.5, None, training=True)
+
     def test_dropout_train_scales_kept_entries(self):
         x = ad.tensor(np.ones((50, 50)), requires_grad=True)
         rng = np.random.default_rng(6)

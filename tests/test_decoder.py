@@ -8,11 +8,10 @@ from critnet.decoder import (
     Transition,
     init_decoder_params,
     q_from_embeddings,
-    q_values,
     select_action,
     td_targets,
 )
-from critnet.encoder import EMBEDDING_DIM, init_encoder_params
+from critnet.encoder import EMBEDDING_DIM, encode, init_encoder_params
 from critnet.graph import gen_er, remove_nodes
 
 
@@ -56,13 +55,6 @@ class TestQHead:
         shifted = q_from_embeddings(emb, params)
         assert np.argmax(base.q.data) == np.argmax(shifted.q.data)
         assert np.allclose(base.q.data, shifted.q.data, atol=1e-9)
-
-    def test_dead_nodes_get_minus_inf(self):
-        g = remove_nodes(gen_er(8, 0.4, 4), [2, 5])
-        emb = ad.tensor(np.random.default_rng(5).standard_normal((6, EMBEDDING_DIM)))
-        q = q_values(emb, g.alive, decoder())
-        assert np.isneginf(q[[2, 5]]).all()
-        assert np.isfinite(q[g.alive_ids()]).all()
 
     def test_non_dueling_head_has_no_value_stream(self):
         emb = ad.tensor(np.random.default_rng(6).standard_normal((4, EMBEDDING_DIM)))
@@ -242,3 +234,21 @@ class TestModel:
             Model(init_encoder_params(rng), init_decoder_params(rng), feature_mode="bogus")
         with pytest.raises(ValueError):
             Model(init_encoder_params(rng), init_decoder_params(rng), dropout_profile="bogus")
+
+    @pytest.mark.parametrize("profile", ["reduced", "original"])
+    def test_no_alive_nodes_rejected_before_encoding(self, profile):
+        m = model(13, dropout_profile=profile)
+        g = gen_er(6, 0.5, 14)
+        empty = remove_nodes(g, range(g.n))
+        with pytest.raises(ValueError, match="no alive nodes to score"):
+            m.q_full(empty)
+        with pytest.raises(ValueError, match="no alive nodes to score"):
+            m.q_output(empty, training=True, rng=np.random.default_rng(15))
+
+    @pytest.mark.parametrize("profile", ["reduced", "original"])
+    def test_embed_uses_the_model_profile(self, profile):
+        m = model(16, dropout_profile=profile)
+        g = remove_nodes(gen_er(12, 0.3, 17), [2])
+        got = m.embed(g, training=True, rng=np.random.default_rng(18)).data
+        want = encode(g, m.features(g), m.encoder, True, np.random.default_rng(18), profile).data
+        assert np.array_equal(got, want)

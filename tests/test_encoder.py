@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import path_graph, random_graph
 from critnet import autodiff as ad
@@ -6,7 +7,6 @@ from critnet.encoder import (
     EMBEDDING_DIM,
     attention_mask,
     encode,
-    encode_original_gat,
     gat_layer,
     init_encoder_params,
 )
@@ -139,15 +139,15 @@ class TestOriginalGatProfile:
         g = gen_er(14, 0.3, 18)
         p = params()
         feats = aggregate_features(g)
-        assert encode_original_gat(g, feats, p).shape == encode(g, feats, p).shape
+        assert encode(g, feats, p, profile="original").shape == encode(g, feats, p).shape
 
     def test_eval_mode_deterministic_and_equal_to_reduced(self):
         # without dropout both profiles are the same architecture
         g = gen_er(14, 0.3, 19)
         p = params()
         feats = aggregate_features(g)
-        a = encode_original_gat(g, feats, p).data
-        assert np.array_equal(a, encode_original_gat(g, feats, p).data)
+        a = encode(g, feats, p, profile="original").data
+        assert np.array_equal(a, encode(g, feats, p, profile="original").data)
         assert np.array_equal(a, encode(g, feats, p).data)
 
     def test_training_mode_differs_from_reduced_profile(self):
@@ -155,8 +155,40 @@ class TestOriginalGatProfile:
         p = params()
         feats = aggregate_features(g)
         a = encode(g, feats, p, training=True, rng=np.random.default_rng(21)).data
-        b = encode_original_gat(g, feats, p, training=True, rng=np.random.default_rng(21)).data
+        b = encode(g, feats, p, training=True, rng=np.random.default_rng(21), profile="original").data
         assert not np.array_equal(a, b)
+
+
+class TestDropoutProfiles:
+    @pytest.mark.parametrize("profile", ["reduced", "original"])
+    def test_profile_equals_explicit_primitive_chain(self, profile):
+        # the layer sequence each profile stood for before the table existed
+        g = remove_nodes(gen_er(16, 0.3, 22), [3, 9])
+        p = params(seed=23)
+        feats = aggregate_features(g)
+        got = encode(g, feats, p, training=True, rng=np.random.default_rng(24), profile=profile).data
+        rng = np.random.default_rng(24)
+        mask = attention_mask(g)
+        if profile == "original":
+            h = ad.dropout(ad.tensor(feats), 0.6, rng, True)
+            h = gat_layer(h, mask, p.layer1, 0.6, True, rng)
+            h = ad.dropout(h, 0.6, rng, True)
+            want = gat_layer(h, mask, p.layer2, 0.6, True, rng).data
+        else:
+            h = gat_layer(ad.tensor(feats), mask, p.layer1, 0.0, True, rng)
+            want = gat_layer(h, mask, p.layer2, 0.3, True, rng).data
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("profile", ["reduced", "original"])
+    def test_training_without_rng_rejected(self, profile):
+        g = gen_er(8, 0.4, 25)
+        with pytest.raises(ValueError, match="needs an rng"):
+            encode(g, aggregate_features(g), params(), training=True, rng=None, profile=profile)
+
+    def test_unknown_profile_names_known_ones(self):
+        g = gen_er(8, 0.4, 26)
+        with pytest.raises(ValueError, match="'bogus'.*reduced.*original"):
+            encode(g, aggregate_features(g), params(), profile="bogus")
 
 
 def gen_ba_like(n):

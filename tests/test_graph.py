@@ -8,11 +8,14 @@ from conftest import (
     brute_pairwise,
     complete_graph,
     cycle_graph,
+    neighbor_lists,
     path_graph,
     random_graph,
 )
+from critnet.encoder import attention_mask
 from critnet.graph import (
     GraphParseError,
+    alive_edges,
     build_graph,
     connected_components,
     format_edge_list,
@@ -22,6 +25,7 @@ from critnet.graph import (
     pairwise_connectivity,
     parse_edge_list,
     remove_nodes,
+    with_alive_mask,
 )
 
 
@@ -38,7 +42,7 @@ class TestParse:
         g, _ = parse_edge_list("# header\n% other comment\n10 20\n20 30\n")
         assert (g.n, g.m) == (3, 2)
         # first-appearance remap: 10->0, 20->1, 30->2
-        assert sorted(g.adj[1]) == [0, 2]
+        assert sorted(neighbor_lists(g)[1]) == [0, 2]
 
     def test_malformed_token_reports_line(self):
         with pytest.raises(GraphParseError, match="line 2"):
@@ -68,7 +72,7 @@ class TestParse:
             g2, dropped = parse_edge_list(format_edge_list(g1))
             assert dropped == 0
             assert (g2.n, g2.m) == (g1.n, g1.m)
-            assert sorted(len(a) for a in g1.adj) == sorted(len(a) for a in g2.adj)
+            assert sorted(map(len, neighbor_lists(g1))) == sorted(map(len, neighbor_lists(g2)))
 
 
 class TestComponents:
@@ -104,6 +108,61 @@ class TestComponents:
             for label in range(len(part.sizes)):
                 got.add(frozenset(np.flatnonzero(part.component_id == label).tolist()))
             assert got == bfs_components(g)
+
+
+@st.composite
+def residual_graphs(draw):
+    """A graph on 1..20 nodes with edges in either orientation, any alive mask."""
+    n = draw(st.integers(1, 20))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    edges = {}
+    for u, v in pairs:
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), (u, v))
+    alive = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return with_alive_mask(build_graph(n, list(edges.values())), alive)
+
+
+def check_alive_edges(g):
+    """Compare alive_edges and attention_mask with counts rebuilt from g.edges."""
+    ids = [v for v in range(g.n) if g.alive[v]]
+    pos = {v: i for i, v in enumerate(ids)}
+    k = len(ids)
+    adj = np.zeros((k, k))
+    deg = np.zeros(k, dtype=np.int64)
+    for u, v in g.edges:
+        if u in pos and v in pos:
+            adj[pos[u], pos[v]] = adj[pos[v], pos[u]] = 1.0
+            deg[pos[u]] += 1
+            deg[pos[v]] += 1
+    sub = alive_edges(g)
+    assert sub.ids.tolist() == ids
+    a = sub.adjacency()
+    assert np.array_equal(a, a.T)
+    assert set(np.unique(a).tolist()) <= {0.0, 1.0}
+    assert not a.diagonal().any()
+    assert np.array_equal(a, adj)
+    assert np.array_equal(sub.degrees(), deg)
+    assert np.array_equal(attention_mask(g), adj + np.eye(k))
+
+
+class TestAliveEdges:
+    @given(residual_graphs())
+    def test_matches_edge_list_oracle(self, g):
+        check_alive_edges(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_er(5, 0.0, 1),
+            lambda: remove_nodes(path_graph(4), [0, 1, 2, 3]),
+            lambda: build_graph(1, []),
+            lambda: remove_nodes(complete_graph(3), [1]),
+        ],
+        ids=["no-edges", "all-dead", "one-node", "one-dead"],
+    )
+    def test_edge_cases(self, make):
+        check_alive_edges(make())
 
 
 class TestPairwiseConnectivity:
@@ -195,7 +254,7 @@ class TestGenerators:
     def test_ws_no_rewire_is_ring_lattice(self):
         g = gen_ws(50, 4, 0.0, 0)
         assert g.m == 100
-        assert all(len(adj) == 4 for adj in g.adj)
+        assert all(len(adj) == 4 for adj in neighbor_lists(g))
 
     def test_ws_rewire_preserves_edge_count(self):
         g = gen_ws(60, 4, 0.3, 7)
