@@ -1,10 +1,16 @@
-"""Minimal dense-tensor engine with reverse-mode differentiation.
+"""Minimal tensor engine with reverse-mode differentiation.
 
 Tensors wrap float64 numpy arrays. Each primitive records its backward rule
 on the value it produces; ``Tensor.backward()`` walks the recorded graph in
 reverse topological order and accumulates exact gradients into ``.grad``.
 Only the primitives the attention encoder and Q-heads need are provided;
 there is no broadcasting beyond the explicit bias/row cases below.
+
+Graph attention runs over a ``SparsePattern``: one value per stored entry of
+a structurally symmetric n x n matrix in CSR order. ``gather_rows``,
+``segment_softmax`` and ``spmm`` work on those per-entry values, and their
+backward passes scatter with ``np.add.reduceat`` over row segments, reading
+column-indexed entries through the pattern's transpose permutation.
 
 Evaluation-time forwards should run inside ``no_grad()`` so no graph is
 retained.
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,6 +219,90 @@ def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
         logits._accumulate(p * (g - dot))
 
     return _make(p, (logits,), backward)
+
+
+class SparsePattern(NamedTuple):
+    """Sparsity pattern of a structurally symmetric n x n matrix, in CSR order.
+
+    Entry ``e`` sits at ``(rows[e], cols[e])``; entries are sorted by row,
+    then column, and row ``i`` owns entries ``indptr[i]:indptr[i + 1]``. Every
+    row holds at least one entry. ``transpose[e]`` is the entry at
+    ``(cols[e], rows[e])``: since the transposed matrix has the same pattern,
+    ``values[transpose]`` lists its entries in the same CSR order.
+    """
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    transpose: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of per-entry ``values`` (one leading row per entry) over each row."""
+        return np.add.reduceat(values, self.indptr[:-1], axis=0)
+
+
+def symmetric_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> SparsePattern:
+    """CSR pattern of the n x n matrix with entries at ``(rows[e], cols[e])``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=n)
+    if len(counts) != n or not counts.all():
+        raise ValueError(f"every row of an {n}-row sparse pattern needs an entry in range")
+    if ((np.diff(rows) == 0) & (np.diff(cols) == 0)).any():
+        raise ValueError("sparse pattern has a duplicate entry")
+    transpose = np.lexsort((rows, cols))
+    if not (np.array_equal(rows[transpose], cols) and np.array_equal(cols[transpose], rows)):
+        raise ValueError("sparse pattern is not symmetric")
+    return SparsePattern(np.concatenate(([0], np.cumsum(counts))), rows, cols, transpose)
+
+
+def gather_rows(a: Tensor, pattern: SparsePattern, columns: bool = False) -> Tensor:
+    """Row ``rows[e]`` of ``a`` (``cols[e]`` with ``columns``) for every entry ``e``."""
+    if a.shape[0] != pattern.n:
+        raise ValueError(f"gather from {a.shape[0]} rows over a {pattern.n}-row pattern")
+    index = pattern.cols if columns else pattern.rows
+
+    def backward(g):
+        a._accumulate(pattern.row_sums(g[pattern.transpose] if columns else g))
+
+    return _make(a.data[index], (a,), backward)
+
+
+def segment_softmax(logits: Tensor, pattern: SparsePattern) -> Tensor:
+    """Softmax of per-entry logits (E x 1) over the entries of each row."""
+    if logits.shape != (len(pattern.rows), 1):
+        raise ValueError(f"logits shape {logits.shape} != ({len(pattern.rows)}, 1)")
+    x = logits.data
+    rowmax = np.maximum.reduceat(x, pattern.indptr[:-1], axis=0)
+    e = np.exp(x - rowmax[pattern.rows])
+    p = e / pattern.row_sums(e)[pattern.rows]
+
+    def backward(g):
+        dot = pattern.row_sums(g * p)
+        logits._accumulate(p * (g - dot[pattern.rows]))
+
+    return _make(p, (logits,), backward)
+
+
+def spmm(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
+    """Sparse (n x n, per-entry ``values`` of shape E x 1) times dense (n x d)."""
+    if values.shape != (len(pattern.rows), 1) or x.shape[0] != pattern.n:
+        raise ValueError(f"spmm shape mismatch: values {values.shape}, x {x.shape}, pattern of {pattern.n} rows")
+    w = values.data
+    x_cols = x.data[pattern.cols]
+
+    def backward(g):
+        g_rows = g[pattern.rows]
+        values._accumulate((g_rows * x_cols).sum(axis=1, keepdims=True))
+        x._accumulate(pattern.row_sums((w * g_rows)[pattern.transpose]))
+
+    return _make(pattern.row_sums(w * x_cols), (values, x), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

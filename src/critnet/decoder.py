@@ -110,10 +110,14 @@ def q_from_embeddings(emb: ad.Tensor, params: DecoderParams) -> QOutput:
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over alive nodes.
 
+    Dead nodes are -inf and never chosen; a NaN anywhere in ``q`` raises.
     Bit-equal maxima go to the lowest id, but structurally equivalent nodes can
     get Q-values that differ by rounding, so which of them is picked is not
     promised.
     """
+    nan = np.flatnonzero(np.isnan(q))
+    if len(nan):
+        raise ValueError(f"Q-values are NaN at node(s) {nan[:5].tolist()}")
     alive = np.flatnonzero(np.isfinite(q))
     if len(alive) == 0:
         raise ValueError("no alive nodes to act on")
@@ -191,18 +195,30 @@ class Model:
             return degree_only_features(g)
         return aggregate_features(g)
 
-    def embed(self, g: Graph, training: bool = False, rng: np.random.Generator | None = None) -> ad.Tensor:
+    def embed(
+        self,
+        g: Graph,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+        features: np.ndarray | None = None,
+    ) -> ad.Tensor:
+        """Encoder output for ``g``; ``features``, when given, must be ``self.features(g)``."""
         if g.n_alive() == 0:
             raise ValueError("no alive nodes to score")
-        return encode(g, self.features(g), self.encoder, training, rng, self.dropout_profile)
+        if features is None:
+            features = self.features(g)
+        return encode(g, features, self.encoder, training, rng, self.dropout_profile)
 
     def q_output(self, g: Graph, training: bool = False, rng: np.random.Generator | None = None) -> QOutput:
         return q_from_embeddings(self.embed(g, training, rng), self.decoder)
 
-    def q_full(self, g: Graph) -> np.ndarray:
-        """Inference-mode Q over all node ids; dead nodes are -inf."""
+    def q_full(self, g: Graph, features: np.ndarray | None = None) -> np.ndarray:
+        """Inference-mode Q over all node ids; dead nodes are -inf.
+
+        Models with the same ``feature_mode`` can share one ``features``.
+        """
         with ad.no_grad():
-            out = self.q_output(g)
+            out = q_from_embeddings(self.embed(g, features=features), self.decoder)
         q = np.full(g.n, -np.inf)
         q[g.alive_ids()] = out.q.data[:, 0]
         return q
@@ -214,6 +230,8 @@ def td_targets(batch: list[Transition], online: Model, target: Model, gamma: flo
     y = r + gamma * Q_target(s', argmax_a Q_online(s', a)), or y = r for a
     terminal transition. This is <= the vanilla target r + gamma * max_a
     Q_target(s', a), with equality when the two argmaxes agree or tie.
+    Each next state's features are computed once when both models share a
+    ``feature_mode``.
     """
     ys = np.empty(len(batch))
     for i, t in enumerate(batch):
@@ -221,6 +239,8 @@ def td_targets(batch: list[Transition], online: Model, target: Model, gamma: flo
             ys[i] = t.reward
             continue
         nxt = t.next_state()
-        best = int(np.argmax(online.q_full(nxt)))
-        ys[i] = t.reward + gamma * target.q_full(nxt)[best]
+        feats = online.features(nxt)
+        best = int(np.argmax(online.q_full(nxt, feats)))
+        shared = feats if target.feature_mode == online.feature_mode else None
+        ys[i] = t.reward + gamma * target.q_full(nxt, shared)[best]
     return ys

@@ -1,10 +1,14 @@
 """Two-layer multi-head graph attention encoder over residual graphs.
 
-Per head: linear transform, pairwise attention logits through a
-leaky-relu(0.2), softmax over each node's closed neighborhood (self-loops
-are always included so isolated residual nodes keep non-empty support),
-then an attention-weighted sum. Head outputs are concatenated and passed
-through an ELU.
+Attention runs over the edge list of each node's closed neighborhood: the
+alive edges in both directions plus one self-loop per alive node, so an
+isolated residual node still attends to itself. ``attention_mask`` builds
+that structure once per graph as an ``autodiff.SparsePattern`` with E =
+2 * m_alive + n_alive entries, and no n x n array is formed. Per head:
+linear transform, per-entry logits ``src[row] + dst[col]`` through a
+leaky-relu(0.2), a softmax over each row's entries, dropout on the E
+attention values, then the sparse attention-weighted sum. Head outputs are
+concatenated and passed through an ELU.
 
 ``encode`` takes one of two dropout profiles from ``DROPOUT_PROFILES``:
 
@@ -13,6 +17,10 @@ through an ELU.
                    the Q-learning agent);
 * ``"original"`` - the classic GAT profile with dropout 0.6 on the inputs
                    and attention coefficients of both layers.
+
+Training-mode attention dropout draws E uniforms, one per closed-neighborhood
+entry in CSR order (a dense layer would draw n^2), so a seeded training run
+depends on that order.
 """
 from __future__ import annotations
 
@@ -100,39 +108,34 @@ def init_encoder_params(rng: np.random.Generator) -> EncoderParams:
     )
 
 
-def attention_mask(g: Graph) -> np.ndarray:
-    """Closed-neighborhood mask of the alive subgraph (adjacency + self-loops)."""
-    mask = alive_edges(g).adjacency()
-    np.fill_diagonal(mask, 1.0)
-    return mask
+def attention_mask(g: Graph) -> ad.SparsePattern:
+    """Closed-neighborhood pattern of the alive subgraph (alive edges both ways plus self-loops)."""
+    sub = alive_edges(g)
+    loops = np.arange(len(sub.ids))
+    rows = np.concatenate((sub.src, sub.dst, loops))
+    cols = np.concatenate((sub.dst, sub.src, loops))
+    return ad.symmetric_pattern(rows, cols, len(sub.ids))
 
 
 def gat_layer(
     h: ad.Tensor,
-    mask: np.ndarray,
+    mask: ad.SparsePattern,
     layer: GatLayerParams,
     dropout_rate: float,
     training: bool,
     rng: np.random.Generator | None = None,
-    collect_attention: list | None = None,
 ) -> ad.Tensor:
     """One multi-head attention layer; returns elu(concat of head outputs)."""
-    n = h.shape[0]
-    if mask.shape != (n, n):
-        raise ValueError(f"mask shape {mask.shape} does not match {n} nodes")
-    ones_row = ad.tensor(np.ones((1, n)))
-    ones_col = ad.tensor(np.ones((n, 1)))
+    if mask.n != h.shape[0]:
+        raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
     outputs = []
     for head in layer.heads:
         hw = ad.matmul(h, head.w)
-        src = ad.matmul(hw, head.a_src)
-        dst = ad.matmul(hw, head.a_dst)
-        logits = ad.add(ad.matmul(src, ones_row), ad.matmul(ones_col, ad.transpose(dst)))
-        att = ad.row_softmax_masked(ad.leaky_relu(logits, ATTENTION_SLOPE), mask)
-        if collect_attention is not None:
-            collect_attention.append(att.data.copy())
+        src = ad.gather_rows(ad.matmul(hw, head.a_src), mask)
+        dst = ad.gather_rows(ad.matmul(hw, head.a_dst), mask, columns=True)
+        att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
         att = ad.dropout(att, dropout_rate, rng, training)
-        outputs.append(ad.matmul(att, hw))
+        outputs.append(ad.spmm(att, mask, hw))
     return ad.elu(ad.concat(outputs, axis=1))
 
 

@@ -4,6 +4,10 @@ Four metrics are computed on the residual (alive) subgraph — degree, degree
 centrality, eigenvector centrality, and PageRank — then min-max normalized
 per column and stacked into an ``n_alive x 4`` matrix. A degree-only variant
 replicates the normalized degree column so downstream shapes are unchanged.
+
+The metric helpers take a ``Graph`` or its prebuilt ``alive_edges`` view, so
+``aggregate_features`` restricts the edge list once per call. The power
+iterations multiply by the adjacency through O(m) edge-list matvecs.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from critnet.graph import Graph, alive_edges
+from critnet.graph import AliveEdges, Graph, alive_edges
 
 FEATURE_COLUMNS = ("degree", "degree_centrality", "eigenvector_centrality", "pagerank")
 
@@ -22,18 +26,31 @@ EIGENVECTOR_TOL = 1e-8
 EIGENVECTOR_MAX_ITER = 1000
 
 
-def degree_vector(g: Graph) -> np.ndarray:
+def _residual(g: Graph | AliveEdges) -> AliveEdges:
+    return g if isinstance(g, AliveEdges) else alive_edges(g)
+
+
+def _adjacency_matvec(sub: AliveEdges, x: np.ndarray) -> np.ndarray:
+    """A @ x for the alive subgraph's adjacency A, in O(m) over its edge list."""
+    n = len(sub.ids)
+    return np.bincount(sub.src, weights=x[sub.dst], minlength=n) + np.bincount(sub.dst, weights=x[sub.src], minlength=n)
+
+
+def degree_vector(g: Graph | AliveEdges) -> np.ndarray:
     """Degree of each alive node counting alive neighbors only."""
-    return alive_edges(g).degrees().astype(float)
+    return _residual(g).degrees().astype(float)
 
 
-def degree_centrality(g: Graph) -> np.ndarray:
-    """Degree divided by (n_alive - 1); zeros when fewer than two nodes remain."""
-    deg = degree_vector(g)
+def _scaled_degree(deg: np.ndarray) -> np.ndarray:
     n = len(deg)
     if n <= 1:
         return np.zeros(n)
     return deg / (n - 1)
+
+
+def degree_centrality(g: Graph | AliveEdges) -> np.ndarray:
+    """Degree divided by (n_alive - 1); zeros when fewer than two nodes remain."""
+    return _scaled_degree(degree_vector(g))
 
 
 class EigenvectorResult(NamedTuple):
@@ -42,7 +59,7 @@ class EigenvectorResult(NamedTuple):
 
 
 def eigenvector_centrality(
-    g: Graph,
+    g: Graph | AliveEdges,
     tol: float = EIGENVECTOR_TOL,
     max_iter: int = EIGENVECTOR_MAX_ITER,
 ) -> EigenvectorResult:
@@ -56,13 +73,13 @@ def eigenvector_centrality(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = alive_edges(g).adjacency()
-    n = len(a)
+    sub = _residual(g)
+    n = len(sub.ids)
     if n == 0:
         return EigenvectorResult(np.zeros(0), True)
     x = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(max_iter):
-        nxt = a @ x + x
+        nxt = _adjacency_matvec(sub, x) + x
         norm = np.linalg.norm(nxt)
         if norm == 0.0:
             return EigenvectorResult(np.zeros(n), True)
@@ -73,32 +90,39 @@ def eigenvector_centrality(
     return EigenvectorResult(x, False)
 
 
+class PagerankResult(NamedTuple):
+    scores: np.ndarray
+    converged: bool
+
+
 def pagerank(
-    g: Graph,
+    g: Graph | AliveEdges,
     damping: float = PAGERANK_DAMPING,
     tol: float = PAGERANK_TOL,
     max_iter: int = PAGERANK_MAX_ITER,
-) -> np.ndarray:
+) -> PagerankResult:
     """PageRank over the alive subgraph, edges treated as bidirectional.
 
-    Isolated (dangling) nodes redistribute their mass uniformly; the result
-    sums to 1 whenever any node is alive.
+    Isolated (dangling) nodes redistribute their mass uniformly; the scores
+    sum to 1 whenever any node is alive. Converged when the L1 change between
+    successive iterates drops below ``tol``; otherwise the last iterate is
+    returned with ``converged=False``.
     """
-    a = alive_edges(g).adjacency()
-    n = len(a)
+    sub = _residual(g)
+    n = len(sub.ids)
     if n == 0:
-        return np.zeros(0)
-    deg = a.sum(axis=1)
+        return PagerankResult(np.zeros(0), True)
+    deg = sub.degrees().astype(float)
     dangling = deg == 0
-    # row-stochastic transition for non-dangling rows
-    p = np.divide(a, deg[:, None], out=np.zeros_like(a), where=deg[:, None] > 0)
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        nxt = damping * (p.T @ x + x[dangling].sum() / n) + (1.0 - damping) / n
+        # P^T x for the row-stochastic walk P = D^-1 A on non-dangling rows
+        walk = _adjacency_matvec(sub, np.divide(x, deg, out=np.zeros(n), where=~dangling))
+        nxt = damping * (walk + x[dangling].sum() / n) + (1.0 - damping) / n
         if np.abs(nxt - x).sum() < tol:
-            return nxt
+            return PagerankResult(nxt, True)
         x = nxt
-    return x
+    return PagerankResult(x, False)
 
 
 def _minmax_column(col: np.ndarray) -> np.ndarray:
@@ -114,14 +138,15 @@ def aggregate_features(g: Graph) -> np.ndarray:
     Constant columns (e.g. on regular graphs) map to all zeros. Rows follow
     alive node ids in increasing order.
     """
-    n = g.n_alive()
-    if n == 0:
+    sub = alive_edges(g)
+    if len(sub.ids) == 0:
         return np.zeros((0, 4))
+    deg = degree_vector(sub)
     cols = [
-        degree_vector(g),
-        degree_centrality(g),
-        eigenvector_centrality(g).scores,
-        pagerank(g),
+        deg,
+        _scaled_degree(deg),
+        eigenvector_centrality(sub).scores,
+        pagerank(sub).scores,
     ]
     return np.column_stack([_minmax_column(c) for c in cols])
 

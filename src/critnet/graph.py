@@ -94,13 +94,6 @@ class AliveEdges(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
 
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency, rows and columns in ``ids`` order."""
-        a = np.zeros((len(self.ids), len(self.ids)))
-        a[self.src, self.dst] = 1.0
-        a[self.dst, self.src] = 1.0
-        return a
-
     def degrees(self) -> np.ndarray:
         """Alive-neighbor count of each alive node, in ``ids`` order."""
         return np.bincount(np.concatenate((self.src, self.dst)), minlength=len(self.ids))

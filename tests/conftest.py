@@ -1,8 +1,11 @@
+import contextlib
 import os
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 settings.register_profile(
     "ci",
@@ -78,6 +81,23 @@ def random_graph(rng, max_n=30):
     return gen_ws(n, 4, float(rng.uniform(0.0, 0.5)), seed)
 
 
+@st.composite
+def corpus_graphs(draw, max_n=40):
+    """A seeded BA, ER or WS graph, full or with up to half its nodes removed."""
+    from critnet.graph import gen_ba, gen_er, gen_ws, remove_nodes
+
+    kind = draw(st.sampled_from(["ba", "er", "ws"]))
+    n = draw(st.integers(6, max_n))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if kind == "ba":
+        g = gen_ba(n, draw(st.integers(1, 3)), seed)
+    elif kind == "er":
+        g = gen_er(n, draw(st.floats(0.0, 0.4)), seed)
+    else:
+        g = gen_ws(n, 4, draw(st.floats(0.0, 0.5)), seed)
+    return remove_nodes(g, draw(st.lists(st.integers(0, n - 1), max_size=n // 2, unique=True)))
+
+
 def neighbor_lists(g):
     """Adjacency lists rebuilt from ``g.edges`` alone, ignoring the alive mask."""
     adj = [[] for _ in range(g.n)]
@@ -131,3 +151,55 @@ def brute_pairwise(g, removed=()):
                     queue.append(u)
         total += len(reach) - 1
     return total // 2
+
+
+# --- dense attention oracle -------------------------------------------------
+
+
+def dense_adjacency(g):
+    """Dense symmetric 0/1 adjacency of the alive subgraph, rows in alive-id order."""
+    from critnet.graph import alive_edges
+
+    sub = alive_edges(g)
+    a = np.zeros((len(sub.ids), len(sub.ids)))
+    a[sub.src, sub.dst] = 1.0
+    a[sub.dst, sub.src] = 1.0
+    return a
+
+
+def dense_attention_mask(g):
+    """Closed-neighborhood mask as a dense 0/1 matrix: adjacency plus the identity."""
+    mask = dense_adjacency(g)
+    np.fill_diagonal(mask, 1.0)
+    return mask
+
+
+def dense_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
+    """The encoder's attention layer over dense n x n logits, masks and softmaxes."""
+    from critnet import autodiff as ad
+    from critnet.encoder import ATTENTION_SLOPE
+
+    n = h.shape[0]
+    ones_row = ad.tensor(np.ones((1, n)))
+    ones_col = ad.tensor(np.ones((n, 1)))
+    outputs = []
+    for head in layer.heads:
+        hw = ad.matmul(h, head.w)
+        src = ad.matmul(hw, head.a_src)
+        dst = ad.matmul(hw, head.a_dst)
+        logits = ad.add(ad.matmul(src, ones_row), ad.matmul(ones_col, ad.transpose(dst)))
+        att = ad.row_softmax_masked(ad.leaky_relu(logits, ATTENTION_SLOPE), mask)
+        att = ad.dropout(att, dropout_rate, rng, training)
+        outputs.append(ad.matmul(att, hw))
+    return ad.elu(ad.concat(outputs, axis=1))
+
+
+@contextlib.contextmanager
+def dense_encoder():
+    """Within the context, ``encode`` (and every model) uses the dense attention layer."""
+    from critnet import encoder
+
+    with mock.patch.object(encoder, "attention_mask", dense_attention_mask), mock.patch.object(
+        encoder, "gat_layer", dense_gat_layer
+    ):
+        yield

@@ -117,6 +117,116 @@ class TestPrimitives:
         assert y._parents == ()
 
 
+def closed_pattern(n, edges):
+    """Closed-neighborhood pattern: every edge in both directions plus a self-loop per node."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(n)
+    return ad.symmetric_pattern(
+        np.concatenate((e[:, 0], e[:, 1], loops)), np.concatenate((e[:, 1], e[:, 0], loops)), n
+    )
+
+
+def dense(pattern, values):
+    out = np.zeros((pattern.n, pattern.n))
+    out[pattern.rows, pattern.cols] = values.reshape(-1)
+    return out
+
+
+# node 5 is isolated, so its row is a length-1 segment
+PATTERNS = {
+    "isolated-node": (6, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 3)]),
+    "edgeless": (4, []),
+    "one-node": (1, []),
+}
+
+
+@pytest.fixture(params=list(PATTERNS), ids=list(PATTERNS))
+def pattern(request):
+    return closed_pattern(*PATTERNS[request.param])
+
+
+class TestSparsePrimitives:
+    @pytest.mark.parametrize("columns", [False, True], ids=["rows", "cols"])
+    def test_gather_rows_gradient(self, pattern, columns):
+        rng = np.random.default_rng(30)
+        a = rand_tensor(rng, (pattern.n, 3))
+        target = rng.standard_normal((len(pattern.rows), 3))
+        out = ad.gather_rows(a, pattern, columns)
+        assert np.array_equal(out.data, a.data[pattern.cols if columns else pattern.rows])
+        err = ad.grad_check(lambda: ad.mse_loss(ad.gather_rows(a, pattern, columns), target), [a])
+        assert err < 1e-6
+
+    def test_segment_softmax_gradient(self, pattern):
+        rng = np.random.default_rng(31)
+        logits = rand_tensor(rng, (len(pattern.rows), 1))
+        target = rng.standard_normal((len(pattern.rows), 1))
+        err = ad.grad_check(lambda: ad.mse_loss(ad.segment_softmax(logits, pattern), target), [logits])
+        assert err < 1e-6
+
+    def test_spmm_gradient(self, pattern):
+        rng = np.random.default_rng(32)
+        values = rand_tensor(rng, (len(pattern.rows), 1))
+        x = rand_tensor(rng, (pattern.n, 3))
+        target = rng.standard_normal((pattern.n, 3))
+        out = ad.spmm(values, pattern, x)
+        assert np.allclose(out.data, dense(pattern, values.data) @ x.data, rtol=0, atol=1e-14)
+        err = ad.grad_check(lambda: ad.mse_loss(ad.spmm(values, pattern, x), target), [values, x])
+        assert err < 1e-6
+
+    def test_segment_softmax_rows_sum_to_one(self):
+        p = closed_pattern(*PATTERNS["isolated-node"])
+        logits = np.random.default_rng(33).standard_normal((len(p.rows), 1)) * 400.0
+        out = ad.segment_softmax(ad.tensor(logits), p).data
+        assert np.allclose(p.row_sums(out), 1.0, rtol=0, atol=1e-15)
+        assert (out >= 0.0).all()
+
+    def test_isolated_node_attends_to_itself(self):
+        p = closed_pattern(*PATTERNS["isolated-node"])
+        logits = np.random.default_rng(34).standard_normal((len(p.rows), 1))
+        out = ad.segment_softmax(ad.tensor(logits), p).data
+        (own,) = np.flatnonzero(p.rows == 5)
+        assert p.cols[own] == 5
+        assert out[own, 0] == 1.0
+
+    def test_segment_softmax_matches_dense_masked_softmax(self):
+        p = closed_pattern(*PATTERNS["isolated-node"])
+        logits = np.random.default_rng(35).standard_normal((len(p.rows), 1))
+        mask = dense(p, np.ones(len(p.rows)))
+        full = np.where(mask > 0, dense(p, logits), 0.0)
+        want = ad.row_softmax_masked(ad.tensor(full), mask).data[p.rows, p.cols]
+        got = ad.segment_softmax(ad.tensor(logits), p).data[:, 0]
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_pattern_is_sorted_with_a_transpose_permutation(self, pattern):
+        order = np.lexsort((pattern.cols, pattern.rows))
+        assert np.array_equal(order, np.arange(len(pattern.rows)))
+        assert np.array_equal(pattern.rows[pattern.transpose], pattern.cols)
+        assert np.array_equal(pattern.cols[pattern.transpose], pattern.rows)
+
+    @pytest.mark.parametrize(
+        "rows, cols, n, message",
+        [
+            ([0, 1], [0, 1], 3, "needs an entry"),
+            ([0, 1, 0], [0, 1, 1], 2, "not symmetric"),
+            ([0, 0, 1], [0, 0, 1], 2, "duplicate"),
+            ([0, 1, 2], [0, 1, 2], 2, "needs an entry"),
+        ],
+        ids=["empty-row", "asymmetric", "duplicate", "out-of-range"],
+    )
+    def test_invalid_pattern_rejected(self, rows, cols, n, message):
+        with pytest.raises(ValueError, match=message):
+            ad.symmetric_pattern(np.array(rows), np.array(cols), n)
+
+    def test_shape_mismatch_raises(self):
+        p = closed_pattern(3, [(0, 1)])
+        with pytest.raises(ValueError):
+            ad.gather_rows(ad.tensor(np.zeros((4, 2))), p)
+        with pytest.raises(ValueError):
+            ad.segment_softmax(ad.tensor(np.zeros((len(p.rows) + 1, 1))), p)
+        with pytest.raises(ValueError):
+            ad.spmm(ad.tensor(np.zeros((len(p.rows), 1))), p, ad.tensor(np.zeros((2, 2))))
+
+
 class TestGradCheck:
     def test_quadratic(self):
         theta = ad.tensor(np.array([[1.0, -2.0, 3.0]]), requires_grad=True)

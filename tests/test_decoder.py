@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from critnet import autodiff as ad
+from critnet import decoder as decoder_module
 from critnet.decoder import (
     Model,
     ReplayBuffer,
@@ -12,7 +15,7 @@ from critnet.decoder import (
     td_targets,
 )
 from critnet.encoder import EMBEDDING_DIM, encode, init_encoder_params
-from critnet.graph import gen_er, remove_nodes
+from critnet.graph import gen_ba, gen_er, remove_nodes
 
 
 def decoder(seed=0, dueling=True):
@@ -90,6 +93,20 @@ class TestSelectAction:
         for eps in (0.0, 0.5, 1.0):
             for _ in range(200):
                 assert select_action(q, eps, rng) in (1, 3)
+
+    def test_nan_rejected_on_greedy_branch(self):
+        q = np.array([1.0, np.nan, 2.0, -np.inf])
+        with pytest.raises(ValueError, match=r"NaN at node\(s\) \[1\]"):
+            select_action(q, 0.0, np.random.default_rng(0))
+
+    def test_nan_rejected_on_epsilon_branch(self):
+        q = np.array([1.0, 3.0, -np.inf, np.nan])
+        with pytest.raises(ValueError, match=r"NaN at node\(s\) \[3\]"):
+            select_action(q, 1.0, np.random.default_rng(0))
+
+    def test_all_nan_is_reported_as_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            select_action(np.full(3, np.nan), 0.0, np.random.default_rng(0))
 
     def test_epsilon_one_is_uniform(self):
         q = np.array([-np.inf, 1.0, 100.0, -np.inf, 3.0])
@@ -212,7 +229,35 @@ class TestTdTargets:
         assert disagreements > 0  # the oracle actually exercised the difference
 
 
+    def test_features_computed_once_per_next_state(self):
+        batch = [t for t in self.episode_transitions(19) if not t.terminal]
+        online, target = model(20), model(21)
+        want = td_targets(batch, online, target, gamma=0.9)
+        spy = mock.Mock(wraps=decoder_module.aggregate_features)
+        with mock.patch.object(decoder_module, "aggregate_features", spy):
+            got = td_targets(batch, online, target, gamma=0.9)
+        assert spy.call_count == len(batch)
+        assert np.array_equal(got, want)
+
+    def test_feature_modes_that_differ_are_not_shared(self):
+        batch = [t for t in self.episode_transitions(22) if not t.terminal]
+        online, target = model(23), model(24, feature_mode="degree")
+        ys = td_targets(batch, online, target, gamma=0.9)
+        for t, y in zip(batch, ys):
+            nxt = t.next_state()
+            best = int(np.argmax(online.q_full(nxt)))
+            assert y == t.reward + 0.9 * target.q_full(nxt)[best]
+
+
 class TestModel:
+    def test_q_full_on_a_10000_node_graph(self):
+        # dense attention would need 0.8 GB per n x n array here
+        g = remove_nodes(gen_ba(10_000, 2, 25), [0, 1, 2])
+        q = model(26).q_full(g)
+        assert np.isneginf(q[:3]).all()
+        assert np.isfinite(q[3:]).all()
+
+
     def test_q_full_marks_dead_nodes(self):
         m = model(8)
         g = remove_nodes(gen_er(10, 0.3, 9), [1, 4])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import path_graph, random_graph
+from conftest import corpus_graphs, dense_encoder, path_graph
 from critnet import autodiff as ad
+from critnet.decoder import Model, init_decoder_params, q_from_embeddings
 from critnet.encoder import (
     EMBEDDING_DIM,
     attention_mask,
@@ -20,13 +22,11 @@ def params(seed=0):
 
 class TestGatLayer:
     def test_isolated_node_attends_to_itself(self):
+        # attention weight 1.0 on the self-loop makes each head output h @ W
         g = build_graph(1, [])
         p = params()
         h = ad.tensor(np.array([[0.1, 0.4, 0.0, 0.9]]))
-        attn: list = []
-        out = gat_layer(h, attention_mask(g), p.layer1, 0.0, False, collect_attention=attn)
-        assert len(attn) == 8
-        assert all(a.shape == (1, 1) and a[0, 0] == 1.0 for a in attn)
+        out = gat_layer(h, attention_mask(g), p.layer1, 0.0, False)
         expect = np.concatenate([h.data @ head.w.data for head in p.layer1.heads], axis=1)
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, expect)
@@ -42,13 +42,16 @@ class TestGatLayer:
         assert np.array_equal(out_train.data, out_eval.data)
 
     def test_attention_rows_sum_to_one_per_head(self):
-        g = gen_er(15, 0.25, 4)
+        # with identical input rows, every node's output is its attention row
+        # sum times the shared row h @ W, so it equals elu(h @ W) iff each
+        # head's attention sums to one over the closed neighborhood
+        g = remove_nodes(gen_er(15, 0.25, 4), [2, 7])
         p = params()
-        feats = aggregate_features(g)
-        attn: list = []
-        gat_layer(ad.tensor(feats), attention_mask(g), p.layer1, 0.0, False, collect_attention=attn)
-        for a in attn:
-            assert np.allclose(a.sum(axis=1), 1.0)
+        row = np.array([[0.3, -0.8, 0.5, 1.2]])
+        out = gat_layer(ad.tensor(np.repeat(row, 13, axis=0)), attention_mask(g), p.layer1, 0.0, False)
+        expect = np.concatenate([row @ head.w.data for head in p.layer1.heads], axis=1)
+        expect = np.where(expect > 0, expect, np.expm1(expect))
+        assert np.allclose(out.data, np.repeat(expect, 13, axis=0), rtol=0, atol=1e-14)
 
     def test_layer_permutation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -189,6 +192,36 @@ class TestDropoutProfiles:
         g = gen_er(8, 0.4, 26)
         with pytest.raises(ValueError, match="'bogus'.*reduced.*original"):
             encode(g, aggregate_features(g), params(), profile="bogus")
+
+
+class TestDenseOracle:
+    """Edge-list attention against the dense n x n layer kept in conftest."""
+
+    @staticmethod
+    def run(model, g, target):
+        emb = model.embed(g)
+        loss = ad.mse_loss(q_from_embeddings(emb, model.decoder).q, target)
+        loss.backward()
+        grads = [p.grad.copy() for p in model.parameters()]
+        ad.zero_grads(model.parameters())
+        return emb.data, model.q_full(g), grads
+
+    @pytest.mark.parametrize("profile", ["reduced", "original"])
+    @given(g=corpus_graphs())
+    def test_embeddings_q_and_gradients_match(self, profile, g):
+        rng = np.random.default_rng(g.n)
+        model = Model(init_encoder_params(rng), init_decoder_params(rng), dropout_profile=profile)
+        target = rng.standard_normal((g.n_alive(), 1))
+        emb, q, grads = self.run(model, g, target)
+        with dense_encoder():
+            want_emb, want_q, want_grads = self.run(model, g, target)
+        np.testing.assert_allclose(emb, want_emb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q, want_q, rtol=0, atol=1e-12)
+        # some a_src gradients are zero up to rounding (~1e-19), so the error
+        # is scaled by the largest gradient entry rather than per parameter
+        scale = max(np.abs(w).max() for w in want_grads)
+        for got, want in zip(grads, want_grads):
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 def gen_ba_like(n):

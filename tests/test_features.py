@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from hypothesis import given
+
+from conftest import complete_graph, corpus_graphs, cycle_graph, dense_adjacency, path_graph, random_graph, star_graph
 from critnet.features import (
     aggregate_features,
     degree_centrality,
@@ -10,7 +12,7 @@ from critnet.features import (
     eigenvector_centrality,
     pagerank,
 )
-from critnet.graph import build_graph, gen_er, remove_nodes
+from critnet.graph import alive_edges, build_graph, gen_er, remove_nodes
 
 
 def dense_dominant_eigenvector(g):
@@ -49,6 +51,36 @@ def dense_pagerank(g, damping=0.85, tol=1e-13, iters=5000):
             break
         x = nxt
     return x
+
+
+def dense_matvec_eigenvector(g, tol=1e-8, max_iter=1000):
+    """Oracle: the same power iteration as ``eigenvector_centrality`` with a dense matvec."""
+    a = dense_adjacency(g)
+    n = len(a)
+    x = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(max_iter):
+        nxt = a @ x + x
+        nxt /= np.linalg.norm(nxt)
+        if np.abs(nxt - x).sum() < tol:
+            return nxt, True
+        x = nxt
+    return x, False
+
+
+def dense_matvec_pagerank(g, damping=0.85, tol=1e-8, max_iter=200):
+    """Oracle: the same power iteration as ``pagerank`` with a dense transition matrix."""
+    a = dense_adjacency(g)
+    n = len(a)
+    deg = a.sum(axis=1)
+    dangling = deg == 0
+    p = np.divide(a, deg[:, None], out=np.zeros_like(a), where=deg[:, None] > 0)
+    x = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        nxt = damping * (p.T @ x + x[dangling].sum() / n) + (1.0 - damping) / n
+        if np.abs(nxt - x).sum() < tol:
+            return nxt, True
+        x = nxt
+    return x, False
 
 
 class TestDegree:
@@ -120,17 +152,18 @@ class TestEigenvectorCentrality:
 
 class TestPagerank:
     def test_cycle_uniform(self):
-        assert np.allclose(pagerank(cycle_graph(8)), 1.0 / 8, atol=1e-9)
+        assert np.allclose(pagerank(cycle_graph(8)).scores, 1.0 / 8, atol=1e-9)
 
     def test_all_isolated(self):
         g = build_graph(4, [])
-        assert np.allclose(pagerank(g), 0.25)
+        assert np.allclose(pagerank(g).scores, 0.25)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             g = gen_er(int(rng.integers(3, 16)), float(rng.uniform(0.0, 0.5)), int(rng.integers(2**31)))
-            got = pagerank(g, tol=1e-13, max_iter=5000)
+            got, converged = pagerank(g, tol=1e-13, max_iter=5000)
+            assert converged
             assert np.abs(got - dense_pagerank(g)).sum() < 1e-8
 
     def test_sums_to_one_on_residual_graphs(self):
@@ -141,7 +174,38 @@ class TestPagerank:
             g = remove_nodes(g, kill.tolist())
             if g.n_alive() == 0:
                 continue
-            assert abs(pagerank(g).sum() - 1.0) < 1e-6
+            assert abs(pagerank(g).scores.sum() - 1.0) < 1e-6
+
+    def test_nonconvergence_reported(self):
+        scores, converged = pagerank(star_graph(6), max_iter=2)
+        assert not converged
+        assert abs(scores.sum() - 1.0) < 1e-12
+        assert pagerank(star_graph(6)).converged
+
+
+class TestPowerIterationsMatchDenseOracle:
+    @given(corpus_graphs())
+    def test_eigenvector_centrality(self, g):
+        want, want_converged = dense_matvec_eigenvector(g)
+        got = eigenvector_centrality(g)
+        assert got.converged == want_converged
+        np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
+
+    @given(corpus_graphs())
+    def test_pagerank(self, g):
+        want, want_converged = dense_matvec_pagerank(g)
+        got = pagerank(g)
+        assert got.converged == want_converged
+        np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
+
+    @given(corpus_graphs())
+    def test_prebuilt_view_gives_the_same_metrics(self, g):
+        sub = alive_edges(g)
+        assert np.array_equal(degree_vector(sub), degree_vector(g))
+        assert np.array_equal(degree_centrality(sub), degree_centrality(g))
+        for metric in (eigenvector_centrality, pagerank):
+            (a, a_converged), (b, b_converged) = metric(sub), metric(g)
+            assert np.array_equal(a, b) and a_converged == b_converged
 
 
 class TestAggregateFeatures:

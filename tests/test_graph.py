@@ -8,6 +8,7 @@ from conftest import (
     brute_pairwise,
     complete_graph,
     cycle_graph,
+    dense_attention_mask,
     neighbor_lists,
     path_graph,
     random_graph,
@@ -124,26 +125,36 @@ def residual_graphs(draw):
 
 
 def check_alive_edges(g):
-    """Compare alive_edges and attention_mask with counts rebuilt from g.edges."""
+    """Compare alive_edges and attention_mask with pairs and counts rebuilt from g.edges."""
     ids = [v for v in range(g.n) if g.alive[v]]
     pos = {v: i for i, v in enumerate(ids)}
     k = len(ids)
-    adj = np.zeros((k, k))
+    pairs = set()
     deg = np.zeros(k, dtype=np.int64)
     for u, v in g.edges:
         if u in pos and v in pos:
-            adj[pos[u], pos[v]] = adj[pos[v], pos[u]] = 1.0
+            pairs.add(frozenset((pos[u], pos[v])))
             deg[pos[u]] += 1
             deg[pos[v]] += 1
     sub = alive_edges(g)
     assert sub.ids.tolist() == ids
-    a = sub.adjacency()
-    assert np.array_equal(a, a.T)
-    assert set(np.unique(a).tolist()) <= {0.0, 1.0}
-    assert not a.diagonal().any()
-    assert np.array_equal(a, adj)
+    got = [frozenset((int(a), int(b))) for a, b in zip(sub.src, sub.dst)]
+    assert len(got) == len(set(got))
+    assert set(got) == pairs
     assert np.array_equal(sub.degrees(), deg)
-    assert np.array_equal(attention_mask(g), adj + np.eye(k))
+    # closed neighborhood: each alive edge both ways plus a self-loop per node, in CSR order
+    mask = attention_mask(g)
+    closed = {(i, i) for i in range(k)}
+    for p in pairs:
+        a, b = tuple(p)
+        closed |= {(a, b), (b, a)}
+    assert list(zip(mask.rows.tolist(), mask.cols.tolist())) == sorted(closed)
+    assert np.array_equal(mask.indptr, np.searchsorted(mask.rows, np.arange(k + 1)))
+    assert np.array_equal(mask.rows[mask.transpose], mask.cols)
+    assert np.array_equal(mask.cols[mask.transpose], mask.rows)
+    dense = np.zeros((k, k))
+    dense[mask.rows, mask.cols] = 1.0
+    assert np.array_equal(dense_attention_mask(g), dense)
 
 
 class TestAliveEdges:
