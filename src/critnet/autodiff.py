@@ -6,11 +6,12 @@ reverse topological order and accumulates exact gradients into ``.grad``.
 Only the primitives the attention encoder and Q-heads need are provided;
 there is no broadcasting beyond the explicit bias/row cases below.
 
-Graph attention runs over a ``SparsePattern``: one value per stored entry of
-a structurally symmetric n x n matrix in CSR order. ``gather_rows``,
-``segment_softmax`` and ``spmm`` work on those per-entry values, and their
-backward passes scatter with ``np.add.reduceat`` over row segments, reading
-column-indexed entries through the pattern's transpose permutation.
+Graph attention runs over a residual graph's closed-neighbourhood CSR, a
+``graph.SparsePattern``: one value per stored entry of a structurally
+symmetric n x n matrix in CSR order. ``gather_rows``, ``segment_softmax``
+and ``spmm`` work on those per-entry values, and their backward passes
+scatter with ``np.add.reduceat`` over row segments, reading column-indexed
+entries through the pattern's transpose permutation.
 
 Evaluation-time forwards should run inside ``no_grad()`` so no graph is
 retained.
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
+
+from critnet.graph import SparsePattern
 
 _grad_enabled = True
 
@@ -88,12 +90,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -145,17 +141,6 @@ def add_bias(a: Tensor, bias: Tensor) -> Tensor:
     return _make(a.data + bias.data, (a, bias), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
-
-    def backward(g):
-        a._accumulate(g * b.data)
-        b._accumulate(g * a.data)
-
-    return _make(a.data * b.data, (a, b), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         a._accumulate(g * c)
@@ -189,15 +174,6 @@ def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def exponential(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out)
-
-    return _make(out, (a,), backward)
-
-
 def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     """Row-wise softmax restricted to ``mask`` (0/1, same shape).
 
@@ -219,47 +195,6 @@ def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
         logits._accumulate(p * (g - dot))
 
     return _make(p, (logits,), backward)
-
-
-class SparsePattern(NamedTuple):
-    """Sparsity pattern of a structurally symmetric n x n matrix, in CSR order.
-
-    Entry ``e`` sits at ``(rows[e], cols[e])``; entries are sorted by row,
-    then column, and row ``i`` owns entries ``indptr[i]:indptr[i + 1]``. Every
-    row holds at least one entry. ``transpose[e]`` is the entry at
-    ``(cols[e], rows[e])``: since the transposed matrix has the same pattern,
-    ``values[transpose]`` lists its entries in the same CSR order.
-    """
-
-    indptr: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    transpose: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.indptr) - 1
-
-    def row_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum of per-entry ``values`` (one leading row per entry) over each row."""
-        return np.add.reduceat(values, self.indptr[:-1], axis=0)
-
-
-def symmetric_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> SparsePattern:
-    """CSR pattern of the n x n matrix with entries at ``(rows[e], cols[e])``."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    counts = np.bincount(rows, minlength=n)
-    if len(counts) != n or not counts.all():
-        raise ValueError(f"every row of an {n}-row sparse pattern needs an entry in range")
-    if ((np.diff(rows) == 0) & (np.diff(cols) == 0)).any():
-        raise ValueError("sparse pattern has a duplicate entry")
-    transpose = np.lexsort((rows, cols))
-    if not (np.array_equal(rows[transpose], cols) and np.array_equal(cols[transpose], rows)):
-        raise ValueError("sparse pattern is not symmetric")
-    return SparsePattern(np.concatenate(([0], np.cumsum(counts))), rows, cols, transpose)
 
 
 def gather_rows(a: Tensor, pattern: SparsePattern, columns: bool = False) -> Tensor:

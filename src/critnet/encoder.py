@@ -1,10 +1,10 @@
 """Two-layer multi-head graph attention encoder over residual graphs.
 
-Attention runs over the edge list of each node's closed neighborhood: the
-alive edges in both directions plus one self-loop per alive node, so an
-isolated residual node still attends to itself. ``attention_mask`` builds
-that structure once per graph as an ``autodiff.SparsePattern`` with E =
-2 * m_alive + n_alive entries, and no n x n array is formed. Per head:
+Attention runs over each node's closed neighborhood: the alive edges in
+both directions plus one self-loop per alive node, so an isolated residual
+node still attends to itself. ``attention_mask`` is the residual graph's
+closed-neighbourhood CSR from ``graph.residual``, a ``SparsePattern`` with
+E = 2 * m_alive + n_alive entries, and no n x n array is formed. Per head:
 linear transform, per-entry logits ``src[row] + dst[col]`` through a
 leaky-relu(0.2), a softmax over each row's entries, dropout on the E
 attention values, then the sparse attention-weighted sum. Head outputs are
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from critnet import autodiff as ad
-from critnet.graph import Graph, alive_edges
+from critnet.graph import Graph, SparsePattern, residual
 
 IN_FEATURES = 4
 N_HEADS = 8
@@ -55,10 +55,6 @@ class HeadParams:
 @dataclass
 class GatLayerParams:
     heads: list[HeadParams]
-
-    @property
-    def in_dim(self) -> int:
-        return self.heads[0].w.shape[0]
 
 
 @dataclass
@@ -108,18 +104,14 @@ def init_encoder_params(rng: np.random.Generator) -> EncoderParams:
     )
 
 
-def attention_mask(g: Graph) -> ad.SparsePattern:
+def attention_mask(g: Graph) -> SparsePattern:
     """Closed-neighborhood pattern of the alive subgraph (alive edges both ways plus self-loops)."""
-    sub = alive_edges(g)
-    loops = np.arange(len(sub.ids))
-    rows = np.concatenate((sub.src, sub.dst, loops))
-    cols = np.concatenate((sub.dst, sub.src, loops))
-    return ad.symmetric_pattern(rows, cols, len(sub.ids))
+    return residual(g)
 
 
 def gat_layer(
     h: ad.Tensor,
-    mask: ad.SparsePattern,
+    mask: SparsePattern,
     layer: GatLayerParams,
     dropout_rate: float,
     training: bool,

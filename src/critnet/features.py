@@ -5,9 +5,10 @@ centrality, eigenvector centrality, and PageRank — then min-max normalized
 per column and stacked into an ``n_alive x 4`` matrix. A degree-only variant
 replicates the normalized degree column so downstream shapes are unchanged.
 
-The metric helpers take a ``Graph`` or its prebuilt ``alive_edges`` view, so
-``aggregate_features`` restricts the edge list once per call. The power
-iterations multiply by the adjacency through O(m) edge-list matvecs.
+Each metric helper takes a ``Graph`` and reads the residual graph's
+closed-neighbourhood CSR from ``graph.residual``: the degree is the row
+length minus the self-loop, and the power iterations multiply by ``A + I``
+with one O(m) ``bincount`` over the CSR entries.
 """
 from __future__ import annotations
 
@@ -15,9 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from critnet.graph import AliveEdges, Graph, alive_edges
-
-FEATURE_COLUMNS = ("degree", "degree_centrality", "eigenvector_centrality", "pagerank")
+from critnet.graph import Graph, residual
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-8
@@ -26,19 +25,9 @@ EIGENVECTOR_TOL = 1e-8
 EIGENVECTOR_MAX_ITER = 1000
 
 
-def _residual(g: Graph | AliveEdges) -> AliveEdges:
-    return g if isinstance(g, AliveEdges) else alive_edges(g)
-
-
-def _adjacency_matvec(sub: AliveEdges, x: np.ndarray) -> np.ndarray:
-    """A @ x for the alive subgraph's adjacency A, in O(m) over its edge list."""
-    n = len(sub.ids)
-    return np.bincount(sub.src, weights=x[sub.dst], minlength=n) + np.bincount(sub.dst, weights=x[sub.src], minlength=n)
-
-
-def degree_vector(g: Graph | AliveEdges) -> np.ndarray:
+def degree_vector(g: Graph) -> np.ndarray:
     """Degree of each alive node counting alive neighbors only."""
-    return _residual(g).degrees().astype(float)
+    return np.diff(residual(g).indptr) - 1.0
 
 
 def _scaled_degree(deg: np.ndarray) -> np.ndarray:
@@ -48,7 +37,7 @@ def _scaled_degree(deg: np.ndarray) -> np.ndarray:
     return deg / (n - 1)
 
 
-def degree_centrality(g: Graph | AliveEdges) -> np.ndarray:
+def degree_centrality(g: Graph) -> np.ndarray:
     """Degree divided by (n_alive - 1); zeros when fewer than two nodes remain."""
     return _scaled_degree(degree_vector(g))
 
@@ -59,7 +48,7 @@ class EigenvectorResult(NamedTuple):
 
 
 def eigenvector_centrality(
-    g: Graph | AliveEdges,
+    g: Graph,
     tol: float = EIGENVECTOR_TOL,
     max_iter: int = EIGENVECTOR_MAX_ITER,
 ) -> EigenvectorResult:
@@ -73,13 +62,13 @@ def eigenvector_centrality(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    sub = _residual(g)
-    n = len(sub.ids)
+    sub = residual(g)
+    n = sub.n
     if n == 0:
         return EigenvectorResult(np.zeros(0), True)
     x = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(max_iter):
-        nxt = _adjacency_matvec(sub, x) + x
+        nxt = np.bincount(sub.rows, weights=x[sub.cols], minlength=n)
         norm = np.linalg.norm(nxt)
         if norm == 0.0:
             return EigenvectorResult(np.zeros(n), True)
@@ -96,7 +85,7 @@ class PagerankResult(NamedTuple):
 
 
 def pagerank(
-    g: Graph | AliveEdges,
+    g: Graph,
     damping: float = PAGERANK_DAMPING,
     tol: float = PAGERANK_TOL,
     max_iter: int = PAGERANK_MAX_ITER,
@@ -108,16 +97,18 @@ def pagerank(
     successive iterates drops below ``tol``; otherwise the last iterate is
     returned with ``converged=False``.
     """
-    sub = _residual(g)
-    n = len(sub.ids)
+    sub = residual(g)
+    n = sub.n
     if n == 0:
         return PagerankResult(np.zeros(0), True)
-    deg = sub.degrees().astype(float)
+    deg = np.diff(sub.indptr) - 1.0
     dangling = deg == 0
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        # P^T x for the row-stochastic walk P = D^-1 A on non-dangling rows
-        walk = _adjacency_matvec(sub, np.divide(x, deg, out=np.zeros(n), where=~dangling))
+        # P^T x for the row-stochastic walk P = D^-1 A on non-dangling rows,
+        # as (A + I) y - y with y = D^-1 x
+        y = np.divide(x, deg, out=np.zeros(n), where=~dangling)
+        walk = np.bincount(sub.rows, weights=y[sub.cols], minlength=n) - y
         nxt = damping * (walk + x[dangling].sum() / n) + (1.0 - damping) / n
         if np.abs(nxt - x).sum() < tol:
             return PagerankResult(nxt, True)
@@ -136,17 +127,18 @@ def aggregate_features(g: Graph) -> np.ndarray:
     """All four metrics on the residual graph, each column scaled to [0, 1].
 
     Constant columns (e.g. on regular graphs) map to all zeros. Rows follow
-    alive node ids in increasing order.
+    alive node ids in increasing order. Min-max scaling removes degree
+    centrality's 1 / (n_alive - 1) factor, so the first two columns are
+    equal up to rounding; both are kept as the paper's four metrics.
     """
-    sub = alive_edges(g)
-    if len(sub.ids) == 0:
+    if g.n_alive() == 0:
         return np.zeros((0, 4))
-    deg = degree_vector(sub)
+    deg = degree_vector(g)
     cols = [
         deg,
         _scaled_degree(deg),
-        eigenvector_centrality(sub).scores,
-        pagerank(sub).scores,
+        eigenvector_centrality(g).scores,
+        pagerank(g).scores,
     ]
     return np.column_stack([_minmax_column(c) for c in cols])
 

@@ -1,17 +1,21 @@
 """Undirected simple graphs with incremental node removal.
 
-The residual graph of a partially-dismantled network is represented by an
-immutable edge list plus a per-node ``alive`` mask; removing nodes returns a
-new view with bits cleared, so evaluation never mutates the original
-instance. ``alive_edges`` is the one place that restricts the edge list to
-the alive subgraph; features, the encoder and the objective all read the
-residual graph through it. The module also holds edge-list ingestion, the
-synthetic generators used for training data, connectivity analytics, and the
-exact pairwise-connectivity objective.
+A graph stores one sparse structure: the CSR pattern of its closed
+neighbourhoods (every edge in both directions plus one self-loop per node),
+built once by ``build_graph`` and shared, read-only, by every residual view.
+The residual graph of a partially-dismantled network is that pattern plus a
+per-node ``alive`` mask; removing nodes returns a new view with bits
+cleared, so evaluation never mutates the original instance. ``residual`` is
+the one place that applies the mask: it filters and renumbers the stored
+pattern into the alive subgraph's CSR, which features, the encoder and the
+objective all read. The module also holds edge-list ingestion, the
+synthetic generators used for training data, connectivity analytics, and
+the exact pairwise-connectivity objective.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -21,22 +25,74 @@ class GraphParseError(ValueError):
     """Raised for malformed or empty edge-list input."""
 
 
+class SparsePattern(NamedTuple):
+    """Sparsity pattern of a structurally symmetric n x n matrix, in CSR order.
+
+    Entry ``e`` sits at ``(rows[e], cols[e])``; entries are sorted by row,
+    then column, and row ``i`` owns entries ``indptr[i]:indptr[i + 1]``. Every
+    row holds at least one entry. ``transpose[e]`` is the entry at
+    ``(cols[e], rows[e])``: since the transposed matrix has the same pattern,
+    ``values[transpose]`` lists its entries in the same CSR order.
+    """
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    transpose: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of per-entry ``values`` (one leading row per entry) over each row."""
+        return np.add.reduceat(values, self.indptr[:-1], axis=0)
+
+
+def symmetric_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> SparsePattern:
+    """CSR pattern of the n x n matrix with entries at ``(rows[e], cols[e])``.
+
+    Both sorts use the key ``row * n + col``, which orders in-range entries
+    by row, then column.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    order = np.argsort(rows * n + cols)
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=n)
+    if len(counts) != n or not counts.all():
+        raise ValueError(f"every row of an {n}-row sparse pattern needs an entry in range")
+    if ((np.diff(rows) == 0) & (np.diff(cols) == 0)).any():
+        raise ValueError("sparse pattern has a duplicate entry")
+    transpose = np.argsort(cols * n + rows)
+    if not (np.array_equal(rows[transpose], cols) and np.array_equal(cols[transpose], rows)):
+        raise ValueError("sparse pattern is not symmetric")
+    return SparsePattern(np.concatenate(([0], np.cumsum(counts))), rows, cols, transpose)
+
+
 @dataclass
 class Graph:
     """Undirected simple graph with dense 0-based node ids.
 
-    ``edges`` is fixed after construction; only the ``alive`` mask changes
-    between residual views (and always via copy, never in place on a shared
-    instance).
+    ``pattern`` is the closed-neighbourhood CSR of the whole graph; its
+    arrays are read-only and shared by every residual view. Only the
+    ``alive`` mask changes between views (and always via copy, never in
+    place on a shared instance).
     """
 
     n: int
-    edges: list[tuple[int, int]]
+    pattern: SparsePattern = field(repr=False)
     alive: np.ndarray = field(repr=False)
 
     @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge once as ``(u, v)`` with ``u < v``, in CSR order."""
+        upper = self.pattern.rows < self.pattern.cols
+        return list(zip(self.pattern.rows[upper].tolist(), self.pattern.cols[upper].tolist()))
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return (len(self.pattern.rows) - self.n) // 2
 
     def n_alive(self) -> int:
         return int(self.alive.sum())
@@ -45,7 +101,7 @@ class Graph:
         return np.flatnonzero(self.alive)
 
     def copy(self) -> "Graph":
-        return Graph(self.n, self.edges, self.alive.copy())
+        return Graph(self.n, self.pattern, self.alive.copy())
 
 
 @dataclass
@@ -68,7 +124,11 @@ class ComponentPartition(NamedTuple):
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Assemble a Graph from a clean edge set (no dups, no self-loops)."""
+    """Assemble a Graph from an edge list and build its closed-neighbourhood CSR.
+
+    Self-loops, ids outside ``0..n-1`` and duplicate edges (in either
+    orientation) raise ``ValueError`` naming the edge.
+    """
     edge_list = [(int(u), int(v)) for u, v in edges]
     seen: set[tuple[int, int]] = set()
     for u, v in edge_list:
@@ -80,31 +140,30 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if key in seen:
             raise ValueError(f"duplicate edge ({u}, {v})")
         seen.add(key)
-    return Graph(n=n, edges=edge_list, alive=np.ones(n, dtype=bool))
+    e = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64, count=2 * len(edge_list)).reshape(-1, 2)
+    loops = np.arange(n)
+    pattern = symmetric_pattern(
+        np.concatenate((e[:, 0], e[:, 1], loops)), np.concatenate((e[:, 1], e[:, 0], loops)), n
+    )
+    for a in pattern:
+        a.flags.writeable = False
+    return Graph(n=n, pattern=pattern, alive=np.ones(n, dtype=bool))
 
 
-class AliveEdges(NamedTuple):
-    """The alive subgraph: alive ids plus edges as positions into ``ids``.
+def residual(g: Graph) -> SparsePattern:
+    """Closed-neighbourhood CSR of the alive subgraph, rows in alive-id order.
 
-    ``ids`` is increasing, so position ``i`` is the ``i``-th alive node and
-    the row order of every per-node array built on the residual graph.
+    Keeps the stored entries whose two ends are alive and renumbers them to
+    positions among the alive ids. The kept entries stay in CSR order and
+    the kept set is symmetric, so nothing is sorted or validated again.
     """
-
-    ids: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-
-    def degrees(self) -> np.ndarray:
-        """Alive-neighbor count of each alive node, in ``ids`` order."""
-        return np.bincount(np.concatenate((self.src, self.dst)), minlength=len(self.ids))
-
-
-def alive_edges(g: Graph) -> AliveEdges:
-    """Restrict ``g.edges`` to edges whose two endpoints are alive."""
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-    keep = g.alive[e[:, 0]] & g.alive[e[:, 1]]
-    position = np.cumsum(g.alive) - 1
-    return AliveEdges(g.alive_ids(), position[e[keep, 0]], position[e[keep, 1]])
+    p, alive = g.pattern, g.alive
+    keep = alive[p.rows] & alive[p.cols]
+    position = np.cumsum(alive) - 1
+    rows = position[p.rows[keep]]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=g.n_alive()))))
+    transpose = (np.cumsum(keep) - 1)[p.transpose[keep]]
+    return SparsePattern(indptr, rows, position[p.cols[keep]], transpose)
 
 
 class ParseResult(NamedTuple):
@@ -185,12 +244,13 @@ class _UnionFind:
 
 def connected_components(g: Graph) -> ComponentPartition:
     """Label alive nodes by component, components ordered by decreasing size."""
-    sub = alive_edges(g)
-    uf = _UnionFind(len(sub.ids))
-    for i, j in zip(sub.src.tolist(), sub.dst.tolist()):
+    sub = residual(g)
+    upper = sub.rows < sub.cols
+    uf = _UnionFind(sub.n)
+    for i, j in zip(sub.rows[upper].tolist(), sub.cols[upper].tolist()):
         uf.union(i, j)
     roots: dict[int, list[int]] = {}
-    for i, v in enumerate(sub.ids.tolist()):
+    for i, v in enumerate(g.alive_ids().tolist()):
         roots.setdefault(uf.find(i), []).append(v)
     groups = sorted(roots.values(), key=lambda grp: (-len(grp), grp[0]))
     component_id = np.full(g.n, -1, dtype=np.int64)
@@ -218,7 +278,7 @@ def with_alive_mask(g: Graph, alive: np.ndarray) -> Graph:
     """Residual view of ``g`` under a stored alive mask (mask is copied)."""
     if alive.shape != (g.n,):
         raise ValueError("alive mask length must equal node count")
-    return Graph(g.n, g.edges, alive.astype(bool).copy())
+    return Graph(g.n, g.pattern, alive.astype(bool).copy())
 
 
 def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
@@ -243,7 +303,8 @@ def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
 #   * gen_ws builds the even-degree ring lattice, then rewires the far
 #     endpoint of each clockwise edge with probability p_rewire, rejecting
 #     self-loops and duplicates.
-#   * gen_er draws each of the n(n-1)/2 pairs independently.
+#   * gen_er draws each of the n(n-1)/2 pairs independently, row by row:
+#     one uniform per pair (u, v), u < v, in (u, v) lexicographic order.
 
 
 def gen_ba(n: int, m_attach: int, seed: int) -> Graph:
@@ -309,10 +370,8 @@ def gen_er(n: int, p_edge: float, seed: int) -> Graph:
     if not 0.0 <= p_edge <= 1.0:
         raise ValueError("p_edge must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p_edge
-    ]
+    edges = []
+    for u in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - u) < p_edge)
+        edges.extend((u, u + 1 + int(j)) for j in hits)
     return build_graph(n, edges)

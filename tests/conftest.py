@@ -158,12 +158,11 @@ def brute_pairwise(g, removed=()):
 
 def dense_adjacency(g):
     """Dense symmetric 0/1 adjacency of the alive subgraph, rows in alive-id order."""
-    from critnet.graph import alive_edges
-
-    sub = alive_edges(g)
-    a = np.zeros((len(sub.ids), len(sub.ids)))
-    a[sub.src, sub.dst] = 1.0
-    a[sub.dst, sub.src] = 1.0
+    position = np.cumsum(g.alive) - 1
+    a = np.zeros((g.n_alive(), g.n_alive()))
+    for u, v in g.edges:
+        if g.alive[u] and g.alive[v]:
+            a[position[u], position[v]] = a[position[v], position[u]] = 1.0
     return a
 
 

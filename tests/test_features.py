@@ -12,7 +12,7 @@ from critnet.features import (
     eigenvector_centrality,
     pagerank,
 )
-from critnet.graph import alive_edges, build_graph, gen_er, remove_nodes
+from critnet.graph import build_graph, gen_er, remove_nodes
 
 
 def dense_dominant_eigenvector(g):
@@ -197,15 +197,6 @@ class TestPowerIterationsMatchDenseOracle:
         got = pagerank(g)
         assert got.converged == want_converged
         np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
-
-    @given(corpus_graphs())
-    def test_prebuilt_view_gives_the_same_metrics(self, g):
-        sub = alive_edges(g)
-        assert np.array_equal(degree_vector(sub), degree_vector(g))
-        assert np.array_equal(degree_centrality(sub), degree_centrality(g))
-        for metric in (eigenvector_centrality, pagerank):
-            (a, a_converged), (b, b_converged) = metric(sub), metric(g)
-            assert np.array_equal(a, b) and a_converged == b_converged
 
 
 class TestAggregateFeatures:

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     benchmark_file,
@@ -14,9 +16,9 @@ from conftest import (
     random_graph,
 )
 from critnet.encoder import attention_mask
+from critnet.features import degree_vector
 from critnet.graph import (
     GraphParseError,
-    alive_edges,
     build_graph,
     connected_components,
     format_edge_list,
@@ -26,6 +28,7 @@ from critnet.graph import (
     pairwise_connectivity,
     parse_edge_list,
     remove_nodes,
+    residual,
     with_alive_mask,
 )
 
@@ -113,7 +116,7 @@ class TestComponents:
 
 @st.composite
 def residual_graphs(draw):
-    """A graph on 1..20 nodes with edges in either orientation, any alive mask."""
+    """Node count, edges in either orientation and an alive mask, for a graph on 1..20 nodes."""
     n = draw(st.integers(1, 20))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
     edges = {}
@@ -121,59 +124,85 @@ def residual_graphs(draw):
         if u != v:
             edges.setdefault((min(u, v), max(u, v)), (u, v))
     alive = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return with_alive_mask(build_graph(n, list(edges.values())), alive)
+    return n, list(edges.values()), alive
 
 
-def check_alive_edges(g):
-    """Compare alive_edges and attention_mask with pairs and counts rebuilt from g.edges."""
-    ids = [v for v in range(g.n) if g.alive[v]]
+def check_residual(n, edges, alive):
+    """Compare residual(g) with the closed neighbourhoods rebuilt from the input edge list."""
+    g = with_alive_mask(build_graph(n, edges), alive)
+    ids = [v for v in range(n) if alive[v]]
     pos = {v: i for i, v in enumerate(ids)}
     k = len(ids)
-    pairs = set()
+    closed = {(i, i) for i in range(k)}
     deg = np.zeros(k, dtype=np.int64)
-    for u, v in g.edges:
+    for u, v in edges:
         if u in pos and v in pos:
-            pairs.add(frozenset((pos[u], pos[v])))
+            closed |= {(pos[u], pos[v]), (pos[v], pos[u])}
             deg[pos[u]] += 1
             deg[pos[v]] += 1
-    sub = alive_edges(g)
-    assert sub.ids.tolist() == ids
-    got = [frozenset((int(a), int(b))) for a, b in zip(sub.src, sub.dst)]
-    assert len(got) == len(set(got))
-    assert set(got) == pairs
-    assert np.array_equal(sub.degrees(), deg)
-    # closed neighborhood: each alive edge both ways plus a self-loop per node, in CSR order
-    mask = attention_mask(g)
-    closed = {(i, i) for i in range(k)}
-    for p in pairs:
-        a, b = tuple(p)
-        closed |= {(a, b), (b, a)}
-    assert list(zip(mask.rows.tolist(), mask.cols.tolist())) == sorted(closed)
-    assert np.array_equal(mask.indptr, np.searchsorted(mask.rows, np.arange(k + 1)))
-    assert np.array_equal(mask.rows[mask.transpose], mask.cols)
-    assert np.array_equal(mask.cols[mask.transpose], mask.rows)
+    sub = residual(g)
+    assert sub.n == k
+    assert list(zip(sub.rows.tolist(), sub.cols.tolist())) == sorted(closed)
+    assert np.array_equal(sub.indptr, np.searchsorted(sub.rows, np.arange(k + 1)))
+    assert np.array_equal(sub.rows[sub.transpose], sub.cols)
+    assert np.array_equal(sub.cols[sub.transpose], sub.rows)
+    assert np.array_equal(np.diff(sub.indptr) - 1, deg)
+    assert np.array_equal(degree_vector(g), deg)
     dense = np.zeros((k, k))
-    dense[mask.rows, mask.cols] = 1.0
+    dense[sub.rows, sub.cols] = 1.0
     assert np.array_equal(dense_attention_mask(g), dense)
+    assert all(np.array_equal(a, b) for a, b in zip(attention_mask(g), sub))
+    # every residual view shares the stored pattern, so it must stay read-only
+    for a in g.pattern:
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = 0
 
 
 class TestAliveEdges:
+    """The alive subgraph's closed-neighbourhood CSR, as ``residual`` builds it."""
+
     @given(residual_graphs())
-    def test_matches_edge_list_oracle(self, g):
-        check_alive_edges(g)
+    def test_matches_edge_list_oracle(self, case):
+        check_residual(*case)
 
     @pytest.mark.parametrize(
-        "make",
+        "n, edges, dead",
         [
-            lambda: gen_er(5, 0.0, 1),
-            lambda: remove_nodes(path_graph(4), [0, 1, 2, 3]),
-            lambda: build_graph(1, []),
-            lambda: remove_nodes(complete_graph(3), [1]),
+            (5, [], []),
+            (4, [(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3]),
+            (1, [], []),
+            (3, [(0, 1), (2, 0), (1, 2)], [1]),
         ],
         ids=["no-edges", "all-dead", "one-node", "one-dead"],
     )
-    def test_edge_cases(self, make):
-        check_alive_edges(make())
+    def test_edge_cases(self, n, edges, dead):
+        alive = np.ones(n, dtype=bool)
+        alive[dead] = False
+        check_residual(n, edges, alive)
+
+
+class TestBuildGraph:
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(0, 1), (2, 2)], "self-loop at node 2"),
+            (3, [(0, 1), (1, 3)], "edge (1, 3) outside id range 0..2"),
+            (3, [(-1, 1)], "edge (-1, 1) outside id range 0..2"),
+            (3, [(0, 1), (1, 2), (0, 1)], "duplicate edge (0, 1)"),
+            (3, [(0, 1), (1, 2), (2, 1)], "duplicate edge (2, 1)"),
+        ],
+        ids=["self-loop", "id-equals-n", "negative-id", "duplicate", "duplicate-reversed"],
+    )
+    def test_rejects_bad_edges(self, n, edges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_graph(n, edges)
+
+    @given(residual_graphs())
+    def test_edges_are_the_sorted_input_pairs(self, case):
+        n, edges, _ = case
+        g = build_graph(n, edges)
+        assert g.edges == sorted((min(u, v), max(u, v)) for u, v in edges)
+        assert g.m == len(edges)
 
 
 class TestPairwiseConnectivity:
@@ -225,7 +254,7 @@ class TestRemoveNodes:
         g = path_graph(5)
         g2 = remove_nodes(g, [])
         assert np.array_equal(g.alive, g2.alive)
-        assert g2.edges is g.edges
+        assert g2.pattern is g.pattern
 
     def test_original_untouched(self):
         g = path_graph(4)
@@ -286,6 +315,16 @@ class TestGenerators:
 
     def test_seed_changes_output(self):
         assert gen_er(40, 0.2, 1).edges != gen_er(40, 0.2, 2).edges
+
+    @given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @example(1, 0.5, 0)
+    @example(12, 0.0, 3)
+    @example(12, 1.0, 3)
+    def test_er_matches_pairwise_draws(self, n, p, seed):
+        # oracle: one scalar rng.random() per pair (u, v), u < v, in lexicographic order
+        rng = np.random.default_rng(seed)
+        want = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        assert gen_er(n, p, seed).edges == want
 
     @pytest.mark.parametrize(
         "call",
