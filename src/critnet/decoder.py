@@ -53,10 +53,7 @@ class DecoderParams:
         return self.value_head is not None
 
     def parameters(self) -> list[ad.Tensor]:
-        out = self.node_head.parameters()
-        if self.value_head is not None:
-            out += self.value_head.parameters()
-        return out
+        return [t for _, t in self.named_parameters()]
 
     def named_parameters(self) -> list[tuple[str, ad.Tensor]]:
         out = [(f"decoder.node_head.{k}", t) for k, t in zip(("w1", "b1", "w2", "b2"), self.node_head.parameters())]
@@ -138,8 +135,15 @@ class Transition:
     terminal: bool
 
     def __post_init__(self):
+        n = self.graph.n
+        if self.alive_before.shape != (n,) or self.alive_after.shape != (n,):
+            raise ValueError(f"alive masks must have shape ({n},)")
+        if not 0 <= self.action < n:
+            raise ValueError(f"action {self.action} outside id range 0..{n - 1}")
         if not self.alive_before[self.action]:
             raise ValueError(f"action {self.action} was not alive in its state")
+        if not np.isfinite(self.reward):
+            raise ValueError(f"reward {self.reward} is not finite")
         if self.reward < 0:
             raise ValueError("rewards are connectivity drops and cannot be negative")
 

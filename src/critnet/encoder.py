@@ -63,19 +63,14 @@ class EncoderParams:
     layer2: GatLayerParams
 
     def parameters(self) -> list[ad.Tensor]:
-        out = []
-        for layer in (self.layer1, self.layer2):
-            for head in layer.heads:
-                out.extend([head.w, head.a_src, head.a_dst])
-        return out
+        return [t for _, t in self.named_parameters()]
 
     def named_parameters(self) -> list[tuple[str, ad.Tensor]]:
         out = []
         for li, layer in enumerate((self.layer1, self.layer2), start=1):
             for hi, head in enumerate(layer.heads):
-                out.append((f"encoder.l{li}.h{hi}.w", head.w))
-                out.append((f"encoder.l{li}.h{hi}.a_src", head.a_src))
-                out.append((f"encoder.l{li}.h{hi}.a_dst", head.a_dst))
+                for name in ("w", "a_src", "a_dst"):
+                    out.append((f"encoder.l{li}.h{hi}.{name}", getattr(head, name)))
         return out
 
 

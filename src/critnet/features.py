@@ -69,10 +69,7 @@ def eigenvector_centrality(
     x = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(max_iter):
         nxt = np.bincount(sub.rows, weights=x[sub.cols], minlength=n)
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return EigenvectorResult(np.zeros(n), True)
-        nxt /= norm
+        nxt /= np.linalg.norm(nxt)  # x > 0 gives (A + I)x >= x, so the norm is at least 1
         if np.abs(nxt - x).sum() < tol:
             return EigenvectorResult(nxt, True)
         x = nxt

@@ -8,9 +8,10 @@ per-node ``alive`` mask; removing nodes returns a new view with bits
 cleared, so evaluation never mutates the original instance. ``residual`` is
 the one place that applies the mask: it filters and renumbers the stored
 pattern into the alive subgraph's CSR, which features, the encoder and the
-objective all read. The module also holds edge-list ingestion, the
-synthetic generators used for training data, connectivity analytics, and
-the exact pairwise-connectivity objective.
+objective all read. One engine on that CSR, a numpy pointer-jumping
+fixpoint, finds the components behind ``connected_components`` and the
+exact pairwise-connectivity objective. The module also holds edge-list
+ingestion and the synthetic generators used for training data.
 """
 from __future__ import annotations
 
@@ -127,20 +128,27 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Assemble a Graph from an edge list and build its closed-neighbourhood CSR.
 
     Self-loops, ids outside ``0..n-1`` and duplicate edges (in either
-    orientation) raise ``ValueError`` naming the edge.
+    orientation) raise ``ValueError`` naming the first bad edge.
     """
     edge_list = [(int(u), int(v)) for u, v in edges]
-    seen: set[tuple[int, int]] = set()
-    for u, v in edge_list:
+    count = 2 * len(edge_list)
+    try:
+        e = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64, count=count).reshape(-1, 2)
+    except OverflowError:  # an id beyond int64 is out of range; clamped to n it is still flagged
+        clamped = (min(max(x, -1), n) for x in chain.from_iterable(edge_list))
+        e = np.fromiter(clamped, dtype=np.int64, count=count).reshape(-1, 2)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    # keys of two different pairs collide only if one is a self-loop or out of range, flagged no later
+    repeat = np.ones(len(e), dtype=bool)
+    repeat[np.unique(lo * n + hi, return_index=True)[1]] = False
+    bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n) | repeat)
+    if len(bad):
+        u, v = edge_list[bad[0]]
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) outside id range 0..{n - 1}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-    e = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64, count=2 * len(edge_list)).reshape(-1, 2)
+        raise ValueError(f"duplicate edge ({u}, {v})")
     loops = np.arange(n)
     pattern = symmetric_pattern(
         np.concatenate((e[:, 0], e[:, 1], loops)), np.concatenate((e[:, 1], e[:, 0], loops)), n
@@ -218,46 +226,39 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(f"{u} {v}" for u, v in g.edges) + "\n"
 
 
-class _UnionFind:
-    """Array-based union-find with path halving and union by size."""
+def _component_roots(sub: SparsePattern) -> np.ndarray:
+    """The smallest position in each position's component of ``sub``.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Each round hooks every position, and its tree's root, to the smallest
+    pointer in its closed neighbourhood, then jumps pointers to their roots
+    (Shiloach & Vishkin, J. Algorithms 1982). Pointers only decrease and
+    never leave their component, and a fixed point leaves no edge between
+    two pointers, so there every position points at the smallest position
+    in its component.
+    """
+    parent = np.arange(sub.n)
+    while True:
+        low = np.minimum.reduceat(parent[sub.cols], sub.indptr[:-1])  # every row holds its self-loop
+        nxt = np.minimum(parent, low)
+        np.minimum.at(nxt, parent, low)
+        while not np.array_equal(jumped := nxt[nxt], nxt):
+            nxt = jumped
+        if np.array_equal(nxt, parent):
+            return parent
+        parent = nxt
 
 
 def connected_components(g: Graph) -> ComponentPartition:
-    """Label alive nodes by component, components ordered by decreasing size."""
-    sub = residual(g)
-    upper = sub.rows < sub.cols
-    uf = _UnionFind(sub.n)
-    for i, j in zip(sub.rows[upper].tolist(), sub.cols[upper].tolist()):
-        uf.union(i, j)
-    roots: dict[int, list[int]] = {}
-    for i, v in enumerate(g.alive_ids().tolist()):
-        roots.setdefault(uf.find(i), []).append(v)
-    groups = sorted(roots.values(), key=lambda grp: (-len(grp), grp[0]))
+    """Label alive nodes by residual component: by decreasing size, ties to the smaller least member id."""
+    root = _component_roots(residual(g))
+    counts = np.bincount(root, minlength=len(root))
+    roots = np.flatnonzero(counts)  # least member positions, so the stable sort breaks ties by them
+    order = roots[np.argsort(-counts[roots], kind="stable")]
+    label = np.empty(len(root), dtype=np.int64)
+    label[order] = np.arange(len(order))
     component_id = np.full(g.n, -1, dtype=np.int64)
-    for label, grp in enumerate(groups):
-        for v in grp:
-            component_id[v] = label
-    return ComponentPartition(component_id, [len(grp) for grp in groups])
+    component_id[g.alive] = label[root]
+    return ComponentPartition(component_id, counts[order].tolist())
 
 
 def pairwise_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:

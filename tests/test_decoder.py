@@ -78,6 +78,18 @@ class TestQHead:
         assert err < 1e-4
 
 
+@pytest.mark.parametrize("dueling", [True, False], ids=["dueling", "plain"])
+def test_parameters_follow_named_parameters(dueling):
+    rng = np.random.default_rng(15)
+    m = Model(init_encoder_params(rng), init_decoder_params(rng, dueling=dueling))
+    for params in (m.encoder, m.decoder):
+        named = params.named_parameters()
+        assert len({name for name, _ in named}) == len(named)
+        tensors = [t for _, t in named]
+        assert len(tensors) == len(params.parameters())
+        assert all(a is b for a, b in zip(tensors, params.parameters()))
+
+
 class TestSelectAction:
     def test_greedy_picks_argmax(self):
         q = np.array([1.0, 5.0, -np.inf, 3.0])
@@ -172,6 +184,14 @@ class TestReplayBuffer:
             Transition(g, dead, 0, 1.0, dead, False)
         with pytest.raises(ValueError, match="negative"):
             Transition(g, g.alive.copy(), 0, -1.0, dead, False)
+        with pytest.raises(ValueError, match=r"action -1 outside id range 0\.\.5"):
+            Transition(g, g.alive.copy(), -1, 1.0, dead, False)
+        with pytest.raises(ValueError, match="not finite"):
+            Transition(g, g.alive.copy(), 0, float("nan"), dead, False)
+        with pytest.raises(ValueError, match="not finite"):
+            Transition(g, g.alive.copy(), 0, float("inf"), dead, False)
+        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+            Transition(g, g.alive.copy(), 0, 1.0, dead[:5], False)
 
 
 class TestTdTargets:

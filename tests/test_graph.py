@@ -9,6 +9,7 @@ from conftest import (
     bfs_components,
     brute_pairwise,
     complete_graph,
+    corpus_graphs,
     cycle_graph,
     dense_attention_mask,
     neighbor_lists,
@@ -107,11 +108,38 @@ class TestComponents:
         rng = np.random.default_rng(3)
         for _ in range(50):
             g = gen_er(int(rng.integers(2, 40)), float(rng.uniform(0, 0.3)), int(rng.integers(2**31)))
-            part = connected_components(g)
-            got = set()
-            for label in range(len(part.sizes)):
-                got.add(frozenset(np.flatnonzero(part.component_id == label).tolist()))
-            assert got == bfs_components(g)
+            check_components(g)
+            check_components(shuffled(g, rng, dead_fraction=0.3))
+        # a path or ring with scattered ids takes the engine the most rounds
+        n = 2000
+        for ring in (False, True):
+            chain = build_graph(n, [(i, (i + 1) % n) for i in range(n - 1 + ring)])
+            check_components(shuffled(chain, rng))
+            check_components(shuffled(chain, rng, dead_fraction=0.1))
+
+    @given(corpus_graphs(), st.integers(0, 2**32 - 1))
+    def test_matches_bfs_oracle_on_shuffled_residual_graphs(self, g, seed):
+        check_components(g)
+        check_components(shuffled(g, np.random.default_rng(seed)))
+
+
+def shuffled(g, rng, dead_fraction=0.0):
+    """``g`` with node ids permuted at random, then about ``dead_fraction`` of the alive nodes removed."""
+    perm = rng.permutation(g.n)
+    alive = np.empty(g.n, dtype=bool)
+    alive[perm] = g.alive & (rng.random(g.n) >= dead_fraction)
+    return with_alive_mask(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]), alive)
+
+
+def check_components(g):
+    """Components equal the BFS oracle's, labelled by size descending, then smallest member id."""
+    part = connected_components(g)
+    members = [np.flatnonzero(part.component_id == label) for label in range(len(part.sizes))]
+    assert {frozenset(c.tolist()) for c in members} == bfs_components(g)
+    assert part.sizes == [len(c) for c in members]
+    order = [(-len(c), int(c[0])) for c in members]
+    assert order == sorted(order)
+    assert np.array_equal(part.component_id < 0, ~g.alive)
 
 
 @st.composite
@@ -190,8 +218,22 @@ class TestBuildGraph:
             (3, [(-1, 1)], "edge (-1, 1) outside id range 0..2"),
             (3, [(0, 1), (1, 2), (0, 1)], "duplicate edge (0, 1)"),
             (3, [(0, 1), (1, 2), (2, 1)], "duplicate edge (2, 1)"),
+            (3, [(0, 1), (0, 1), (2, 2)], "duplicate edge (0, 1)"),
+            (3, [(2, 2), (0, 1), (0, 1)], "self-loop at node 2"),
+            (3, [(0, 1), (1, 5), (1, 0)], "edge (1, 5) outside id range 0..2"),
+            (3, [(0, 2**70)], f"edge (0, {2**70}) outside id range 0..2"),
         ],
-        ids=["self-loop", "id-equals-n", "negative-id", "duplicate", "duplicate-reversed"],
+        ids=[
+            "self-loop",
+            "id-equals-n",
+            "negative-id",
+            "duplicate",
+            "duplicate-reversed",
+            "duplicate-before-self-loop",
+            "self-loop-before-duplicate",
+            "range-before-duplicate",
+            "id-beyond-int64",
+        ],
     )
     def test_rejects_bad_edges(self, n, edges, message):
         with pytest.raises(ValueError, match=re.escape(message)):
