@@ -15,7 +15,7 @@ scores it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -125,7 +125,12 @@ def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> in
 
 @dataclass
 class Transition:
-    """One environment step, with residual states stored as alive masks."""
+    """One environment step, with residual states stored as alive masks.
+
+    ``state()`` and ``next_state()`` each build their view once and then
+    return it, so the features memoised on it are computed once for as long
+    as the transition sits in a replay buffer.
+    """
 
     graph: Graph
     alive_before: np.ndarray
@@ -133,6 +138,7 @@ class Transition:
     reward: float
     alive_after: np.ndarray
     terminal: bool
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.graph.n
@@ -147,11 +153,16 @@ class Transition:
         if self.reward < 0:
             raise ValueError("rewards are connectivity drops and cannot be negative")
 
+    def _view(self, key: str, alive: np.ndarray) -> Graph:
+        if key not in self._views:
+            self._views[key] = with_alive_mask(self.graph, alive)
+        return self._views[key]
+
     def state(self) -> Graph:
-        return with_alive_mask(self.graph, self.alive_before)
+        return self._view("state", self.alive_before)
 
     def next_state(self) -> Graph:
-        return with_alive_mask(self.graph, self.alive_after)
+        return self._view("next_state", self.alive_after)
 
 
 class ReplayBuffer:
@@ -195,34 +206,29 @@ class Model:
         return self.encoder.parameters() + self.decoder.parameters()
 
     def features(self, g: Graph) -> np.ndarray:
-        if self.feature_mode == "degree":
-            return degree_only_features(g)
-        return aggregate_features(g)
+        """Read-only ``n_alive x 4`` input matrix of ``g``, memoised on the view per feature mode.
 
-    def embed(
-        self,
-        g: Graph,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        features: np.ndarray | None = None,
-    ) -> ad.Tensor:
-        """Encoder output for ``g``; ``features``, when given, must be ``self.features(g)``."""
+        Models with the same ``feature_mode`` share one matrix per view.
+        """
+        feats = g.memo.get(self.feature_mode)
+        if feats is None:
+            feats = degree_only_features(g) if self.feature_mode == "degree" else aggregate_features(g)
+            feats.flags.writeable = False
+            g.memo[self.feature_mode] = feats
+        return feats
+
+    def embed(self, g: Graph, training: bool = False, rng: np.random.Generator | None = None) -> ad.Tensor:
         if g.n_alive() == 0:
             raise ValueError("no alive nodes to score")
-        if features is None:
-            features = self.features(g)
-        return encode(g, features, self.encoder, training, rng, self.dropout_profile)
+        return encode(g, self.features(g), self.encoder, training, rng, self.dropout_profile)
 
     def q_output(self, g: Graph, training: bool = False, rng: np.random.Generator | None = None) -> QOutput:
         return q_from_embeddings(self.embed(g, training, rng), self.decoder)
 
-    def q_full(self, g: Graph, features: np.ndarray | None = None) -> np.ndarray:
-        """Inference-mode Q over all node ids; dead nodes are -inf.
-
-        Models with the same ``feature_mode`` can share one ``features``.
-        """
+    def q_full(self, g: Graph) -> np.ndarray:
+        """Inference-mode Q over all node ids; dead nodes are -inf."""
         with ad.no_grad():
-            out = q_from_embeddings(self.embed(g, features=features), self.decoder)
+            out = q_from_embeddings(self.embed(g), self.decoder)
         q = np.full(g.n, -np.inf)
         q[g.alive_ids()] = out.q.data[:, 0]
         return q
@@ -234,8 +240,8 @@ def td_targets(batch: list[Transition], online: Model, target: Model, gamma: flo
     y = r + gamma * Q_target(s', argmax_a Q_online(s', a)), or y = r for a
     terminal transition. This is <= the vanilla target r + gamma * max_a
     Q_target(s', a), with equality when the two argmaxes agree or tie.
-    Each next state's features are computed once when both models share a
-    ``feature_mode``.
+    Next-state features come from the transition's memoised view, so each
+    is computed once per feature mode while the transition is buffered.
     """
     ys = np.empty(len(batch))
     for i, t in enumerate(batch):
@@ -243,8 +249,6 @@ def td_targets(batch: list[Transition], online: Model, target: Model, gamma: flo
             ys[i] = t.reward
             continue
         nxt = t.next_state()
-        feats = online.features(nxt)
-        best = int(np.argmax(online.q_full(nxt, feats)))
-        shared = feats if target.feature_mode == online.feature_mode else None
-        ys[i] = t.reward + gamma * target.q_full(nxt, shared)[best]
+        best = int(np.argmax(online.q_full(nxt)))
+        ys[i] = t.reward + gamma * target.q_full(nxt)[best]
     return ys

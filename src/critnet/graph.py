@@ -4,8 +4,9 @@ A graph stores one sparse structure: the CSR pattern of its closed
 neighbourhoods (every edge in both directions plus one self-loop per node),
 built once by ``build_graph`` and shared, read-only, by every residual view.
 The residual graph of a partially-dismantled network is that pattern plus a
-per-node ``alive`` mask; removing nodes returns a new view with bits
-cleared, so evaluation never mutates the original instance. ``residual`` is
+per-node ``alive`` mask. A view is immutable: its mask is read-only, and
+removing nodes builds a new view with bits cleared, so evaluation never
+mutates the original instance and values memoised on a view stay valid. ``residual`` is
 the one place that applies the mask: it filters and renumbers the stored
 pattern into the alive subgraph's CSR, which features, the encoder and the
 objective all read. One engine on that CSR, a numpy pointer-jumping
@@ -71,19 +72,28 @@ def symmetric_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> SparsePatte
     return SparsePattern(np.concatenate(([0], np.cumsum(counts))), rows, cols, transpose)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph with dense 0-based node ids.
+    """Undirected simple graph with dense 0-based node ids: an immutable residual view.
 
     ``pattern`` is the closed-neighbourhood CSR of the whole graph; its
-    arrays are read-only and shared by every residual view. Only the
-    ``alive`` mask changes between views (and always via copy, never in
-    place on a shared instance).
+    arrays are read-only and shared by every residual view. ``alive`` is the
+    view's own read-only copy of the mask it was built with, so nothing can
+    change a view after it exists; removing nodes builds a new view.
+    ``memo`` caches values derived from the view (``decoder.Model.features``
+    keeps the input matrix there, keyed by feature mode), which stay valid
+    for the view's lifetime.
     """
 
     n: int
     pattern: SparsePattern = field(repr=False)
     alive: np.ndarray = field(repr=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        alive = np.array(self.alive, dtype=bool)  # a private copy: no caller holds a writable alias
+        alive.flags.writeable = False
+        object.__setattr__(self, "alive", alive)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -102,7 +112,8 @@ class Graph:
         return np.flatnonzero(self.alive)
 
     def copy(self) -> "Graph":
-        return Graph(self.n, self.pattern, self.alive.copy())
+        """A new view with the same mask and an empty memo."""
+        return Graph(self.n, self.pattern, self.alive)
 
 
 @dataclass
@@ -276,22 +287,22 @@ def pairwise_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
 
 
 def with_alive_mask(g: Graph, alive: np.ndarray) -> Graph:
-    """Residual view of ``g`` under a stored alive mask (mask is copied)."""
+    """Residual view of ``g`` under a stored alive mask (the view keeps its own copy)."""
     if alive.shape != (g.n,):
         raise ValueError("alive mask length must equal node count")
-    return Graph(g.n, g.pattern, alive.astype(bool).copy())
+    return Graph(g.n, g.pattern, alive)
 
 
 def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
-    """Return a residual view with ``nodes`` marked dead; ``g`` is unchanged."""
-    out = g.copy()
+    """Return a new residual view with ``nodes`` marked dead; ``g`` is unchanged."""
+    alive = g.alive.copy()
     for v in nodes:
         if not (0 <= v < g.n):
             raise ValueError(f"node id {v} out of range")
-        if not out.alive[v]:
+        if not alive[v]:
             raise ValueError(f"node {v} is already removed")
-        out.alive[v] = False
-    return out
+        alive[v] = False
+    return Graph(g.n, g.pattern, alive)
 
 
 # --- synthetic generators -------------------------------------------------

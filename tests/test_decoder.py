@@ -3,6 +3,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from hypothesis import given
+
+from conftest import corpus_graphs
 from critnet import autodiff as ad
 from critnet import decoder as decoder_module
 from critnet.decoder import (
@@ -15,7 +18,8 @@ from critnet.decoder import (
     td_targets,
 )
 from critnet.encoder import EMBEDDING_DIM, encode, init_encoder_params
-from critnet.graph import gen_ba, gen_er, remove_nodes
+from critnet.features import aggregate_features, degree_only_features
+from critnet.graph import gen_ba, gen_er, remove_nodes, with_alive_mask
 
 
 def decoder(seed=0, dueling=True):
@@ -250,14 +254,23 @@ class TestTdTargets:
 
 
     def test_features_computed_once_per_next_state(self):
-        batch = [t for t in self.episode_transitions(19) if not t.terminal]
+        # one matrix per next-state view, shared by online and target, and
+        # none at all once the transitions' views hold their memo
         online, target = model(20), model(21)
-        want = td_targets(batch, online, target, gamma=0.9)
+        want = td_targets([t for t in self.episode_transitions(19) if not t.terminal], online, target, gamma=0.9)
+        batch = [t for t in self.episode_transitions(19) if not t.terminal]
         spy = mock.Mock(wraps=decoder_module.aggregate_features)
         with mock.patch.object(decoder_module, "aggregate_features", spy):
-            got = td_targets(batch, online, target, gamma=0.9)
+            first = td_targets(batch, online, target, gamma=0.9)
+            assert len(spy.call_args_list) == len(batch)
+            assert all(c.args[0] is t.next_state() for c, t in zip(spy.call_args_list, batch))
+            again = td_targets(batch, online, target, gamma=0.9)
         assert spy.call_count == len(batch)
-        assert np.array_equal(got, want)
+        assert np.array_equal(first, want)
+        assert np.array_equal(again, want)
+        for t in batch:
+            assert t.state() is t.state()
+            assert t.next_state() is t.next_state()
 
     def test_feature_modes_that_differ_are_not_shared(self):
         batch = [t for t in self.episode_transitions(22) if not t.terminal]
@@ -267,6 +280,38 @@ class TestTdTargets:
             nxt = t.next_state()
             best = int(np.argmax(online.q_full(nxt)))
             assert y == t.reward + 0.9 * target.q_full(nxt)[best]
+
+
+class TestFeatureMemo:
+    @pytest.mark.parametrize("mode", ["aggregate", "degree"])
+    @given(g=corpus_graphs())
+    def test_memo_is_read_only_and_equals_a_fresh_view(self, mode, g):
+        m = model(27, feature_mode=mode)
+        feats = m.features(g)
+        assert not feats.flags.writeable
+        assert m.features(g) is feats
+        with pytest.raises(ValueError, match="read-only"):
+            feats[0, 0] = 1.0
+        fresh = with_alive_mask(g, g.alive.copy())
+        assert fresh.memo == {}
+        compute = aggregate_features if mode == "aggregate" else degree_only_features
+        assert np.array_equal(m.features(fresh), compute(g))
+        assert np.array_equal(feats, compute(g))
+
+    def test_modes_memoise_separately_and_models_share(self):
+        g = gen_er(12, 0.3, 28)
+        agg = model(29).features(g)
+        assert model(30).features(g) is agg
+        deg = model(31, feature_mode="degree").features(g)
+        assert set(g.memo) == {"aggregate", "degree"}
+        assert np.array_equal(deg, degree_only_features(g))
+
+    def test_new_views_do_not_inherit_the_memo(self):
+        g = gen_er(12, 0.3, 32)
+        model(33).features(g)
+        assert g.copy().memo == {}
+        assert remove_nodes(g, [0]).memo == {}
+        assert model(33).features(remove_nodes(g, [0])).shape == (11, 4)
 
 
 class TestModel:

@@ -322,6 +322,43 @@ class TestRemoveNodes:
             assert pairwise_connectivity(seq) == pairwise_connectivity(batch)
 
 
+CONSTRUCTORS = {
+    "build_graph": lambda: build_graph(4, [(0, 1), (1, 2)]),
+    "parse_edge_list": lambda: parse_edge_list("0 1\n1 2\n").graph,
+    "gen_ba": lambda: gen_ba(10, 2, 0),
+    "gen_er": lambda: gen_er(10, 0.3, 0),
+    "gen_ws": lambda: gen_ws(10, 4, 0.2, 0),
+    "copy": lambda: path_graph(4).copy(),
+    "remove_nodes": lambda: remove_nodes(path_graph(4), [1]),
+    "with_alive_mask": lambda: with_alive_mask(path_graph(4), np.array([True, False, True, True])),
+}
+
+
+class TestImmutableViews:
+    @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+    def test_alive_is_read_only(self, make):
+        g = make()
+        assert not g.alive.flags.writeable
+        assert g.alive.dtype == bool
+        with pytest.raises(ValueError, match="read-only"):
+            g.alive[0] = not g.alive[0]
+        with pytest.raises(ValueError, match="read-only"):
+            g.alive[:] = True
+        with pytest.raises(AttributeError):
+            g.alive = np.ones(g.n, dtype=bool)
+        assert all(not a.flags.writeable for a in g.pattern)
+
+    def test_views_keep_their_own_mask(self):
+        g = path_graph(4)
+        mask = np.array([True, False, True, True])
+        view = with_alive_mask(g, mask)
+        mask[0] = False
+        assert view.alive.tolist() == [True, False, True, True]
+        assert remove_nodes(view, [2]).alive.tolist() == [True, False, False, True]
+        assert view.alive.tolist() == [True, False, True, True]
+        assert g.copy().alive is not g.alive
+
+
 class TestGenerators:
     def test_ba_edge_count_from_star_init(self):
         # star on m+1 nodes (m edges) plus m edges per arriving node
