@@ -8,10 +8,11 @@ there is no broadcasting beyond the explicit bias/row cases below.
 
 Graph attention runs over a residual graph's closed-neighbourhood CSR, a
 ``graph.SparsePattern``: one value per stored entry of a structurally
-symmetric n x n matrix in CSR order. ``gather_rows``, ``segment_softmax``
-and ``spmm`` work on those per-entry values, and their backward passes
-scatter with ``np.add.reduceat`` over row segments, reading column-indexed
-entries through the pattern's transpose permutation.
+symmetric n x n matrix in CSR order, one column per attention head (E x H).
+``gather_rows``, ``segment_softmax`` and ``spmm`` work on those per-entry
+values, and their backward passes scatter with ``np.add.reduceat`` over row
+segments, reading column-indexed entries through the pattern's transpose
+permutation.
 
 Evaluation-time forwards should run inside ``no_grad()`` so no graph is
 retained.
@@ -210,9 +211,9 @@ def gather_rows(a: Tensor, pattern: SparsePattern, columns: bool = False) -> Ten
 
 
 def segment_softmax(logits: Tensor, pattern: SparsePattern) -> Tensor:
-    """Softmax of per-entry logits (E x 1) over the entries of each row."""
-    if logits.shape != (len(pattern.rows), 1):
-        raise ValueError(f"logits shape {logits.shape} != ({len(pattern.rows)}, 1)")
+    """Softmax of per-entry logits (E x H) over the entries of each row, per column."""
+    if logits.data.ndim != 2 or logits.shape[0] != len(pattern.rows):
+        raise ValueError(f"logits shape {logits.shape} != ({len(pattern.rows)}, H)")
     x = logits.data
     rowmax = np.maximum.reduceat(x, pattern.indptr[:-1], axis=0)
     e = np.exp(x - rowmax[pattern.rows])
@@ -226,29 +227,57 @@ def segment_softmax(logits: Tensor, pattern: SparsePattern) -> Tensor:
 
 
 def spmm(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
-    """Sparse (n x n, per-entry ``values`` of shape E x 1) times dense (n x d)."""
-    if values.shape != (len(pattern.rows), 1) or x.shape[0] != pattern.n:
+    """H sparse n x n matrices, one per column of ``values`` (E x H), times dense column blocks.
+
+    ``x`` (n x H*d) is split into H blocks of d columns, and block h of the
+    n x H*d result is sparse matrix h times block h of ``x``; H = 1 is a
+    plain sparse-dense product. Each head runs on its own E x d slice.
+    """
+    if values.data.ndim != 2 or values.shape[0] != len(pattern.rows) or x.shape[0] != pattern.n:
         raise ValueError(f"spmm shape mismatch: values {values.shape}, x {x.shape}, pattern of {pattern.n} rows")
+    heads = values.shape[1]
+    if heads == 0 or x.shape[1] % heads:
+        raise ValueError(f"spmm: {x.shape[1]} columns of x do not split into {heads} heads")
+    d = x.shape[1] // heads
+    blocks = [slice(k * d, (k + 1) * d) for k in range(heads)]
     w = values.data
     x_cols = x.data[pattern.cols]
+    out = np.empty(x.shape)
+    for k, b in enumerate(blocks):
+        out[:, b] = pattern.row_sums(w[:, k : k + 1] * x_cols[:, b])
 
     def backward(g):
         g_rows = g[pattern.rows]
-        values._accumulate((g_rows * x_cols).sum(axis=1, keepdims=True))
-        x._accumulate(pattern.row_sums((w * g_rows)[pattern.transpose]))
+        values._accumulate((g_rows * x_cols).reshape(len(w), heads, d).sum(axis=2))
+        # entry transpose[e] sits at (cols[e], rows[e]): its weight times g's row cols[e]
+        w_t, g_cols = w[pattern.transpose], g[pattern.cols]
+        gx = np.empty(x.shape)
+        for k, b in enumerate(blocks):
+            gx[:, b] = pattern.row_sums(w_t[:, k : k + 1] * g_cols[:, b])
+        x._accumulate(gx)
 
-    return _make(pattern.row_sums(w * x_cols), (values, x), backward)
+    return _make(out, (values, x), backward)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
+def dropout(
+    a: Tensor, rate: float, rng: np.random.Generator | None, training: bool, by_column: bool = False
+) -> Tensor:
+    """Inverted dropout; identity when not training or rate == 0.
+
+    The uniforms fill ``a`` row by row, or with ``by_column`` (2-D ``a``
+    only) one column after another, so that one E x H dropout draws what H
+    separate E x 1 dropouts would.
+    """
     if not training or rate <= 0.0:
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    if by_column and a.data.ndim != 2:
+        raise ValueError(f"column-wise dropout needs a 2-D tensor, got shape {a.shape}")
+    u = rng.random(a.shape[::-1]).T if by_column else rng.random(a.shape)
+    keep = (u >= rate) / (1.0 - rate)
 
     def backward(g):
         a._accumulate(g * keep)
@@ -278,6 +307,24 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
                 p._accumulate(g[lo:hi, :])
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
+
+
+def block_diag(parts: list[Tensor]) -> Tensor:
+    """The 2-D ``parts`` along the diagonal of one zero-filled matrix."""
+    if not parts or any(p.data.ndim != 2 for p in parts):
+        raise ValueError(f"block_diag needs 2-D parts, got shapes {[p.shape for p in parts]}")
+    rows = np.cumsum([0] + [p.shape[0] for p in parts])
+    cols = np.cumsum([0] + [p.shape[1] for p in parts])
+    blocks = [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in zip(rows, rows[1:], cols, cols[1:])]
+    out = np.zeros((rows[-1], cols[-1]))
+    for p, b in zip(parts, blocks):
+        out[b] = p.data
+
+    def backward(g):
+        for p, b in zip(parts, blocks):
+            p._accumulate(g[b])
+
+    return _make(out, tuple(parts), backward)
 
 
 def pick(a: Tensor, row: int, col: int = 0) -> Tensor:

@@ -11,6 +11,11 @@ The per-node stream alone (``value_head=None``) gives the plain,
 non-dueling Q head used by the ablation. Targets are double-DQN: the online
 network picks the argmax action in the next state, the target network
 scores it.
+
+Input features are memoised on the immutable residual view they describe
+(``Model.features``), and a ``Transition`` keeps one view per state, so a
+state's features are computed once per feature mode however many times it
+is scored.
 """
 from __future__ import annotations
 

@@ -8,7 +8,9 @@ E = 2 * m_alive + n_alive entries, and no n x n array is formed. Per head:
 linear transform, per-entry logits ``src[row] + dst[col]`` through a
 leaky-relu(0.2), a softmax over each row's entries, dropout on the E
 attention values, then the sparse attention-weighted sum. Head outputs are
-concatenated and passed through an ELU.
+concatenated and passed through an ELU. The parameters stay per head, but
+``gat_layer`` runs all heads as one chain: one product with the
+concatenated head weights, then E x H logits and attention values.
 
 ``encode`` takes one of two dropout profiles from ``DROPOUT_PROFILES``:
 
@@ -18,9 +20,9 @@ concatenated and passed through an ELU.
 * ``"original"`` - the classic GAT profile with dropout 0.6 on the inputs
                    and attention coefficients of both layers.
 
-Training-mode attention dropout draws E uniforms, one per closed-neighborhood
-entry in CSR order (a dense layer would draw n^2), so a seeded training run
-depends on that order.
+Training-mode attention dropout draws E uniforms per head, one per
+closed-neighborhood entry in CSR order and head after head (a dense layer
+would draw n^2), so a seeded training run depends on that order.
 """
 from __future__ import annotations
 
@@ -112,18 +114,22 @@ def gat_layer(
     training: bool,
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """One multi-head attention layer; returns elu(concat of head outputs)."""
+    """One multi-head attention layer; returns elu(concat of head outputs).
+
+    All H heads share one chain: ``hw`` holds every head's transform side
+    by side (n x H*d), the block-diagonal attention vectors turn it into
+    n x H source and destination logits, and the attention values are
+    E x H. Dropout draws head after head, as H per-head layers would.
+    """
     if mask.n != h.shape[0]:
         raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
-    outputs = []
-    for head in layer.heads:
-        hw = ad.matmul(h, head.w)
-        src = ad.gather_rows(ad.matmul(hw, head.a_src), mask)
-        dst = ad.gather_rows(ad.matmul(hw, head.a_dst), mask, columns=True)
-        att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
-        att = ad.dropout(att, dropout_rate, rng, training)
-        outputs.append(ad.spmm(att, mask, hw))
-    return ad.elu(ad.concat(outputs, axis=1))
+    heads = layer.heads
+    hw = ad.matmul(h, ad.concat([head.w for head in heads], axis=1))
+    src = ad.gather_rows(ad.matmul(hw, ad.block_diag([head.a_src for head in heads])), mask)
+    dst = ad.gather_rows(ad.matmul(hw, ad.block_diag([head.a_dst for head in heads])), mask, columns=True)
+    att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
+    att = ad.dropout(att, dropout_rate, rng, training, by_column=True)
+    return ad.elu(ad.spmm(att, mask, hw))
 
 
 def encode(

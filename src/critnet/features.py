@@ -69,7 +69,9 @@ def eigenvector_centrality(
     x = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(max_iter):
         nxt = np.bincount(sub.rows, weights=x[sub.cols], minlength=n)
-        nxt /= np.linalg.norm(nxt)  # x > 0 gives (A + I)x >= x, so the norm is at least 1
+        # the L2 norm, as np.linalg.norm computes it for 1-D input, without its
+        # dispatch; x > 0 gives (A + I)x >= x, so the norm is at least 1
+        nxt /= np.sqrt(nxt @ nxt)
         if np.abs(nxt - x).sum() < tol:
             return EigenvectorResult(nxt, True)
         x = nxt

@@ -6,12 +6,12 @@ built once by ``build_graph`` and shared, read-only, by every residual view.
 The residual graph of a partially-dismantled network is that pattern plus a
 per-node ``alive`` mask. A view is immutable: its mask is read-only, and
 removing nodes builds a new view with bits cleared, so evaluation never
-mutates the original instance and values memoised on a view stay valid. ``residual`` is
-the one place that applies the mask: it filters and renumbers the stored
-pattern into the alive subgraph's CSR, which features, the encoder and the
-objective all read. One engine on that CSR, a numpy pointer-jumping
-fixpoint, finds the components behind ``connected_components`` and the
-exact pairwise-connectivity objective. The module also holds edge-list
+mutates the original instance and values memoised on a view stay valid.
+``residual`` is the one place that applies the mask: it filters and
+renumbers the stored pattern into the alive subgraph's CSR, which features,
+the encoder and the objective all read. One engine on that CSR, a numpy
+pointer-jumping fixpoint, finds the components behind
+``connected_components`` and the exact pairwise-connectivity objective. The module also holds edge-list
 ingestion and the synthetic generators used for training data.
 """
 from __future__ import annotations

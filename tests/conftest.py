@@ -202,3 +202,54 @@ def dense_encoder():
         encoder, "gat_layer", dense_gat_layer
     ):
         yield
+
+
+# --- per-head attention oracle ------------------------------------------------
+
+
+def per_head_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
+    """The encoder's attention layer run one head at a time, each with its own E x 1 chain."""
+    from critnet import autodiff as ad
+    from critnet.encoder import ATTENTION_SLOPE
+
+    if mask.n != h.shape[0]:
+        raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
+    outputs = []
+    for head in layer.heads:
+        hw = ad.matmul(h, head.w)
+        src = ad.gather_rows(ad.matmul(hw, head.a_src), mask)
+        dst = ad.gather_rows(ad.matmul(hw, head.a_dst), mask, columns=True)
+        att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
+        att = ad.dropout(att, dropout_rate, rng, training)
+        outputs.append(ad.spmm(att, mask, hw))
+    return ad.elu(ad.concat(outputs, axis=1))
+
+
+@contextlib.contextmanager
+def per_head_encoder():
+    """Within the context, ``encode`` (and every model) runs its attention heads one by one."""
+    from critnet import encoder
+
+    with mock.patch.object(encoder, "gat_layer", per_head_gat_layer):
+        yield
+
+
+# --- power-iteration oracle -----------------------------------------------------
+
+
+def norm_loop_eigenvector(g, tol=1e-8, max_iter=1000):
+    """``eigenvector_centrality``'s sparse loop normalising with ``np.linalg.norm``."""
+    from critnet.graph import residual
+
+    sub = residual(g)
+    n = sub.n
+    if n == 0:
+        return np.zeros(0), True
+    x = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(max_iter):
+        nxt = np.bincount(sub.rows, weights=x[sub.cols], minlength=n)
+        nxt /= np.linalg.norm(nxt)
+        if np.abs(nxt - x).sum() < tol:
+            return nxt, True
+        x = nxt
+    return x, False

@@ -111,6 +111,47 @@ class TestPrimitives:
         # inverted scaling keeps the expectation near 1
         assert abs(out.data.mean() - 1.0) < 0.05
 
+    def test_column_dropout_draws_column_after_column(self):
+        x = ad.tensor(np.ones((7, 3)))
+        got = ad.dropout(x, 0.5, np.random.default_rng(8), True, by_column=True).data
+        rng = np.random.default_rng(8)
+        want = np.concatenate([ad.dropout(ad.tensor(np.ones((7, 1))), 0.5, rng, True).data for _ in range(3)], axis=1)
+        assert np.array_equal(got, want)
+
+    def test_column_dropout_gradient(self):
+        rng = np.random.default_rng(9)
+        a = rand_tensor(rng, (6, 3))
+        target = rng.standard_normal((6, 3))
+
+        def forward():
+            return ad.mse_loss(ad.dropout(a, 0.4, np.random.default_rng(10), True, by_column=True), target)
+
+        assert ad.grad_check(forward, [a]) < 1e-6
+
+    def test_column_dropout_needs_a_matrix(self):
+        with pytest.raises(ValueError, match=r"2-D tensor, got shape \(4,\)"):
+            ad.dropout(ad.tensor(np.ones(4)), 0.5, np.random.default_rng(0), True, by_column=True)
+
+    def test_block_diag_layout_and_gradient(self):
+        rng = np.random.default_rng(11)
+        parts = [rand_tensor(rng, (3, 1)), rand_tensor(rng, (2, 1)), rand_tensor(rng, (1, 2))]
+        out = ad.block_diag(parts).data
+        assert out.shape == (6, 4)
+        assert np.array_equal(out[:3, :1], parts[0].data)
+        assert np.array_equal(out[3:5, 1:2], parts[1].data)
+        assert np.array_equal(out[5:, 2:], parts[2].data)
+        assert np.count_nonzero(out) == 7
+        x = ad.tensor(rng.standard_normal((4, 6)))
+        target = rng.standard_normal((4, 4))
+        err = ad.grad_check(lambda: ad.mse_loss(ad.matmul(x, ad.block_diag(parts)), target), parts)
+        assert err < 1e-6
+
+    def test_block_diag_needs_matrices(self):
+        with pytest.raises(ValueError, match="2-D parts"):
+            ad.block_diag([ad.tensor(np.ones((2, 1))), ad.tensor(np.ones(3))])
+        with pytest.raises(ValueError, match="2-D parts"):
+            ad.block_diag([])
+
     def test_no_grad_suppresses_graph(self):
         x = ad.tensor(np.ones((2, 2)), requires_grad=True)
         with ad.no_grad():
@@ -174,6 +215,45 @@ class TestSparsePrimitives:
         err = ad.grad_check(lambda: ad.mse_loss(ad.spmm(values, pattern, x), target), [values, x])
         assert err < 1e-6
 
+    def test_multi_head_segment_softmax_gradient(self, pattern):
+        rng = np.random.default_rng(36)
+        logits = rand_tensor(rng, (len(pattern.rows), 4))
+        target = rng.standard_normal((len(pattern.rows), 4))
+        err = ad.grad_check(lambda: ad.mse_loss(ad.segment_softmax(logits, pattern), target), [logits])
+        assert err < 1e-6
+
+    def test_multi_head_segment_softmax_is_per_column(self, pattern):
+        logits = np.random.default_rng(37).standard_normal((len(pattern.rows), 4))
+        got = ad.segment_softmax(ad.tensor(logits), pattern).data
+        for k in range(4):
+            assert np.array_equal(got[:, k : k + 1], ad.segment_softmax(ad.tensor(logits[:, k : k + 1]), pattern).data)
+
+    def test_multi_head_spmm_gradient(self, pattern):
+        rng = np.random.default_rng(38)
+        values = rand_tensor(rng, (len(pattern.rows), 3))
+        x = rand_tensor(rng, (pattern.n, 6))
+        target = rng.standard_normal((pattern.n, 6))
+        err = ad.grad_check(lambda: ad.mse_loss(ad.spmm(values, pattern, x), target), [values, x])
+        assert err < 1e-6
+
+    def test_multi_head_spmm_is_per_head_blocks(self, pattern):
+        rng = np.random.default_rng(39)
+        values = rand_tensor(rng, (len(pattern.rows), 3))
+        x = rand_tensor(rng, (pattern.n, 6))
+        g = rng.standard_normal((pattern.n, 6))
+        out = ad.spmm(values, pattern, x)
+        ad.mse_loss(out, g).backward()
+        for k, b in enumerate((slice(0, 2), slice(2, 4), slice(4, 6))):
+            vk = ad.tensor(values.data[:, k : k + 1], requires_grad=True)
+            xk = ad.tensor(x.data[:, b], requires_grad=True)
+            ok = ad.spmm(vk, pattern, xk)
+            assert np.array_equal(out.data[:, b], ok.data)
+            assert np.allclose(ok.data, dense(pattern, vk.data) @ xk.data, rtol=0, atol=1e-14)
+            # the loss is a mean over all 6 columns: scale the per-head gradient to match
+            ad.mse_loss(ok, g[:, b]).backward()
+            assert np.allclose(values.grad[:, k : k + 1], vk.grad / 3, rtol=1e-13, atol=0)
+            assert np.allclose(x.grad[:, b], xk.grad / 3, rtol=1e-13, atol=0)
+
     def test_segment_softmax_rows_sum_to_one(self):
         p = closed_pattern(*PATTERNS["isolated-node"])
         logits = np.random.default_rng(33).standard_normal((len(p.rows), 1)) * 400.0
@@ -226,6 +306,20 @@ class TestSparsePrimitives:
             ad.segment_softmax(ad.tensor(np.zeros((len(p.rows) + 1, 1))), p)
         with pytest.raises(ValueError):
             ad.spmm(ad.tensor(np.zeros((len(p.rows), 1))), p, ad.tensor(np.zeros((2, 2))))
+
+    def test_multi_head_shape_mismatch_raises(self):
+        p = closed_pattern(3, [(0, 1)])
+        e = len(p.rows)
+        with pytest.raises(ValueError, match=r"logits shape \(5,\)"):
+            ad.segment_softmax(ad.tensor(np.zeros(e)), p)
+        with pytest.raises(ValueError, match="do not split into 4 heads"):
+            ad.spmm(ad.tensor(np.zeros((e, 4))), p, ad.tensor(np.zeros((3, 6))))
+        with pytest.raises(ValueError, match="do not split into 0 heads"):
+            ad.spmm(ad.tensor(np.zeros((e, 0))), p, ad.tensor(np.zeros((3, 6))))
+        with pytest.raises(ValueError, match="spmm shape mismatch"):
+            ad.spmm(ad.tensor(np.zeros(e)), p, ad.tensor(np.zeros((3, 6))))
+        with pytest.raises(ValueError, match="spmm shape mismatch"):
+            ad.spmm(ad.tensor(np.zeros((e + 1, 2))), p, ad.tensor(np.zeros((3, 6))))
 
 
 class TestGradCheck:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import corpus_graphs, dense_encoder, path_graph
+from conftest import corpus_graphs, dense_encoder, path_graph, per_head_encoder
 from critnet import autodiff as ad
 from critnet.decoder import Model, init_decoder_params, q_from_embeddings
 from critnet.encoder import (
@@ -222,6 +222,53 @@ class TestDenseOracle:
         scale = max(np.abs(w).max() for w in want_grads)
         for got, want in zip(grads, want_grads):
             assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+class TestPerHeadOracle:
+    """Head-batched layers against the one-head-at-a-time layer kept in conftest."""
+
+    @staticmethod
+    def run(model, g, seed):
+        with ad.no_grad():
+            eval_emb = model.embed(g).data
+        train_emb = model.embed(g, training=True, rng=np.random.default_rng(seed))
+        q = q_from_embeddings(train_emb, model.decoder).q
+        ad.mse_loss(q, np.linspace(-1.0, 1.0, q.shape[0]).reshape(-1, 1)).backward()
+        grads = [p.grad.copy() for p in model.encoder.parameters()]
+        ad.zero_grads(model.parameters())
+        return eval_emb, train_emb.data, grads
+
+    @pytest.mark.parametrize("profile", ["reduced", "original"])
+    @given(g=corpus_graphs(max_n=60))
+    def test_embeddings_and_gradients_match(self, profile, g):
+        rng = np.random.default_rng(g.n)
+        model = Model(init_encoder_params(rng), init_decoder_params(rng), dropout_profile=profile)
+        eval_emb, train_emb, grads = self.run(model, g, g.n + 1)
+        with per_head_encoder():
+            want_eval, want_train, want_grads = self.run(model, g, g.n + 1)
+        assert len(grads) == 48
+        np.testing.assert_allclose(eval_emb, want_eval, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(train_emb, want_train, rtol=0, atol=1e-12)
+        for got, want in zip(grads, want_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_training_dropout_matches_at_scale(self):
+        # 8 heads of E = 1200+ draws each: a head-order slip would show at once
+        g = remove_nodes(gen_ba_like(400), [0, 3])
+        rng = np.random.default_rng(40)
+        model = Model(init_encoder_params(rng), init_decoder_params(rng), dropout_profile="original")
+        eval_emb, train_emb, grads = self.run(model, g, 41)
+        with per_head_encoder():
+            want_eval, want_train, want_grads = self.run(model, g, 41)
+        np.testing.assert_allclose(eval_emb, want_eval, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(train_emb, want_train, rtol=0, atol=1e-12)
+        for got, want in zip(grads, want_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_layer_rejects_a_mismatched_pattern(self):
+        g = gen_er(6, 0.5, 42)
+        with pytest.raises(ValueError, match="6 rows does not match 5 nodes"):
+            gat_layer(ad.tensor(np.zeros((5, 4))), attention_mask(g), params().layer1, 0.0, False)
 
 
 def gen_ba_like(n):

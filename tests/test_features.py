@@ -3,7 +3,16 @@ import pytest
 
 from hypothesis import given
 
-from conftest import complete_graph, corpus_graphs, cycle_graph, dense_adjacency, path_graph, random_graph, star_graph
+from conftest import (
+    complete_graph,
+    corpus_graphs,
+    cycle_graph,
+    dense_adjacency,
+    norm_loop_eigenvector,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 from critnet.features import (
     aggregate_features,
     degree_centrality,
@@ -12,7 +21,7 @@ from critnet.features import (
     eigenvector_centrality,
     pagerank,
 )
-from critnet.graph import build_graph, gen_er, remove_nodes
+from critnet.graph import build_graph, gen_ba, gen_er, gen_ws, remove_nodes
 
 
 def dense_dominant_eigenvector(g):
@@ -181,6 +190,30 @@ class TestPagerank:
         assert not converged
         assert abs(scores.sum() - 1.0) < 1e-12
         assert pagerank(star_graph(6)).converged
+
+
+class TestEigenvectorNormalisation:
+    """``np.sqrt(x @ x)`` is how ``np.linalg.norm`` computes a 1-D norm, so the scores are bit-equal."""
+
+    @staticmethod
+    def check(g):
+        want, want_converged = norm_loop_eigenvector(g)
+        got = eigenvector_centrality(g)
+        assert got.converged == want_converged
+        assert np.array_equal(got.scores, want)
+        return got.converged
+
+    @given(corpus_graphs())
+    def test_bit_equal_to_the_linalg_norm_loop(self, g):
+        self.check(g)
+
+    @pytest.mark.parametrize(
+        "make, converges",
+        [(lambda: gen_ba(150, 2, 1), True), (lambda: gen_ws(150, 4, 0.1, 2), True), (lambda: gen_ws(300, 4, 0.1, 2), False)],
+        ids=["ba-150", "ws-150", "ws-300"],
+    )
+    def test_bit_equal_on_training_sizes(self, make, converges):
+        assert self.check(make()) == converges
 
 
 class TestPowerIterationsMatchDenseOracle:
