@@ -115,6 +115,10 @@ class Graph:
         """A new view with the same mask and an empty memo."""
         return Graph(self.n, self.pattern, self.alive)
 
+    def __deepcopy__(self, _memo) -> "Graph":
+        # immutable, like a tuple: a deep copy would differ only in having writable arrays
+        return self
+
 
 @dataclass
 class Solution:

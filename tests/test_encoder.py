@@ -236,34 +236,26 @@ class TestPerHeadOracle:
         ad.mse_loss(q, np.linspace(-1.0, 1.0, q.shape[0]).reshape(-1, 1)).backward()
         grads = [p.grad.copy() for p in model.encoder.parameters()]
         ad.zero_grads(model.parameters())
-        return eval_emb, train_emb.data, grads
+        return [eval_emb, train_emb.data], grads
+
+    def check(self, g, profile, seed):
+        rng = np.random.default_rng(seed)
+        model = Model(init_encoder_params(rng), init_decoder_params(rng), dropout_profile=profile)
+        got_emb, got_grads = self.run(model, g, seed + 1)
+        with per_head_encoder():
+            want_emb, want_grads = self.run(model, g, seed + 1)
+        assert len(got_grads) == 48
+        for a, b in zip(got_emb + got_grads, want_emb + want_grads):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("profile", ["reduced", "original"])
     @given(g=corpus_graphs(max_n=60))
     def test_embeddings_and_gradients_match(self, profile, g):
-        rng = np.random.default_rng(g.n)
-        model = Model(init_encoder_params(rng), init_decoder_params(rng), dropout_profile=profile)
-        eval_emb, train_emb, grads = self.run(model, g, g.n + 1)
-        with per_head_encoder():
-            want_eval, want_train, want_grads = self.run(model, g, g.n + 1)
-        assert len(grads) == 48
-        np.testing.assert_allclose(eval_emb, want_eval, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(train_emb, want_train, rtol=0, atol=1e-12)
-        for got, want in zip(grads, want_grads):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        self.check(g, profile, g.n)
 
     def test_training_dropout_matches_at_scale(self):
         # 8 heads of E = 1200+ draws each: a head-order slip would show at once
-        g = remove_nodes(gen_ba_like(400), [0, 3])
-        rng = np.random.default_rng(40)
-        model = Model(init_encoder_params(rng), init_decoder_params(rng), dropout_profile="original")
-        eval_emb, train_emb, grads = self.run(model, g, 41)
-        with per_head_encoder():
-            want_eval, want_train, want_grads = self.run(model, g, 41)
-        np.testing.assert_allclose(eval_emb, want_eval, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(train_emb, want_train, rtol=0, atol=1e-12)
-        for got, want in zip(grads, want_grads):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        self.check(remove_nodes(gen_ba_like(400), [0, 3]), "original", 40)
 
     def test_layer_rejects_a_mismatched_pattern(self):
         g = gen_er(6, 0.5, 42)

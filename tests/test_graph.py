@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -357,6 +358,13 @@ class TestImmutableViews:
         assert remove_nodes(view, [2]).alive.tolist() == [True, False, False, True]
         assert view.alive.tolist() == [True, False, True, True]
         assert g.copy().alive is not g.alive
+
+    def test_deep_copies_share_the_immutable_view(self):
+        g = remove_nodes(path_graph(4), [1])
+        copied = copy.deepcopy({"state": g, "alive": g.alive})
+        assert copied["state"] is g
+        assert not copied["state"].alive.flags.writeable
+        assert copied["alive"] is not g.alive
 
 
 class TestGenerators:
