@@ -12,10 +12,12 @@ non-dueling Q head used by the ablation. Targets are double-DQN: the online
 network picks the argmax action in the next state, the target network
 scores it.
 
-Input features are memoised on the immutable residual view they describe
-(``Model.features``), and a ``Transition`` keeps one view per state, so a
-state's features are computed once per feature mode however many times it
-is scored.
+Input features are memoised on the residual state they describe
+(``Model.features`` keeps them in ``Graph.memo``). The memo belongs to the
+state, not to the view: every live view of one graph under one alive mask
+shares it, through a table that holds it weakly. So the live episode view,
+``t[k].next_state()`` and ``t[k + 1].state()`` share one feature matrix
+per feature mode for as long as any of them is alive.
 """
 from __future__ import annotations
 
@@ -132,9 +134,11 @@ def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> in
 class Transition:
     """One environment step, with residual states stored as alive masks.
 
-    ``state()`` and ``next_state()`` each build their view once and then
-    return it, so the features memoised on it are computed once for as long
-    as the transition sits in a replay buffer.
+    ``alive_after`` is ``alive_before`` with only ``action`` cleared, and a
+    non-terminal step leaves some node alive. ``state()`` and
+    ``next_state()`` each build their view of ``graph`` on first call and
+    then return it, so each state's memo, features included, lives at
+    least as long as the transition sits in a replay buffer.
     """
 
     graph: Graph
@@ -157,6 +161,14 @@ class Transition:
             raise ValueError(f"reward {self.reward} is not finite")
         if self.reward < 0:
             raise ValueError("rewards are connectivity drops and cannot be negative")
+        changed = np.flatnonzero(self.alive_before != self.alive_after)
+        stray = changed[changed != self.action]
+        if len(stray):
+            raise ValueError(f"node {stray[0]} differs between alive_before and alive_after; only the action may")
+        if self.alive_after[self.action]:
+            raise ValueError(f"action {self.action} is still alive in alive_after")
+        if not self.terminal and not self.alive_after.any():
+            raise ValueError(f"non-terminal transition: removing node {self.action} leaves no node alive")
 
     def _view(self, key: str, alive: np.ndarray) -> Graph:
         if key not in self._views:
@@ -186,6 +198,8 @@ class ReplayBuffer:
         self._items.append(t)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
+        if batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {batch_size}")
         if batch_size > len(self._items):
             raise ValueError(f"buffer holds {len(self._items)} < batch size {batch_size}")
         idx = rng.choice(len(self._items), size=batch_size, replace=False)
@@ -211,9 +225,9 @@ class Model:
         return self.encoder.parameters() + self.decoder.parameters()
 
     def features(self, g: Graph) -> np.ndarray:
-        """Read-only ``n_alive x 4`` input matrix of ``g``, memoised on the view per feature mode.
+        """Read-only ``n_alive x 4`` input matrix of ``g``, memoised on its state per feature mode.
 
-        Models with the same ``feature_mode`` share one matrix per view.
+        Models with the same ``feature_mode`` share one matrix per state.
         """
         feats = g.memo.get(self.feature_mode)
         if feats is None:
@@ -245,8 +259,10 @@ def td_targets(batch: list[Transition], online: Model, target: Model, gamma: flo
     y = r + gamma * Q_target(s', argmax_a Q_online(s', a)), or y = r for a
     terminal transition. This is <= the vanilla target r + gamma * max_a
     Q_target(s', a), with equality when the two argmaxes agree or tie.
-    Next-state features come from the transition's memoised view, so each
-    is computed once per feature mode while the transition is buffered.
+    Next-state features come from the state's memo, so each is computed
+    once per feature mode while any view of that state is alive: the
+    buffered transition's own, the next transition's ``state()``, or the
+    live episode view.
     """
     ys = np.empty(len(batch))
     for i, t in enumerate(batch):

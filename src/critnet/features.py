@@ -96,6 +96,10 @@ def pagerank(
     successive iterates drops below ``tol``; otherwise the last iterate is
     returned with ``converged=False``.
     """
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must be in [0, 1), got {damping}")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     sub = residual(g)
     n = sub.n
     if n == 0:

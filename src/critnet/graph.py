@@ -6,7 +6,11 @@ built once by ``build_graph`` and shared, read-only, by every residual view.
 The residual graph of a partially-dismantled network is that pattern plus a
 per-node ``alive`` mask. A view is immutable: its mask is read-only, and
 removing nodes builds a new view with bits cleared, so evaluation never
-mutates the original instance and values memoised on a view stay valid.
+mutates the original instance. Values derived from a residual state are
+memoised per state, not per view: every view built from one ``build_graph``
+result reaches one table that holds memo dicts weakly, keyed by alive mask,
+so all live views under one mask share one memo, which lives as long as
+the last of them.
 ``residual`` is the one place that applies the mask: it filters and
 renumbers the stored pattern into the alive subgraph's CSR, which features,
 the encoder and the objective all read. One engine on that CSR, a numpy
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -72,6 +77,10 @@ def symmetric_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> SparsePatte
     return SparsePattern(np.concatenate(([0], np.cumsum(counts))), rows, cols, transpose)
 
 
+class _Memo(dict):
+    """A dict a weak reference can point at (a plain dict cannot)."""
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph with dense 0-based node ids: an immutable residual view.
@@ -80,20 +89,34 @@ class Graph:
     arrays are read-only and shared by every residual view. ``alive`` is the
     view's own read-only copy of the mask it was built with, so nothing can
     change a view after it exists; removing nodes builds a new view.
-    ``memo`` caches values derived from the view (``decoder.Model.features``
-    keeps the input matrix there, keyed by feature mode), which stay valid
-    for the view's lifetime.
+
+    ``memo`` caches values derived from the residual state
+    (``decoder.Model.features`` keeps the input matrix there, keyed by
+    feature mode). It belongs to the state, not to the view: ``memos`` maps
+    each alive mask, as bytes, weakly to its memo, and every view derived
+    from one graph (``copy``, ``with_alive_mask``, ``remove_nodes``) passes
+    the table on. So all live views of one state share one memo, and the
+    entry goes with the last of them. A graph built on its own starts a new
+    table, even with the same edges and mask.
     """
 
     n: int
     pattern: SparsePattern = field(repr=False)
     alive: np.ndarray = field(repr=False)
-    memo: dict = field(default_factory=dict, init=False, repr=False)
+    memos: WeakValueDictionary = field(default_factory=WeakValueDictionary, repr=False)
+    memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         alive = np.array(self.alive, dtype=bool)  # a private copy: no caller holds a writable alias
         alive.flags.writeable = False
         object.__setattr__(self, "alive", alive)
+        if any(a.flags.writeable for a in self.pattern):  # as built or unpickled: freeze a private copy
+            object.__setattr__(self, "pattern", _read_only(self.pattern))
+        key = alive.tobytes()
+        memo = self.memos.get(key)
+        if memo is None:
+            memo = self.memos[key] = _Memo()
+        object.__setattr__(self, "memo", memo)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -112,12 +135,23 @@ class Graph:
         return np.flatnonzero(self.alive)
 
     def copy(self) -> "Graph":
-        """A new view with the same mask and an empty memo."""
-        return Graph(self.n, self.pattern, self.alive)
+        """A new view with the same mask; it shares the state's memo."""
+        return Graph(self.n, self.pattern, self.alive, self.memos)
 
     def __deepcopy__(self, _memo) -> "Graph":
         # immutable, like a tuple: a deep copy would differ only in having writable arrays
         return self
+
+    def __reduce__(self):
+        # rebuilt through the constructor: read-only arrays, and no memo (a weak table cannot be pickled)
+        return Graph, (self.n, self.pattern, self.alive)
+
+
+def _read_only(pattern: SparsePattern) -> SparsePattern:
+    arrays = [np.array(a) for a in pattern]
+    for a in arrays:
+        a.flags.writeable = False
+    return SparsePattern(*arrays)
 
 
 @dataclass
@@ -168,8 +202,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     pattern = symmetric_pattern(
         np.concatenate((e[:, 0], e[:, 1], loops)), np.concatenate((e[:, 1], e[:, 0], loops)), n
     )
-    for a in pattern:
-        a.flags.writeable = False
     return Graph(n=n, pattern=pattern, alive=np.ones(n, dtype=bool))
 
 
@@ -294,7 +326,7 @@ def with_alive_mask(g: Graph, alive: np.ndarray) -> Graph:
     """Residual view of ``g`` under a stored alive mask (the view keeps its own copy)."""
     if alive.shape != (g.n,):
         raise ValueError("alive mask length must equal node count")
-    return Graph(g.n, g.pattern, alive)
+    return Graph(g.n, g.pattern, alive, g.memos)
 
 
 def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
@@ -306,7 +338,7 @@ def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
         if not alive[v]:
             raise ValueError(f"node {v} is already removed")
         alive[v] = False
-    return Graph(g.n, g.pattern, alive)
+    return Graph(g.n, g.pattern, alive, g.memos)
 
 
 # --- synthetic generators -------------------------------------------------

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import corpus_graphs
 from critnet import autodiff as ad
@@ -19,7 +19,7 @@ from critnet.decoder import (
 )
 from critnet.encoder import EMBEDDING_DIM, encode, init_encoder_params
 from critnet.features import aggregate_features, degree_only_features
-from critnet.graph import gen_ba, gen_er, remove_nodes, with_alive_mask
+from critnet.graph import build_graph, gen_ba, gen_er, remove_nodes, with_alive_mask
 
 
 def decoder(seed=0, dueling=True):
@@ -158,6 +158,13 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sample_needs_a_positive_batch_size(self, size):
+        buf = ReplayBuffer(capacity=5)
+        buf.push(self.make_transition(gen_er(6, 0.5, 1)))
+        with pytest.raises(ValueError, match=f"batch size must be >= 1, got {size}"):
+            buf.sample(size, np.random.default_rng(0))
+
     def test_sampling_roughly_uniform(self):
         g = gen_er(40, 0.2, 2)
         buf = ReplayBuffer(capacity=40)
@@ -196,6 +203,30 @@ class TestReplayBuffer:
             Transition(g, g.alive.copy(), 0, float("inf"), dead, False)
         with pytest.raises(ValueError, match=r"shape \(6,\)"):
             Transition(g, g.alive.copy(), 0, 1.0, dead[:5], False)
+
+    def test_transition_masks_must_differ_by_the_action(self):
+        g = gen_er(6, 0.5, 6)
+        before = g.alive.copy()
+        before[2] = False
+        extra = before.copy()
+        extra[[0, 4]] = False
+        with pytest.raises(ValueError, match="node 4 differs between alive_before and alive_after"):
+            Transition(g, before, 0, 1.0, extra, False)
+        revived = g.alive.copy()
+        revived[0] = False
+        with pytest.raises(ValueError, match="node 2 differs between alive_before and alive_after"):
+            Transition(g, before, 0, 1.0, revived, False)
+        with pytest.raises(ValueError, match="action 0 is still alive in alive_after"):
+            Transition(g, before, 0, 1.0, before.copy(), False)
+
+    def test_non_terminal_transition_leaves_a_node_alive(self):
+        g = gen_er(6, 0.5, 6)
+        last = np.zeros(6, dtype=bool)
+        last[3] = True
+        none = np.zeros(6, dtype=bool)
+        with pytest.raises(ValueError, match="removing node 3 leaves no node alive"):
+            Transition(g, last, 3, 1.0, none, False)
+        assert Transition(g, last, 3, 1.0, none, True).terminal
 
 
 class TestTdTargets:
@@ -292,11 +323,16 @@ class TestFeatureMemo:
         assert m.features(g) is feats
         with pytest.raises(ValueError, match="read-only"):
             feats[0, 0] = 1.0
-        fresh = with_alive_mask(g, g.alive.copy())
+        # the same state, reached through each path, shares the matrix
+        assert m.features(with_alive_mask(g, g.alive.copy())) is feats
+        assert m.features(g.copy()) is feats
+        # a separately built graph with the same edges and mask starts empty
+        fresh = with_alive_mask(build_graph(g.n, g.edges), g.alive.copy())
         assert fresh.memo == {}
         compute = aggregate_features if mode == "aggregate" else degree_only_features
         assert np.array_equal(m.features(fresh), compute(g))
         assert np.array_equal(feats, compute(g))
+        assert not m.features(fresh).flags.writeable
 
     def test_modes_memoise_separately_and_models_share(self):
         g = gen_er(12, 0.3, 28)
@@ -307,11 +343,74 @@ class TestFeatureMemo:
         assert np.array_equal(deg, degree_only_features(g))
 
     def test_new_views_do_not_inherit_the_memo(self):
+        # views of another state start empty, and so do views of another graph
         g = gen_er(12, 0.3, 32)
         model(33).features(g)
-        assert g.copy().memo == {}
+        other = remove_nodes(g, [0])
+        assert other.memo == {}
+        assert gen_er(12, 0.3, 32).memo == {}
+        assert model(33).features(other).shape == (11, 4)
+        assert np.array_equal(model(33).features(other), aggregate_features(other))
+
+    @given(g=corpus_graphs(), data=st.data())
+    def test_views_of_one_state_share_one_memo(self, g, data):
+        nodes = data.draw(st.lists(st.sampled_from(g.alive_ids().tolist()), min_size=1, max_size=3, unique=True))
+        state = remove_nodes(g, nodes)
+        feats = model(34).features(state)
+        mask = state.alive.copy()
+        views = [
+            state.copy(),
+            with_alive_mask(g, mask),
+            with_alive_mask(g.copy(), mask).copy(),
+            remove_nodes(g, nodes[::-1]),
+            remove_nodes(remove_nodes(g, nodes[-1:]), nodes[:-1]),
+            remove_nodes(with_alive_mask(state, g.alive.copy()), nodes),
+        ]
+        for view in views:
+            assert view.memo is state.memo
+            assert model(34).features(view) is feats
+
+    def test_entry_goes_with_the_last_view_of_its_state(self):
+        g = gen_er(12, 0.3, 35)
+        first = remove_nodes(g, [0])
+        second = with_alive_mask(g, first.alive)
+        model(36).features(first)
+        key = first.alive.tobytes()
+        assert g.memos[key] is first.memo
+        del first
+        assert "aggregate" in second.memo  # the state lives on in its other view
+        del second
+        assert key not in g.memos
+        assert len(g.memos) == 1  # only g's own state is left
         assert remove_nodes(g, [0]).memo == {}
-        assert model(33).features(remove_nodes(g, [0])).shape == (11, 4)
+
+
+def test_episode_loop_computes_each_state_once():
+    """Live views, transitions, td_targets and training forwards share each state's features."""
+    g0 = gen_ba(16, 2, 37)
+    online, target = model(38), model(39)
+    rng = np.random.default_rng(40)
+    buf = ReplayBuffer(capacity=16)
+    needed = set()
+    spy = mock.Mock(wraps=decoder_module.aggregate_features)
+    with mock.patch.object(decoder_module, "aggregate_features", spy):
+        for _ in range(2):
+            g = g0
+            for step in range(3):
+                q = online.q_full(g)
+                needed.add(g.alive.tobytes())
+                a = select_action(q, 0.5, rng)
+                g_next = remove_nodes(g, [a])
+                buf.push(Transition(g0, g.alive.copy(), a, 1.0, g_next.alive.copy(), step == 2))
+                batch = buf.sample(len(buf), rng)
+                td_targets(batch, online, target, gamma=0.9)
+                needed.update(t.next_state().alive.tobytes() for t in batch if not t.terminal)
+                for t in batch:
+                    online.q_output(t.state(), training=True, rng=rng)
+                    needed.add(t.state().alive.tobytes())
+                g = g_next
+    assert spy.call_count == len(needed)
+    assert len({c.args[0].alive.tobytes() for c in spy.call_args_list}) == len(needed)
 
 
 class TestModel:

@@ -191,6 +191,21 @@ class TestPagerank:
         assert abs(scores.sum() - 1.0) < 1e-12
         assert pagerank(star_graph(6)).converged
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"damping": 1.5}, r"damping must be in \[0, 1\), got 1.5"),
+            ({"damping": 1.0}, r"damping must be in \[0, 1\), got 1.0"),
+            ({"damping": -0.1}, r"damping must be in \[0, 1\), got -0.1"),
+            ({"damping": float("nan")}, r"damping must be in \[0, 1\), got nan"),
+            ({"tol": 0.0}, "tol must be positive"),
+            ({"tol": -1e-8}, "tol must be positive"),
+        ],
+    )
+    def test_invalid_inputs(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            pagerank(path_graph(3), **kwargs)
+
 
 class TestEigenvectorNormalisation:
     """``np.sqrt(x @ x)`` is how ``np.linalg.norm`` computes a 1-D norm, so the scores are bit-equal."""

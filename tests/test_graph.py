@@ -1,4 +1,5 @@
 import copy
+import pickle
 import re
 
 import numpy as np
@@ -18,7 +19,7 @@ from conftest import (
     random_graph,
 )
 from critnet.encoder import attention_mask
-from critnet.features import degree_vector
+from critnet.features import aggregate_features, degree_vector
 from critnet.graph import (
     GraphParseError,
     build_graph,
@@ -358,6 +359,24 @@ class TestImmutableViews:
         assert remove_nodes(view, [2]).alive.tolist() == [True, False, False, True]
         assert view.alive.tolist() == [True, False, True, True]
         assert g.copy().alive is not g.alive
+
+    @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+    def test_pickle_round_trip_rebuilds_an_immutable_view(self, make):
+        g = make()
+        g.memo["aggregate"] = aggregate_features(g)
+        loaded = pickle.loads(pickle.dumps(g))
+        assert loaded.memo == {}
+        assert not loaded.alive.flags.writeable
+        assert all(not a.flags.writeable for a in loaded.pattern)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.alive[0] = not loaded.alive[0]
+        assert loaded.n == g.n
+        assert loaded.edges == g.edges
+        assert np.array_equal(loaded.alive, g.alive)
+        assert pairwise_connectivity(loaded) == pairwise_connectivity(g)
+        assert np.array_equal(aggregate_features(loaded), aggregate_features(g))
+        assert np.array_equal(aggregate_features(loaded), g.memo["aggregate"])
+        assert remove_nodes(loaded, [loaded.alive_ids()[0]]).memo == {}
 
     def test_deep_copies_share_the_immutable_view(self):
         g = remove_nodes(path_graph(4), [1])
