@@ -99,6 +99,12 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
+def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+    """Trainable rows x cols weights, uniform on the Glorot range +-sqrt(6 / (rows + cols))."""
+    limit = np.sqrt(6.0 / (rows + cols))
+    return tensor(rng.uniform(-limit, limit, size=(rows, cols)), requires_grad=True)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
@@ -149,13 +155,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(g.T)
-
-    return _make(a.data.T.copy(), (a,), backward)
-
-
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
     pos = a.data > 0
 
@@ -165,12 +164,12 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
     return _make(np.where(pos, a.data, slope * a.data), (a,), backward)
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
+def elu(a: Tensor) -> Tensor:
     pos = a.data > 0
-    out = np.where(pos, a.data, alpha * np.expm1(a.data))
+    out = np.where(pos, a.data, np.expm1(a.data))
 
     def backward(g):
-        a._accumulate(g * np.where(pos, 1.0, out + alpha))
+        a._accumulate(g * np.where(pos, 1.0, out + 1.0))
 
     return _make(out, (a,), backward)
 
@@ -259,14 +258,10 @@ def spmm(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
     return _make(out, (values, x), backward)
 
 
-def dropout(
-    a: Tensor, rate: float, rng: np.random.Generator | None, training: bool, by_column: bool = False
-) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
     """Inverted dropout; identity when not training or rate == 0.
 
-    The uniforms fill ``a`` row by row, or with ``by_column`` (2-D ``a``
-    only) one column after another, so that one E x H dropout draws what H
-    separate E x 1 dropouts would.
+    The uniforms fill ``a`` column after column, as H dropouts of E x 1 would for an E x H ``a``.
     """
     if not training or rate <= 0.0:
         return a
@@ -274,10 +269,7 @@ def dropout(
         raise ValueError("dropout rate must be in [0, 1)")
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    if by_column and a.data.ndim != 2:
-        raise ValueError(f"column-wise dropout needs a 2-D tensor, got shape {a.shape}")
-    u = rng.random(a.shape[::-1]).T if by_column else rng.random(a.shape)
-    keep = (u >= rate) / (1.0 - rate)
+    keep = (rng.random(a.shape[::-1]).T >= rate) / (1.0 - rate)
 
     def backward(g):
         a._accumulate(g * keep)
@@ -365,10 +357,12 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
-    """One in-place Adam update; parameters with no gradient are skipped."""
+    """One in-place Adam update of the list the first call was given; parameters with no gradient are skipped."""
     if not state.m:
         state.m = [np.zeros_like(p.data) for p in params]
         state.v = [np.zeros_like(p.data) for p in params]
+    if len(params) != len(state.m):
+        raise ValueError(f"adam_step got {len(params)} parameters, but its moments are for {len(state.m)}")
     state.step += 1
     t = state.step
     for p, m, v in zip(params, state.m, state.v):

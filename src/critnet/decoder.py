@@ -70,14 +70,10 @@ class DecoderParams:
 
 
 def _init_mlp(rng: np.random.Generator, in_dim: int, hidden: int) -> MlpParams:
-    def glorot(rows, cols):
-        limit = np.sqrt(6.0 / (rows + cols))
-        return ad.tensor(rng.uniform(-limit, limit, size=(rows, cols)), requires_grad=True)
-
     return MlpParams(
-        w1=glorot(in_dim, hidden),
+        w1=ad.glorot(rng, in_dim, hidden),
         b1=ad.tensor(np.zeros((1, hidden)), requires_grad=True),
-        w2=glorot(hidden, 1),
+        w2=ad.glorot(rng, hidden, 1),
         b2=ad.tensor(np.zeros((1, 1)), requires_grad=True),
     )
 
@@ -114,14 +110,14 @@ def q_from_embeddings(emb: ad.Tensor, params: DecoderParams) -> QOutput:
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over alive nodes.
 
-    Dead nodes are -inf and never chosen; a NaN anywhere in ``q`` raises.
+    Dead nodes are -inf and never chosen; a NaN or +inf anywhere in ``q`` raises.
     Bit-equal maxima go to the lowest id, but structurally equivalent nodes can
     get Q-values that differ by rounding, so which of them is picked is not
     promised.
     """
-    nan = np.flatnonzero(np.isnan(q))
-    if len(nan):
-        raise ValueError(f"Q-values are NaN at node(s) {nan[:5].tolist()}")
+    for name, bad in (("NaN", np.isnan(q)), ("+inf", q == np.inf)):
+        if bad.any():
+            raise ValueError(f"Q-values are {name} at node(s) {np.flatnonzero(bad)[:5].tolist()}")
     alive = np.flatnonzero(np.isfinite(q))
     if len(alive) == 0:
         raise ValueError("no alive nodes to act on")

@@ -76,19 +76,14 @@ class EncoderParams:
         return out
 
 
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> ad.Tensor:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return ad.tensor(rng.uniform(-limit, limit, size=(rows, cols)), requires_grad=True)
-
-
 def _init_layer(rng: np.random.Generator, in_dim: int, out_dim: int) -> GatLayerParams:
     heads = []
     for _ in range(N_HEADS):
         heads.append(
             HeadParams(
-                w=_glorot(rng, in_dim, out_dim),
-                a_src=_glorot(rng, out_dim, 1),
-                a_dst=_glorot(rng, out_dim, 1),
+                w=ad.glorot(rng, in_dim, out_dim),
+                a_src=ad.glorot(rng, out_dim, 1),
+                a_dst=ad.glorot(rng, out_dim, 1),
             )
         )
     return GatLayerParams(heads)
@@ -128,7 +123,7 @@ def gat_layer(
     src = ad.gather_rows(ad.matmul(hw, ad.block_diag([head.a_src for head in heads])), mask)
     dst = ad.gather_rows(ad.matmul(hw, ad.block_diag([head.a_dst for head in heads])), mask, columns=True)
     att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
-    att = ad.dropout(att, dropout_rate, rng, training, by_column=True)
+    att = ad.dropout(att, dropout_rate, rng, training)
     return ad.elu(ad.spmm(att, mask, hw))
 
 

@@ -7,8 +7,11 @@ replicates the normalized degree column so downstream shapes are unchanged.
 
 Each metric helper takes a ``Graph`` and reads the residual graph's
 closed-neighbourhood CSR from ``graph.residual``: the degree is the row
-length minus the self-loop, and the power iterations multiply by ``A + I``
-with one O(m) ``bincount`` over the CSR entries.
+length minus the self-loop, and the two power iterations multiply by
+``A + I`` with one O(m) ``bincount`` over the CSR entries. Both run one loop
+to the module's tolerances and caps and report ``converged``. PageRank, an L1
+contraction with factor 0.85, converges within 118 of its 200 steps; the
+eigenvector iteration can reach its cap on near-regular graphs.
 """
 from __future__ import annotations
 
@@ -42,81 +45,66 @@ def degree_centrality(g: Graph) -> np.ndarray:
     return _scaled_degree(degree_vector(g))
 
 
-class EigenvectorResult(NamedTuple):
+class PowerResult(NamedTuple):
     scores: np.ndarray
     converged: bool
 
 
-def eigenvector_centrality(
-    g: Graph,
-    tol: float = EIGENVECTOR_TOL,
-    max_iter: int = EIGENVECTOR_MAX_ITER,
-) -> EigenvectorResult:
+def _power_iteration(step, x: np.ndarray, tol: float, max_iter: int) -> PowerResult:
+    """Apply ``step`` from ``x``, at most ``max_iter`` times, until the L1 change between iterates is below ``tol``."""
+    for _ in range(max_iter):
+        nxt = step(x)
+        if np.abs(nxt - x).sum() < tol:
+            return PowerResult(nxt, True)
+        x = nxt
+    return PowerResult(x, False)
+
+
+def eigenvector_centrality(g: Graph) -> PowerResult:
     """Dominant-eigenvector scores of the alive subgraph, L2-normalized.
 
     Iterates x <- normalize((A + I) x); the identity shift leaves the
     eigenvectors of A unchanged but keeps bipartite spectra (lambda pairs of
-    opposite sign) from oscillating. Converged when the L1 change between
-    successive iterates drops below ``tol``; otherwise the last iterate is
-    returned with ``converged=False``.
+    opposite sign) from oscillating.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     sub = residual(g)
     n = sub.n
     if n == 0:
-        return EigenvectorResult(np.zeros(0), True)
-    x = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(max_iter):
+        return PowerResult(np.zeros(0), True)
+
+    def step(x):
         nxt = np.bincount(sub.rows, weights=x[sub.cols], minlength=n)
         # the L2 norm, as np.linalg.norm computes it for 1-D input, without its
         # dispatch; x > 0 gives (A + I)x >= x, so the norm is at least 1
-        nxt /= np.sqrt(nxt @ nxt)
-        if np.abs(nxt - x).sum() < tol:
-            return EigenvectorResult(nxt, True)
-        x = nxt
-    return EigenvectorResult(x, False)
+        return nxt / np.sqrt(nxt @ nxt)
+
+    return _power_iteration(step, np.full(n, 1.0 / np.sqrt(n)), EIGENVECTOR_TOL, EIGENVECTOR_MAX_ITER)
 
 
-class PagerankResult(NamedTuple):
-    scores: np.ndarray
-    converged: bool
-
-
-def pagerank(
-    g: Graph,
-    damping: float = PAGERANK_DAMPING,
-    tol: float = PAGERANK_TOL,
-    max_iter: int = PAGERANK_MAX_ITER,
-) -> PagerankResult:
+def pagerank(g: Graph) -> PowerResult:
     """PageRank over the alive subgraph, edges treated as bidirectional.
 
     Isolated (dangling) nodes redistribute their mass uniformly; the scores
-    sum to 1 whenever any node is alive. Converged when the L1 change between
-    successive iterates drops below ``tol``; otherwise the last iterate is
-    returned with ``converged=False``.
+    sum to 1 whenever any node is alive. With damping d the update is an L1
+    contraction with factor d, and the first step moves the uniform start by
+    at most 2d, so step k changes the scores by at most 2 d^k: below the
+    1e-8 tolerance from k = 118 at d = 0.85, short of the 200-step cap.
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping must be in [0, 1), got {damping}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     sub = residual(g)
     n = sub.n
     if n == 0:
-        return PagerankResult(np.zeros(0), True)
+        return PowerResult(np.zeros(0), True)
     deg = np.diff(sub.indptr) - 1.0
     dangling = deg == 0
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+
+    def step(x):
         # P^T x for the row-stochastic walk P = D^-1 A on non-dangling rows,
         # as (A + I) y - y with y = D^-1 x
         y = np.divide(x, deg, out=np.zeros(n), where=~dangling)
         walk = np.bincount(sub.rows, weights=y[sub.cols], minlength=n) - y
-        nxt = damping * (walk + x[dangling].sum() / n) + (1.0 - damping) / n
-        if np.abs(nxt - x).sum() < tol:
-            return PagerankResult(nxt, True)
-        x = nxt
-    return PagerankResult(x, False)
+        return PAGERANK_DAMPING * (walk + x[dangling].sum() / n) + (1.0 - PAGERANK_DAMPING) / n
+
+    return _power_iteration(step, np.full(n, 1.0 / n), PAGERANK_TOL, PAGERANK_MAX_ITER)
 
 
 def _minmax_column(col: np.ndarray) -> np.ndarray:

@@ -308,16 +308,8 @@ def connected_components(g: Graph) -> ComponentPartition:
     return ComponentPartition(component_id, counts[order].tolist())
 
 
-def pairwise_connectivity(g: Graph, removed: Iterable[int] = ()) -> int:
-    """Number of unordered still-connected node pairs after removing ``removed``.
-
-    Sum over residual components of ``|C| * (|C| - 1) / 2``. The removal set
-    is applied on top of the graph's current alive mask; the graph itself is
-    untouched.
-    """
-    removed = list(removed)
-    if removed:
-        g = remove_nodes(g, removed)
+def pairwise_connectivity(g: Graph) -> int:
+    """Unordered still-connected node pairs: ``|C| * (|C| - 1) / 2`` summed over residual components."""
     sizes = connected_components(g).sizes
     return sum(s * (s - 1) // 2 for s in sizes)
 

@@ -156,6 +156,16 @@ def brute_pairwise(g, removed=()):
 # --- dense attention oracle -------------------------------------------------
 
 
+def transpose(a):
+    """``a.T`` as a tape op; only the dense oracle and the gradient tests need it."""
+    from critnet import autodiff as ad
+
+    def backward(g):
+        a._accumulate(g.T)
+
+    return ad._make(a.data.T.copy(), (a,), backward)
+
+
 def dense_adjacency(g):
     """Dense symmetric 0/1 adjacency of the alive subgraph, rows in alive-id order."""
     position = np.cumsum(g.alive) - 1
@@ -186,7 +196,7 @@ def dense_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
         hw = ad.matmul(h, head.w)
         src = ad.matmul(hw, head.a_src)
         dst = ad.matmul(hw, head.a_dst)
-        logits = ad.add(ad.matmul(src, ones_row), ad.matmul(ones_col, ad.transpose(dst)))
+        logits = ad.add(ad.matmul(src, ones_row), ad.matmul(ones_col, transpose(dst)))
         att = ad.row_softmax_masked(ad.leaky_relu(logits, ATTENTION_SLOPE), mask)
         att = ad.dropout(att, dropout_rate, rng, training)
         outputs.append(ad.matmul(att, hw))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import transpose
 from critnet import autodiff as ad
 from critnet.graph import symmetric_pattern
 
@@ -74,7 +75,7 @@ class TestPrimitives:
         def forward():
             h = ad.add_bias(ad.matmul(x, w), bias)
             h = ad.elu(h)
-            g = ad.leaky_relu(ad.transpose(h), 0.2)
+            g = ad.leaky_relu(transpose(h), 0.2)
             pooled = ad.mean_rows(ad.scale(g, 0.1))
             both = ad.concat([pooled, ad.mean_rows(g), ad.pick(g, 1, 2)], axis=1)
             return ad.mse_loss(both, target)
@@ -113,7 +114,7 @@ class TestPrimitives:
 
     def test_column_dropout_draws_column_after_column(self):
         x = ad.tensor(np.ones((7, 3)))
-        got = ad.dropout(x, 0.5, np.random.default_rng(8), True, by_column=True).data
+        got = ad.dropout(x, 0.5, np.random.default_rng(8), True).data
         rng = np.random.default_rng(8)
         want = np.concatenate([ad.dropout(ad.tensor(np.ones((7, 1))), 0.5, rng, True).data for _ in range(3)], axis=1)
         assert np.array_equal(got, want)
@@ -124,13 +125,9 @@ class TestPrimitives:
         target = rng.standard_normal((6, 3))
 
         def forward():
-            return ad.mse_loss(ad.dropout(a, 0.4, np.random.default_rng(10), True, by_column=True), target)
+            return ad.mse_loss(ad.dropout(a, 0.4, np.random.default_rng(10), True), target)
 
         assert ad.grad_check(forward, [a]) < 1e-6
-
-    def test_column_dropout_needs_a_matrix(self):
-        with pytest.raises(ValueError, match=r"2-D tensor, got shape \(4,\)"):
-            ad.dropout(ad.tensor(np.ones(4)), 0.5, np.random.default_rng(0), True, by_column=True)
 
     def test_block_diag_layout_and_gradient(self):
         rng = np.random.default_rng(11)
@@ -372,3 +369,15 @@ class TestAdam:
         warm = losses[10:]
         assert all(b < a for a, b in zip(warm, warm[1:]))
         assert losses[-1] < 0.5 * losses[0]
+
+    def test_parameter_list_must_keep_its_length(self):
+        a = ad.tensor(np.ones(2), requires_grad=True)
+        b = ad.tensor(np.ones(3), requires_grad=True)
+        a.grad, b.grad = np.ones(2), np.ones(3)
+        state = ad.AdamState(lr=0.1)
+        ad.adam_step([a], state)
+        for params in ([a, b], []):
+            with pytest.raises(ValueError, match=f"got {len(params)} parameters, but its moments are for 1"):
+                ad.adam_step(params, state)
+        assert np.array_equal(b.data, np.ones(3))
+        assert state.step == 1

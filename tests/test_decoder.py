@@ -120,6 +120,12 @@ class TestSelectAction:
         with pytest.raises(ValueError, match=r"NaN at node\(s\) \[3\]"):
             select_action(q, 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0], ids=["greedy", "epsilon"])
+    def test_positive_infinity_rejected_on_both_branches(self, epsilon):
+        q = np.array([1.0, np.inf, 2.0, -np.inf, np.inf])
+        with pytest.raises(ValueError, match=r"\+inf at node\(s\) \[1, 4\]"):
+            select_action(q, epsilon, np.random.default_rng(0))
+
     def test_all_nan_is_reported_as_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             select_action(np.full(3, np.nan), 0.0, np.random.default_rng(0))

@@ -13,6 +13,7 @@ from conftest import (
     random_graph,
     star_graph,
 )
+from critnet import features
 from critnet.features import (
     aggregate_features,
     degree_centrality,
@@ -154,10 +155,6 @@ class TestEigenvectorCentrality:
             scores = eigenvector_centrality(gp).scores
             assert np.allclose(scores[perm], base, atol=1e-6)
 
-    def test_invalid_tol(self):
-        with pytest.raises(ValueError):
-            eigenvector_centrality(path_graph(3), tol=0.0)
-
 
 class TestPagerank:
     def test_cycle_uniform(self):
@@ -167,11 +164,13 @@ class TestPagerank:
         g = build_graph(4, [])
         assert np.allclose(pagerank(g).scores, 0.25)
 
-    def test_matches_dense_oracle(self):
+    def test_matches_dense_oracle(self, monkeypatch):
+        monkeypatch.setattr(features, "PAGERANK_TOL", 1e-13)
+        monkeypatch.setattr(features, "PAGERANK_MAX_ITER", 5000)
         rng = np.random.default_rng(31)
         for _ in range(20):
             g = gen_er(int(rng.integers(3, 16)), float(rng.uniform(0.0, 0.5)), int(rng.integers(2**31)))
-            got, converged = pagerank(g, tol=1e-13, max_iter=5000)
+            got, converged = pagerank(g)
             assert converged
             assert np.abs(got - dense_pagerank(g)).sum() < 1e-8
 
@@ -185,26 +184,36 @@ class TestPagerank:
                 continue
             assert abs(pagerank(g).scores.sum() - 1.0) < 1e-6
 
-    def test_nonconvergence_reported(self):
-        scores, converged = pagerank(star_graph(6), max_iter=2)
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(features, "PAGERANK_MAX_ITER", 2)
+        scores, converged = pagerank(star_graph(6))
         assert not converged
         assert abs(scores.sum() - 1.0) < 1e-12
+        monkeypatch.undo()
         assert pagerank(star_graph(6)).converged
 
+    @staticmethod
+    def check_converges_by_the_contraction_bound(g, monkeypatch):
+        """Step k moves the scores by at most 2 d^k in L1, so the cap can drop to the first k below the tolerance."""
+        bound = int(np.ceil(np.log(features.PAGERANK_TOL / 2) / np.log(features.PAGERANK_DAMPING)))
+        assert bound == 118 < features.PAGERANK_MAX_ITER
+        monkeypatch.setattr(features, "PAGERANK_MAX_ITER", bound)
+        assert pagerank(g).converged
+
+    @given(corpus_graphs())
+    def test_converges_on_the_corpus(self, g):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check_converges_by_the_contraction_bound(g, monkeypatch)
+
     @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"damping": 1.5}, r"damping must be in \[0, 1\), got 1.5"),
-            ({"damping": 1.0}, r"damping must be in \[0, 1\), got 1.0"),
-            ({"damping": -0.1}, r"damping must be in \[0, 1\), got -0.1"),
-            ({"damping": float("nan")}, r"damping must be in \[0, 1\), got nan"),
-            ({"tol": 0.0}, "tol must be positive"),
-            ({"tol": -1e-8}, "tol must be positive"),
-        ],
+        "make",
+        [lambda: gen_ba(1000, 2, 3), lambda: gen_er(1000, 0.004, 4), lambda: gen_ws(1000, 4, 0.1, 5)],
+        ids=["ba-1000", "er-1000", "ws-1000"],
     )
-    def test_invalid_inputs(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            pagerank(path_graph(3), **kwargs)
+    def test_converges_at_n_1000_with_nodes_removed(self, make, monkeypatch):
+        g = make()
+        g = remove_nodes(g, np.random.default_rng(6).choice(g.n, size=300, replace=False).tolist())
+        self.check_converges_by_the_contraction_bound(g, monkeypatch)
 
 
 class TestEigenvectorNormalisation:
