@@ -263,10 +263,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
 
     The uniforms fill ``a`` column after column, as H dropouts of E x 1 would for an E x H ``a``.
     """
-    if not training or rate <= 0.0:
-        return a
     if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return a
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
     keep = (rng.random(a.shape[::-1]).T >= rate) / (1.0 - rate)
@@ -288,15 +288,11 @@ def mean_rows(a: Tensor) -> Tensor:
 
 
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if axis == 1:
-                p._accumulate(g[:, lo:hi])
-            else:
-                p._accumulate(g[lo:hi, :])
+        for p, part in zip(parts, np.split(g, offsets[1:-1], axis=axis)):
+            p._accumulate(part)
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
@@ -331,7 +327,10 @@ def pick(a: Tensor, row: int, col: int = 0) -> Tensor:
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    diff = pred.data - np.asarray(target, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != pred.shape:
+        raise ValueError(f"mse_loss target shape {target.shape} does not match prediction shape {pred.shape}")
+    diff = pred.data - target
     n = diff.size
 
     def backward(g):

@@ -55,10 +55,6 @@ class DecoderParams:
     node_head: MlpParams
     value_head: MlpParams | None
 
-    @property
-    def dueling(self) -> bool:
-        return self.value_head is not None
-
     def parameters(self) -> list[ad.Tensor]:
         return [t for _, t in self.named_parameters()]
 

@@ -55,14 +55,9 @@ class HeadParams:
 
 
 @dataclass
-class GatLayerParams:
-    heads: list[HeadParams]
-
-
-@dataclass
 class EncoderParams:
-    layer1: GatLayerParams
-    layer2: GatLayerParams
+    layer1: list[HeadParams]
+    layer2: list[HeadParams]
 
     def parameters(self) -> list[ad.Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -70,23 +65,17 @@ class EncoderParams:
     def named_parameters(self) -> list[tuple[str, ad.Tensor]]:
         out = []
         for li, layer in enumerate((self.layer1, self.layer2), start=1):
-            for hi, head in enumerate(layer.heads):
+            for hi, head in enumerate(layer):
                 for name in ("w", "a_src", "a_dst"):
                     out.append((f"encoder.l{li}.h{hi}.{name}", getattr(head, name)))
         return out
 
 
-def _init_layer(rng: np.random.Generator, in_dim: int, out_dim: int) -> GatLayerParams:
-    heads = []
-    for _ in range(N_HEADS):
-        heads.append(
-            HeadParams(
-                w=ad.glorot(rng, in_dim, out_dim),
-                a_src=ad.glorot(rng, out_dim, 1),
-                a_dst=ad.glorot(rng, out_dim, 1),
-            )
-        )
-    return GatLayerParams(heads)
+def _init_layer(rng: np.random.Generator, in_dim: int, out_dim: int) -> list[HeadParams]:
+    return [
+        HeadParams(ad.glorot(rng, in_dim, out_dim), ad.glorot(rng, out_dim, 1), ad.glorot(rng, out_dim, 1))
+        for _ in range(N_HEADS)
+    ]
 
 
 def init_encoder_params(rng: np.random.Generator) -> EncoderParams:
@@ -104,7 +93,7 @@ def attention_mask(g: Graph) -> SparsePattern:
 def gat_layer(
     h: ad.Tensor,
     mask: SparsePattern,
-    layer: GatLayerParams,
+    heads: list[HeadParams],
     dropout_rate: float,
     training: bool,
     rng: np.random.Generator | None = None,
@@ -118,7 +107,6 @@ def gat_layer(
     """
     if mask.n != h.shape[0]:
         raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
-    heads = layer.heads
     hw = ad.matmul(h, ad.concat([head.w for head in heads], axis=1))
     src = ad.gather_rows(ad.matmul(hw, ad.block_diag([head.a_src for head in heads])), mask)
     dst = ad.gather_rows(ad.matmul(hw, ad.block_diag([head.a_dst for head in heads])), mask, columns=True)

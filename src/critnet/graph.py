@@ -1,8 +1,9 @@
 """Undirected simple graphs with incremental node removal.
 
 A graph stores one sparse structure: the CSR pattern of its closed
-neighbourhoods (every edge in both directions plus one self-loop per node),
-built once by ``build_graph`` and shared, read-only, by every residual view.
+neighbourhoods (every edge in both directions plus one self-loop per node).
+``build_graph`` is the only code that builds one; it freezes the arrays in
+place, and every residual view shares them without copying.
 The residual graph of a partially-dismantled network is that pattern plus a
 per-node ``alive`` mask. A view is immutable: its mask is read-only, and
 removing nodes builds a new view with bits cleared, so evaluation never
@@ -11,12 +12,12 @@ memoised per state, not per view: every view built from one ``build_graph``
 result reaches one table that holds memo dicts weakly, keyed by alive mask,
 so all live views under one mask share one memo, which lives as long as
 the last of them.
-``residual`` is the one place that applies the mask: it filters and
-renumbers the stored pattern into the alive subgraph's CSR, which features,
-the encoder and the objective all read. One engine on that CSR, a numpy
-pointer-jumping fixpoint, finds the components behind
-``connected_components`` and the exact pairwise-connectivity objective. The module also holds edge-list
-ingestion and the synthetic generators used for training data.
+``residual`` is the only filter, the one place that applies the mask: it
+renumbers the stored pattern's alive entries into the alive subgraph's CSR,
+which features, the encoder and the objective all read. One engine on that
+CSR, a numpy pointer-jumping fixpoint, finds the components behind
+``connected_components`` and the exact pairwise-connectivity objective. The
+module also holds edge-list ingestion and the synthetic generators.
 """
 from __future__ import annotations
 
@@ -40,6 +41,9 @@ class SparsePattern(NamedTuple):
     row holds at least one entry. ``transpose[e]`` is the entry at
     ``(cols[e], rows[e])``: since the transposed matrix has the same pattern,
     ``values[transpose]`` lists its entries in the same CSR order.
+
+    ``build_graph`` builds each graph's stored pattern, read-only and never
+    copied; ``residual`` filters it into the alive subgraph's pattern.
     """
 
     indptr: np.ndarray
@@ -56,27 +60,6 @@ class SparsePattern(NamedTuple):
         return np.add.reduceat(values, self.indptr[:-1], axis=0)
 
 
-def symmetric_pattern(rows: np.ndarray, cols: np.ndarray, n: int) -> SparsePattern:
-    """CSR pattern of the n x n matrix with entries at ``(rows[e], cols[e])``.
-
-    Both sorts use the key ``row * n + col``, which orders in-range entries
-    by row, then column.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    order = np.argsort(rows * n + cols)
-    rows, cols = rows[order], cols[order]
-    counts = np.bincount(rows, minlength=n)
-    if len(counts) != n or not counts.all():
-        raise ValueError(f"every row of an {n}-row sparse pattern needs an entry in range")
-    if ((np.diff(rows) == 0) & (np.diff(cols) == 0)).any():
-        raise ValueError("sparse pattern has a duplicate entry")
-    transpose = np.argsort(cols * n + rows)
-    if not (np.array_equal(rows[transpose], cols) and np.array_equal(cols[transpose], rows)):
-        raise ValueError("sparse pattern is not symmetric")
-    return SparsePattern(np.concatenate(([0], np.cumsum(counts))), rows, cols, transpose)
-
-
 class _Memo(dict):
     """A dict a weak reference can point at (a plain dict cannot)."""
 
@@ -85,22 +68,22 @@ class _Memo(dict):
 class Graph:
     """Undirected simple graph with dense 0-based node ids: an immutable residual view.
 
-    ``pattern`` is the closed-neighbourhood CSR of the whole graph; its
-    arrays are read-only and shared by every residual view. ``alive`` is the
-    view's own read-only copy of the mask it was built with, so nothing can
-    change a view after it exists; removing nodes builds a new view.
+    ``pattern`` is the closed-neighbourhood CSR of the whole graph, as
+    ``build_graph`` froze it; every residual view shares its arrays, and
+    ``n`` is read from it. ``alive`` is the view's own read-only copy of the
+    mask it was built with, checked to hold one entry per node, so nothing
+    can change a view after it exists; removing nodes builds a new view.
 
     ``memo`` caches values derived from the residual state
     (``decoder.Model.features`` keeps the input matrix there, keyed by
     feature mode). It belongs to the state, not to the view: ``memos`` maps
     each alive mask, as bytes, weakly to its memo, and every view derived
-    from one graph (``copy``, ``with_alive_mask``, ``remove_nodes``) passes
-    the table on. So all live views of one state share one memo, and the
-    entry goes with the last of them. A graph built on its own starts a new
+    from one graph (``with_alive_mask``, ``remove_nodes``) passes the table
+    on. So all live views of one state share one memo, and the entry goes
+    with the last of them. A graph built on its own starts a new
     table, even with the same edges and mask.
     """
 
-    n: int
     pattern: SparsePattern = field(repr=False)
     alive: np.ndarray = field(repr=False)
     memos: WeakValueDictionary = field(default_factory=WeakValueDictionary, repr=False)
@@ -108,15 +91,21 @@ class Graph:
 
     def __post_init__(self):
         alive = np.array(self.alive, dtype=bool)  # a private copy: no caller holds a writable alias
+        if alive.shape != (self.n,):
+            raise ValueError(f"alive mask of shape {alive.shape} does not match {self.n} nodes")
         alive.flags.writeable = False
         object.__setattr__(self, "alive", alive)
-        if any(a.flags.writeable for a in self.pattern):  # as built or unpickled: freeze a private copy
+        if any(a.flags.writeable for a in self.pattern):  # from outside (unpickled): freeze a private copy
             object.__setattr__(self, "pattern", _read_only(self.pattern))
         key = alive.tobytes()
         memo = self.memos.get(key)
         if memo is None:
             memo = self.memos[key] = _Memo()
         object.__setattr__(self, "memo", memo)
+
+    @property
+    def n(self) -> int:
+        return self.pattern.n
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -134,9 +123,8 @@ class Graph:
     def alive_ids(self) -> np.ndarray:
         return np.flatnonzero(self.alive)
 
-    def copy(self) -> "Graph":
-        """A new view with the same mask; it shares the state's memo."""
-        return Graph(self.n, self.pattern, self.alive, self.memos)
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n})"
 
     def __deepcopy__(self, _memo) -> "Graph":
         # immutable, like a tuple: a deep copy would differ only in having writable arrays
@@ -144,7 +132,7 @@ class Graph:
 
     def __reduce__(self):
         # rebuilt through the constructor: read-only arrays, and no memo (a weak table cannot be pickled)
-        return Graph, (self.n, self.pattern, self.alive)
+        return Graph, (self.pattern, self.alive)
 
 
 def _read_only(pattern: SparsePattern) -> SparsePattern:
@@ -177,7 +165,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Assemble a Graph from an edge list and build its closed-neighbourhood CSR.
 
     Self-loops, ids outside ``0..n-1`` and duplicate edges (in either
-    orientation) raise ``ValueError`` naming the first bad edge.
+    orientation) raise ``ValueError`` naming the first bad edge. Past that,
+    every row holds its self-loop and no entry repeats, so the CSR needs no
+    check of its own; its arrays are frozen in place, as nothing else holds them.
     """
     edge_list = [(int(u), int(v)) for u, v in edges]
     count = 2 * len(edge_list)
@@ -199,10 +189,15 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) outside id range 0..{n - 1}")
         raise ValueError(f"duplicate edge ({u}, {v})")
     loops = np.arange(n)
-    pattern = symmetric_pattern(
-        np.concatenate((e[:, 0], e[:, 1], loops)), np.concatenate((e[:, 1], e[:, 0], loops)), n
-    )
-    return Graph(n=n, pattern=pattern, alive=np.ones(n, dtype=bool))
+    rows = np.concatenate((e[:, 0], e[:, 1], loops))
+    cols = np.concatenate((e[:, 1], e[:, 0], loops))
+    order = np.argsort(rows * n + cols)  # by row, then column: the keys of in-range entries do not collide
+    rows, cols = rows[order], cols[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    pattern = SparsePattern(indptr, rows, cols, np.argsort(cols * n + rows))
+    for a in pattern:
+        a.flags.writeable = False
+    return Graph(pattern, np.ones(n, dtype=bool))
 
 
 def residual(g: Graph) -> SparsePattern:
@@ -315,10 +310,8 @@ def pairwise_connectivity(g: Graph) -> int:
 
 
 def with_alive_mask(g: Graph, alive: np.ndarray) -> Graph:
-    """Residual view of ``g`` under a stored alive mask (the view keeps its own copy)."""
-    if alive.shape != (g.n,):
-        raise ValueError("alive mask length must equal node count")
-    return Graph(g.n, g.pattern, alive, g.memos)
+    """Residual view of ``g`` under ``alive``, one bool per node (the view keeps its own copy)."""
+    return Graph(g.pattern, alive, g.memos)
 
 
 def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
@@ -330,7 +323,7 @@ def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
         if not alive[v]:
             raise ValueError(f"node {v} is already removed")
         alive[v] = False
-    return Graph(g.n, g.pattern, alive, g.memos)
+    return Graph(g.pattern, alive, g.memos)
 
 
 # --- synthetic generators -------------------------------------------------
@@ -378,28 +371,23 @@ def gen_ws(n: int, k_ring: int, p_rewire: float, seed: int) -> Graph:
     if not 0.0 <= p_rewire <= 1.0:
         raise ValueError("p_rewire must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    present: set[tuple[int, int]] = set()
-    for u in range(n):
-        for j in range(1, k_ring // 2 + 1):
-            v = (u + j) % n
-            present.add((u, v) if u < v else (v, u))
-    for u in range(n):
-        for j in range(1, k_ring // 2 + 1):
-            v = (u + j) % n
-            key = (u, v) if u < v else (v, u)
-            if key not in present or rng.random() >= p_rewire:
-                continue
+    lattice = [(u, (u + j) % n) for u in range(n) for j in range(1, k_ring // 2 + 1)]
+    present = {(u, v) if u < v else (v, u) for u, v in lattice}
+    for u, v in lattice:
+        key = (u, v) if u < v else (v, u)
+        if key not in present or rng.random() >= p_rewire:
+            continue
+        w = int(rng.integers(n))
+        attempts = 0
+        while w == u or ((u, w) if u < w else (w, u)) in present:
             w = int(rng.integers(n))
-            attempts = 0
-            while w == u or ((u, w) if u < w else (w, u)) in present:
-                w = int(rng.integers(n))
-                attempts += 1
-                if attempts > 8 * n:  # node saturated; keep the lattice edge
-                    w = -1
-                    break
-            if w >= 0:
-                present.discard(key)
-                present.add((u, w) if u < w else (w, u))
+            attempts += 1
+            if attempts > 8 * n:  # node saturated; keep the lattice edge
+                w = -1
+                break
+        if w >= 0:
+            present.discard(key)
+            present.add((u, w) if u < w else (w, u))
     return build_graph(n, sorted(present))
 
 

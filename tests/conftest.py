@@ -183,7 +183,7 @@ def dense_attention_mask(g):
     return mask
 
 
-def dense_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
+def dense_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
     """The encoder's attention layer over dense n x n logits, masks and softmaxes."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
@@ -192,7 +192,7 @@ def dense_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
     ones_row = ad.tensor(np.ones((1, n)))
     ones_col = ad.tensor(np.ones((n, 1)))
     outputs = []
-    for head in layer.heads:
+    for head in heads:
         hw = ad.matmul(h, head.w)
         src = ad.matmul(hw, head.a_src)
         dst = ad.matmul(hw, head.a_dst)
@@ -217,7 +217,7 @@ def dense_encoder():
 # --- per-head attention oracle ------------------------------------------------
 
 
-def per_head_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
+def per_head_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
     """The encoder's attention layer run one head at a time, each with its own E x 1 chain."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
@@ -225,7 +225,7 @@ def per_head_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
     if mask.n != h.shape[0]:
         raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
     outputs = []
-    for head in layer.heads:
+    for head in heads:
         hw = ad.matmul(h, head.w)
         src = ad.gather_rows(ad.matmul(hw, head.a_src), mask)
         dst = ad.gather_rows(ad.matmul(hw, head.a_dst), mask, columns=True)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import transpose
 from critnet import autodiff as ad
-from critnet.graph import symmetric_pattern
+from critnet.graph import build_graph
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -49,6 +49,11 @@ class TestPrimitives:
         assert loss.item() == 0.0
         assert (x.grad == 0.0).all()
 
+    def test_mse_rejects_a_target_of_another_shape(self):
+        pred = ad.tensor(np.arange(3.0).reshape(3, 1), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(3,\).*\(3, 1\)"):
+            ad.mse_loss(pred, np.arange(3.0))
+
     def test_matmul_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         a = rand_tensor(rng, (3, 4))
@@ -82,6 +87,24 @@ class TestPrimitives:
 
         assert ad.grad_check(forward, [w, bias]) < 1e-6
 
+    @pytest.mark.parametrize(
+        "shapes, axis",
+        [
+            (((2, 3), (2, 2)), -1),
+            (((2, 3), (1, 3)), 0),
+            (((2, 3), (2, 2)), 1),
+            (((2, 3, 4), (2, 3, 1), (2, 3, 2)), 2),
+            (((2, 3, 4), (2, 1, 4)), -2),
+        ],
+        ids=["last", "rows", "cols", "3d-last", "3d-middle"],
+    )
+    def test_concat_gradient_on_every_axis(self, shapes, axis):
+        rng = np.random.default_rng(12)
+        parts = [rand_tensor(rng, s) for s in shapes]
+        target = rng.standard_normal(np.concatenate([p.data for p in parts], axis=axis).shape)
+        assert ad.grad_check(lambda: ad.mse_loss(ad.concat(parts, axis=axis), target), parts) < 1e-6
+        assert [p.grad.shape for p in parts] == list(shapes)
+
     def test_add_gradient(self):
         rng = np.random.default_rng(4)
         a = rand_tensor(rng, (3, 3))
@@ -102,6 +125,12 @@ class TestPrimitives:
         assert ad.dropout(x, 0.0, None, training=True) is x
         with pytest.raises(ValueError, match="needs an rng"):
             ad.dropout(x, 0.5, None, training=True)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_dropout_rejects_a_rate_outside_its_range(self, rate, training):
+        with pytest.raises(ValueError, match="dropout rate must be in"):
+            ad.dropout(ad.tensor(np.ones((3, 2))), rate, np.random.default_rng(7), training)
 
     def test_dropout_train_scales_kept_entries(self):
         x = ad.tensor(np.ones((50, 50)), requires_grad=True)
@@ -158,11 +187,7 @@ class TestPrimitives:
 
 def closed_pattern(n, edges):
     """Closed-neighborhood pattern: every edge in both directions plus a self-loop per node."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    loops = np.arange(n)
-    return symmetric_pattern(
-        np.concatenate((e[:, 0], e[:, 1], loops)), np.concatenate((e[:, 1], e[:, 0], loops)), n
-    )
+    return build_graph(n, edges).pattern
 
 
 def dense(pattern, values):
@@ -280,20 +305,6 @@ class TestSparsePrimitives:
         assert np.array_equal(order, np.arange(len(pattern.rows)))
         assert np.array_equal(pattern.rows[pattern.transpose], pattern.cols)
         assert np.array_equal(pattern.cols[pattern.transpose], pattern.rows)
-
-    @pytest.mark.parametrize(
-        "rows, cols, n, message",
-        [
-            ([0, 1], [0, 1], 3, "needs an entry"),
-            ([0, 1, 0], [0, 1, 1], 2, "not symmetric"),
-            ([0, 0, 1], [0, 0, 1], 2, "duplicate"),
-            ([0, 1, 2], [0, 1, 2], 2, "needs an entry"),
-        ],
-        ids=["empty-row", "asymmetric", "duplicate", "out-of-range"],
-    )
-    def test_invalid_pattern_rejected(self, rows, cols, n, message):
-        with pytest.raises(ValueError, match=message):
-            symmetric_pattern(np.array(rows), np.array(cols), n)
 
     def test_shape_mismatch_raises(self):
         p = closed_pattern(3, [(0, 1)])

@@ -331,7 +331,7 @@ class TestFeatureMemo:
             feats[0, 0] = 1.0
         # the same state, reached through each path, shares the matrix
         assert m.features(with_alive_mask(g, g.alive.copy())) is feats
-        assert m.features(g.copy()) is feats
+        assert m.features(with_alive_mask(g, g.alive)) is feats
         # a separately built graph with the same edges and mask starts empty
         fresh = with_alive_mask(build_graph(g.n, g.edges), g.alive.copy())
         assert fresh.memo == {}
@@ -365,9 +365,9 @@ class TestFeatureMemo:
         feats = model(34).features(state)
         mask = state.alive.copy()
         views = [
-            state.copy(),
+            with_alive_mask(state, state.alive),
             with_alive_mask(g, mask),
-            with_alive_mask(g.copy(), mask).copy(),
+            with_alive_mask(with_alive_mask(with_alive_mask(g, g.alive), mask), mask),
             remove_nodes(g, nodes[::-1]),
             remove_nodes(remove_nodes(g, nodes[-1:]), nodes[:-1]),
             remove_nodes(with_alive_mask(state, g.alive.copy()), nodes),

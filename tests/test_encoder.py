@@ -27,7 +27,7 @@ class TestGatLayer:
         p = params()
         h = ad.tensor(np.array([[0.1, 0.4, 0.0, 0.9]]))
         out = gat_layer(h, attention_mask(g), p.layer1, 0.0, False)
-        expect = np.concatenate([h.data @ head.w.data for head in p.layer1.heads], axis=1)
+        expect = np.concatenate([h.data @ head.w.data for head in p.layer1], axis=1)
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, expect)
 
@@ -49,7 +49,7 @@ class TestGatLayer:
         p = params()
         row = np.array([[0.3, -0.8, 0.5, 1.2]])
         out = gat_layer(ad.tensor(np.repeat(row, 13, axis=0)), attention_mask(g), p.layer1, 0.0, False)
-        expect = np.concatenate([row @ head.w.data for head in p.layer1.heads], axis=1)
+        expect = np.concatenate([row @ head.w.data for head in p.layer1], axis=1)
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, np.repeat(expect, 13, axis=0), rtol=0, atol=1e-14)
 

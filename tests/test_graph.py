@@ -21,6 +21,7 @@ from conftest import (
 from critnet.encoder import attention_mask
 from critnet.features import aggregate_features, degree_vector
 from critnet.graph import (
+    Graph,
     GraphParseError,
     build_graph,
     connected_components,
@@ -330,7 +331,6 @@ CONSTRUCTORS = {
     "gen_ba": lambda: gen_ba(10, 2, 0),
     "gen_er": lambda: gen_er(10, 0.3, 0),
     "gen_ws": lambda: gen_ws(10, 4, 0.2, 0),
-    "copy": lambda: path_graph(4).copy(),
     "remove_nodes": lambda: remove_nodes(path_graph(4), [1]),
     "with_alive_mask": lambda: with_alive_mask(path_graph(4), np.array([True, False, True, True])),
 }
@@ -358,7 +358,30 @@ class TestImmutableViews:
         assert view.alive.tolist() == [True, False, True, True]
         assert remove_nodes(view, [2]).alive.tolist() == [True, False, False, True]
         assert view.alive.tolist() == [True, False, True, True]
-        assert g.copy().alive is not g.alive
+        assert with_alive_mask(g, g.alive).alive is not g.alive
+
+    @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+    def test_node_count_is_read_from_the_pattern(self, make):
+        g = make()
+        assert g.n == g.pattern.n == len(g.alive)
+        assert Graph(g.pattern, g.alive).n == g.n
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_mask_of_another_length_rejected(self, length):
+        g = path_graph(4)
+        mask = np.ones(length, dtype=bool)
+        with pytest.raises(ValueError, match=rf"shape \({length},\) does not match 4 nodes"):
+            with_alive_mask(g, mask)
+        with pytest.raises(ValueError, match=rf"shape \({length},\) does not match 4 nodes"):
+            Graph(g.pattern, mask)
+        with pytest.raises(ValueError, match=r"shape \(1, 4\) does not match 4 nodes"):
+            Graph(g.pattern, np.ones((1, 4), dtype=bool))
+
+    def test_list_mask_accepted(self):
+        g = path_graph(4)
+        view = with_alive_mask(g, [True, False, True, True])
+        assert view.alive.tolist() == [True, False, True, True]
+        assert view.memo is with_alive_mask(g, np.array([True, False, True, True])).memo
 
     @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
     def test_pickle_round_trip_rebuilds_an_immutable_view(self, make):
