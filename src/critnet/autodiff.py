@@ -2,9 +2,17 @@
 
 Tensors wrap float64 numpy arrays. Each primitive records its backward rule
 on the value it produces; ``Tensor.backward()`` walks the recorded graph in
-reverse topological order and accumulates exact gradients into ``.grad``.
+reverse topological order and accumulates exact gradients into the leaves'
+``.grad``.
 Only the primitives the attention encoder and Q-heads need are provided;
 there is no broadcasting beyond the explicit bias/row cases below.
+
+A recorded graph is single-use. Backward frees it as it goes: once an
+interior tensor's rule has run, its gradient, parents and rule are dropped
+and the tensor is marked spent; its ``.data`` stays readable. A later
+``backward()`` whose graph reaches a spent tensor raises ``ValueError``
+before it touches any gradient, so rebuild the forward pass for each
+backward. Leaves keep accumulating into ``.grad`` until it is zeroed.
 
 Graph attention runs over a residual graph's closed-neighbourhood CSR, a
 ``graph.SparsePattern``: one value per stored entry of a structurally
@@ -15,7 +23,7 @@ segments, reading column-indexed entries through the pattern's transpose
 permutation.
 
 Evaluation-time forwards should run inside ``no_grad()`` so no graph is
-retained.
+recorded.
 """
 from __future__ import annotations
 
@@ -27,6 +35,7 @@ import numpy as np
 from critnet.graph import SparsePattern
 
 _grad_enabled = True
+_SPENT = object()  # the rule of an interior tensor whose graph a backward() has freed
 
 
 @contextlib.contextmanager
@@ -68,7 +77,13 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``, freeing the graph.
+
+        Each interior tensor is spent once its rule has run: its gradient,
+        parents and rule are dropped, so the graph is released as it is
+        consumed. A graph that reaches a spent tensor, from an earlier
+        ``backward()``, raises ``ValueError`` before any gradient changes.
+        """
         if self.data.size != 1:
             raise ValueError("backward() starts from a scalar output")
         order: list[Tensor] = []
@@ -81,15 +96,24 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _SPENT:
+                raise ValueError(
+                    f"backward() reached a {node.shape} tensor whose graph an earlier backward() freed; "
+                    "rebuild the forward pass"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()  # the list lets go of each tensor as it is consumed
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _SPENT
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -247,7 +271,8 @@ def spmm(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
 
     def backward(g):
         g_rows = g[pattern.rows]
-        values._accumulate((g_rows * x_cols).reshape(len(w), heads, d).sum(axis=2))
+        # the E x H*d gather is the largest array here: gathered again rather than held on the tape
+        values._accumulate((g_rows * x.data[pattern.cols]).reshape(len(w), heads, d).sum(axis=2))
         # entry transpose[e] sits at (cols[e], rows[e]): its weight times g's row cols[e]
         w_t, g_cols = w[pattern.transpose], g[pattern.cols]
         gx = np.empty(x.shape)
@@ -316,7 +341,9 @@ def block_diag(parts: list[Tensor]) -> Tensor:
 
 
 def pick(a: Tensor, row: int, col: int = 0) -> Tensor:
-    """Extract one entry as a (1, 1) tensor."""
+    """Extract one entry of a matrix as a (1, 1) tensor; negative indices are out of range."""
+    if a.data.ndim != 2 or not (0 <= row < a.shape[0] and 0 <= col < a.shape[1]):
+        raise ValueError(f"pick({row}, {col}) is outside a tensor of shape {a.shape}")
 
     def backward(g):
         full = np.zeros_like(a.data)

@@ -106,11 +106,14 @@ def q_from_embeddings(emb: ad.Tensor, params: DecoderParams) -> QOutput:
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over alive nodes.
 
-    Dead nodes are -inf and never chosen; a NaN or +inf anywhere in ``q`` raises.
+    Dead nodes are -inf and never chosen; a NaN or +inf anywhere in ``q``, or
+    an ``epsilon`` outside [0, 1], raises.
     Bit-equal maxima go to the lowest id, but structurally equivalent nodes can
     get Q-values that differ by rounding, so which of them is picked is not
     promised.
     """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     for name, bad in (("NaN", np.isnan(q)), ("+inf", q == np.inf)):
         if bad.any():
             raise ValueError(f"Q-values are {name} at node(s) {np.flatnonzero(bad)[:5].tolist()}")
@@ -254,8 +257,10 @@ def td_targets(batch: list[Transition], online: Model, target: Model, gamma: flo
     Next-state features come from the state's memo, so each is computed
     once per feature mode while any view of that state is alive: the
     buffered transition's own, the next transition's ``state()``, or the
-    live episode view.
+    live episode view. A ``gamma`` outside [0, 1] raises.
     """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     ys = np.empty(len(batch))
     for i, t in enumerate(batch):
         if t.terminal:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import transpose
 from critnet import autodiff as ad
-from critnet.graph import build_graph
+from critnet.graph import build_graph, gen_ba
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -48,6 +50,12 @@ class TestPrimitives:
         loss.backward()
         assert loss.item() == 0.0
         assert (x.grad == 0.0).all()
+
+    @pytest.mark.parametrize("row, col", [(-1, 0), (3, 0), (0, -1), (0, 2)])
+    def test_pick_rejects_an_index_outside_the_tensor(self, row, col):
+        a = ad.tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with pytest.raises(ValueError, match=rf"pick\({row}, {col}\) is outside a tensor of shape \(3, 2\)"):
+            ad.pick(a, row, col)
 
     def test_mse_rejects_a_target_of_another_shape(self):
         pred = ad.tensor(np.arange(3.0).reshape(3, 1), requires_grad=True)
@@ -328,6 +336,45 @@ class TestSparsePrimitives:
             ad.spmm(ad.tensor(np.zeros(e)), p, ad.tensor(np.zeros((3, 6))))
         with pytest.raises(ValueError, match="spmm shape mismatch"):
             ad.spmm(ad.tensor(np.zeros((e + 1, 2))), p, ad.tensor(np.zeros((3, 6))))
+
+
+class TestSingleUseGraph:
+    """backward() frees the graph it walks; a graph that reaches a freed tensor raises."""
+
+    def test_second_backward_raises(self):
+        x = rand_tensor(np.random.default_rng(40), (3, 3))
+        loss = ad.mse_loss(ad.matmul(x, x), np.zeros((3, 3)))
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(ValueError, match=r"an earlier backward\(\) freed"):
+            loss.backward()
+        assert np.array_equal(x.grad, first)
+
+    def test_new_loss_on_a_freed_interior_tensor_raises(self):
+        x = rand_tensor(np.random.default_rng(41), (3, 3))
+        h = ad.matmul(x, x)
+        ad.mse_loss(h, np.zeros((3, 3))).backward()
+        assert h.grad is None
+        assert np.array_equal(h.data, x.data @ x.data)
+        x.zero_grad()
+        loss = ad.mse_loss(h, np.ones((3, 3)))
+        with pytest.raises(ValueError, match=r"reached a \(3, 3\) tensor"):
+            loss.backward()
+        assert x.grad is None and loss.grad is None
+
+    def test_spmm_keeps_only_its_output_on_the_tape(self):
+        p = gen_ba(200, 2, 42).pattern
+        rng = np.random.default_rng(43)
+        values, x = rand_tensor(rng, (len(p.rows), 8)), rand_tensor(rng, (p.n, 96))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.spmm(values, p, x)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # the E x 96 gather of x is 5x the output here: backward gathers it again
+        assert held < 1.5 * out.data.nbytes
 
 
 class TestGradCheck:

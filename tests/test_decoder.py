@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from critnet.decoder import (
 )
 from critnet.encoder import EMBEDDING_DIM, encode, init_encoder_params
 from critnet.features import aggregate_features, degree_only_features
-from critnet.graph import build_graph, gen_ba, gen_er, remove_nodes, with_alive_mask
+from critnet.graph import build_graph, gen_ba, gen_er, gen_ws, remove_nodes, with_alive_mask
 
 
 def decoder(seed=0, dueling=True):
@@ -125,6 +126,11 @@ class TestSelectAction:
         q = np.array([1.0, np.inf, 2.0, -np.inf, np.inf])
         with pytest.raises(ValueError, match=r"\+inf at node\(s\) \[1, 4\]"):
             select_action(q, epsilon, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("epsilon", [-0.5, 1.5, np.nan])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=rf"epsilon must be in \[0, 1\], got {epsilon}"):
+            select_action(np.array([1.0, 2.0]), epsilon, np.random.default_rng(0))
 
     def test_all_nan_is_reported_as_nan(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -261,6 +267,12 @@ class TestTdTargets:
         batch = self.episode_transitions(3)
         ys = td_targets(batch, model(4), model(5), gamma=0.0)
         assert np.allclose(ys, [t.reward for t in batch])
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5, np.nan])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        batch = self.episode_transitions(3)
+        with pytest.raises(ValueError, match=rf"gamma must be in \[0, 1\], got {gamma}"):
+            td_targets(batch, model(4), model(5), gamma=gamma)
 
     def test_double_dqn_vs_vanilla_max_by_enumeration(self):
         online, target = model(6), model(7)
@@ -417,6 +429,36 @@ def test_episode_loop_computes_each_state_once():
                 g = g_next
     assert spy.call_count == len(needed)
     assert len({c.args[0].alive.tobytes() for c in spy.call_args_list}) == len(needed)
+
+
+class TestTapeMemory:
+    """A train-mix batch: backward frees the tape it walks and keeps only the leaves' gradients."""
+
+    def test_backward_frees_the_tape(self):
+        rng = np.random.default_rng(50)
+        m = model(51)
+        graphs = [gen_ba(150, 2, 52), gen_er(150, 4 / 149, 53), gen_ws(150, 4, 0.1, 54)]
+        states = [remove_nodes(graphs[i % 3], rng.choice(150, size=i, replace=False).tolist()) for i in range(8)]
+        for s in states:
+            m.features(s)  # memoised before tracing: the tape alone is measured
+        actions = [int(rng.integers(s.n_alive())) for s in states]
+        ys = rng.standard_normal((8, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            preds = [ad.pick(m.q_output(s, training=True, rng=rng).q, a) for s, a in zip(states, actions)]
+            loss = ad.mse_loss(ad.concat(preds, axis=0), ys)
+            tape = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            loss.backward()
+            held, peak = (x - base for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert tape > 10e6  # a whole batch was traced
+        assert peak <= 1.25 * tape
+        assert held < 2e6  # the parameters' gradients, with loss and preds still alive
+        assert all(p.grad is not None for p in m.parameters())
+        assert np.isfinite(loss.item()) and len(preds) == 8
 
 
 class TestModel:
