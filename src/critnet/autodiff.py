@@ -35,7 +35,14 @@ import numpy as np
 from critnet.graph import SparsePattern
 
 _grad_enabled = True
-_SPENT = object()  # the rule of an interior tensor whose graph a backward() has freed
+
+
+def _spent(grad: np.ndarray) -> None:
+    """The rule of an interior tensor whose graph a backward() has freed.
+
+    A function, not a bare sentinel, so copies and pickles keep it by identity.
+    """
+    raise ValueError("this tensor's graph was freed by an earlier backward(); rebuild the forward pass")
 
 
 @contextlib.contextmanager
@@ -96,7 +103,7 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._backward is _SPENT:
+            if node._backward is _spent:
                 raise ValueError(
                     f"backward() reached a {node.shape} tensor whose graph an earlier backward() freed; "
                     "rebuild the forward pass"
@@ -113,7 +120,7 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            node.grad, node._parents, node._backward = None, (), _SPENT
+            node.grad, node._parents, node._backward = None, (), _spent
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

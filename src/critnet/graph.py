@@ -64,17 +64,6 @@ class _Memo(dict):
     """A dict a weak reference can point at (a plain dict cannot)."""
 
 
-class _MemoTable(WeakValueDictionary):
-    """The weak table of memos, keyed by alive mask, that all views of one graph share.
-
-    It pickles as a new empty table: the memos are not kept, but pickle
-    writes one table once, so the views of one pickled table load sharing one.
-    """
-
-    def __reduce__(self):
-        return _MemoTable, ()
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph with dense 0-based node ids: an immutable residual view.
@@ -92,13 +81,12 @@ class Graph:
     from one graph (``with_alive_mask``, ``remove_nodes``) passes the table
     on. So all live views of one state share one memo, and the entry goes
     with the last of them. A graph built on its own starts a new
-    table, even with the same edges and mask. Views pickled together load
-    sharing one pattern and one new, empty table.
+    table, even with the same edges and mask.
     """
 
     pattern: SparsePattern = field(repr=False)
     alive: np.ndarray = field(repr=False)
-    memos: _MemoTable = field(default_factory=_MemoTable, repr=False)
+    memos: WeakValueDictionary = field(default_factory=WeakValueDictionary, repr=False)
     memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -107,7 +95,7 @@ class Graph:
             raise ValueError(f"alive mask of shape {alive.shape} does not match {self.n} nodes")
         alive.flags.writeable = False
         object.__setattr__(self, "alive", alive)
-        if any(a.flags.writeable for a in self.pattern):  # not from build_graph: freeze a private copy
+        if any(a.flags.writeable for a in self.pattern):  # from outside (unpickled): freeze a private copy
             object.__setattr__(self, "pattern", _freeze(SparsePattern(*map(np.array, self.pattern))))
         key = alive.tobytes()
         memo = self.memos.get(key)
@@ -143,16 +131,8 @@ class Graph:
         return self
 
     def __reduce__(self):
-        return _unpickle, (self.pattern, self.alive, self.memos)
-
-
-def _unpickle(pattern: SparsePattern, alive: np.ndarray, memos: _MemoTable) -> Graph:
-    """Rebuild a pickled view; views pickled together share one pattern and one new table.
-
-    Pickle loads each pattern once for all views that shared it, and nothing
-    else owns its arrays, so they are frozen in place rather than copied.
-    """
-    return Graph(_freeze(pattern), alive, memos)
+        # rebuilt through the constructor: read-only arrays, and no memo (a weak table cannot be pickled)
+        return Graph, (self.pattern, self.alive)
 
 
 def _freeze(pattern: SparsePattern) -> SparsePattern:

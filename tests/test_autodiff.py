@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -361,6 +363,14 @@ class TestSingleUseGraph:
         with pytest.raises(ValueError, match=r"reached a \(3, 3\) tensor"):
             loss.backward()
         assert x.grad is None and loss.grad is None
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_a_copied_spent_loss_still_raises(self, clone):
+        x = rand_tensor(np.random.default_rng(44), (3, 3))
+        loss = ad.mse_loss(ad.matmul(x, x), np.zeros((3, 3)))
+        loss.backward()
+        with pytest.raises(ValueError, match=r"an earlier backward\(\) freed"):
+            clone(loss).backward()
 
     def test_spmm_keeps_only_its_output_on_the_tape(self):
         p = gen_ba(200, 2, 42).pattern

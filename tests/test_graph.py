@@ -401,17 +401,6 @@ class TestImmutableViews:
         assert np.array_equal(aggregate_features(loaded), g.memo["aggregate"])
         assert remove_nodes(loaded, [loaded.alive_ids()[0]]).memo == {}
 
-    def test_views_pickled_together_share_one_pattern_and_one_table(self):
-        g = gen_ba(50, 2, 7)
-        a, b = pickle.loads(pickle.dumps([g, remove_nodes(g, [3])]))
-        assert a.pattern is b.pattern
-        assert a.memos is b.memos
-        assert a.memos is not g.memos
-        assert all(not x.flags.writeable for x in a.pattern)
-        assert with_alive_mask(a, b.alive).memo is b.memo
-        c = pickle.loads(pickle.dumps(g))
-        assert c.pattern is not a.pattern and c.memos is not a.memos
-
     def test_a_writable_pattern_from_outside_is_copied_and_frozen(self):
         g = path_graph(4)
         outside = type(g.pattern)(*(np.array(a) for a in g.pattern))
