@@ -376,17 +376,23 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 # --- optimizer --------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments for one parameter list."""
+    """Bias-corrected Adam moments for one parameter list; ``lr`` must be finite and positive."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"Adam learning rate must be finite and > 0, got {self.lr}")
 
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
@@ -402,13 +408,13 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         if p.grad is None:
             continue
         g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def zero_grads(params: list[Tensor]) -> None:

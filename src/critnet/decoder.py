@@ -30,7 +30,7 @@ import numpy as np
 from critnet import autodiff as ad
 from critnet.encoder import DROPOUT_PROFILES, EMBEDDING_DIM, EncoderParams, encode
 from critnet.features import aggregate_features, degree_only_features
-from critnet.graph import Graph, with_alive_mask
+from critnet.graph import Graph, remove_nodes, with_alive_mask
 
 Q_HIDDEN_DIM = 256
 
@@ -129,11 +129,12 @@ def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> in
 class Transition:
     """One environment step, with residual states stored as alive masks.
 
-    ``alive_after`` is ``alive_before`` with only ``action`` cleared, and a
-    non-terminal step leaves some node alive. ``state()`` and
-    ``next_state()`` each build their view of ``graph`` on first call and
-    then return it, so each state's memo, features included, lives at
-    least as long as the transition sits in a replay buffer.
+    ``alive_after`` is ``alive_before`` with only ``action`` cleared, as the
+    graph layer checks, and a non-terminal step leaves some node alive. Both
+    masks are kept as read-only copies. ``state()`` and ``next_state()``
+    each build their view of ``graph`` on first call and then return it, so
+    each state's memo, features included, lives at least as long as the
+    transition sits in a replay buffer.
     """
 
     graph: Graph
@@ -145,25 +146,18 @@ class Transition:
     _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.graph.n
-        if self.alive_before.shape != (n,) or self.alive_after.shape != (n,):
-            raise ValueError(f"alive masks must have shape ({n},)")
-        if not 0 <= self.action < n:
-            raise ValueError(f"action {self.action} outside id range 0..{n - 1}")
-        if not self.alive_before[self.action]:
-            raise ValueError(f"action {self.action} was not alive in its state")
         if not np.isfinite(self.reward):
             raise ValueError(f"reward {self.reward} is not finite")
         if self.reward < 0:
             raise ValueError("rewards are connectivity drops and cannot be negative")
-        changed = np.flatnonzero(self.alive_before != self.alive_after)
-        stray = changed[changed != self.action]
-        if len(stray):
-            raise ValueError(f"node {stray[0]} differs between alive_before and alive_after; only the action may")
-        if self.alive_after[self.action]:
-            raise ValueError(f"action {self.action} is still alive in alive_after")
-        if not self.terminal and not self.alive_after.any():
+        before = with_alive_mask(self.graph, self.alive_before)
+        after = remove_nodes(before, [self.action])
+        differs = np.flatnonzero(after.alive != with_alive_mask(self.graph, self.alive_after).alive)
+        if len(differs):
+            raise ValueError(f"alive_after is not alive_before without node {self.action}: node {differs[0]} differs")
+        if not self.terminal and not after.alive.any():
             raise ValueError(f"non-terminal transition: removing node {self.action} leaves no node alive")
+        self.alive_before, self.alive_after = before.alive, after.alive
 
     def _view(self, key: str, alive: np.ndarray) -> Graph:
         if key not in self._views:
@@ -242,7 +236,7 @@ class Model:
     def q_full(self, g: Graph) -> np.ndarray:
         """Inference-mode Q over all node ids; dead nodes are -inf."""
         with ad.no_grad():
-            out = q_from_embeddings(self.embed(g), self.decoder)
+            out = self.q_output(g)
         q = np.full(g.n, -np.inf)
         q[g.alive_ids()] = out.q.data[:, 0]
         return q

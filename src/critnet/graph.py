@@ -21,6 +21,7 @@ module also holds edge-list ingestion and the synthetic generators.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -164,12 +165,18 @@ class ComponentPartition(NamedTuple):
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Assemble a Graph from an edge list and build its closed-neighbourhood CSR.
 
-    Self-loops, ids outside ``0..n-1`` and duplicate edges (in either
-    orientation) raise ``ValueError`` naming the first bad edge. Past that,
-    every row holds its self-loop and no entry repeats, so the CSR needs no
-    check of its own; its arrays are frozen in place, as nothing else holds them.
+    Non-integer ids, self-loops, ids outside ``0..n-1`` and duplicate edges
+    (in either orientation) raise ``ValueError`` naming the first bad edge.
+    Past that, every row holds its self-loop and no entry repeats, so the CSR
+    needs no check of its own; its arrays are frozen in place, as nothing
+    else holds them.
     """
-    edge_list = [(int(u), int(v)) for u, v in edges]
+    edge_list = []
+    for u, v in edges:
+        try:
+            edge_list.append((operator.index(u), operator.index(v)))
+        except TypeError:
+            raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer node id") from None
     count = 2 * len(edge_list)
     try:
         e = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64, count=count).reshape(-1, 2)
@@ -313,11 +320,19 @@ def with_alive_mask(g: Graph, alive: np.ndarray) -> Graph:
 
 
 def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
-    """Return a new residual view with ``nodes`` marked dead; ``g`` is unchanged."""
+    """Return a new residual view with ``nodes`` marked dead; ``g`` is unchanged.
+
+    A node id that is not an integer, lies outside ``0..n-1`` or is already
+    dead raises ``ValueError`` naming it.
+    """
     alive = g.alive.copy()
     for v in nodes:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise ValueError(f"node id {v!r} is not an integer") from None
         if not (0 <= v < g.n):
-            raise ValueError(f"node id {v} out of range")
+            raise ValueError(f"node id {v} outside id range 0..{g.n - 1}")
         if not alive[v]:
             raise ValueError(f"node {v} is already removed")
         alive[v] = False

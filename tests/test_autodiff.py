@@ -438,6 +438,11 @@ class TestAdam:
         assert all(b < a for a, b in zip(warm, warm[1:]))
         assert losses[-1] < 0.5 * losses[0]
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_learning_rate_that_is_not_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match=f"learning rate must be finite and > 0, got {lr}"):
+            ad.AdamState(lr=lr)
+
     def test_parameter_list_must_keep_its_length(self):
         a = ad.tensor(np.ones(2), requires_grad=True)
         b = ad.tensor(np.ones(3), requires_grad=True)

@@ -203,18 +203,22 @@ class TestReplayBuffer:
         g = gen_er(6, 0.5, 6)
         dead = g.alive.copy()
         dead[0] = False
-        with pytest.raises(ValueError, match="not alive"):
+        with pytest.raises(ValueError, match="node 0 is already removed"):
             Transition(g, dead, 0, 1.0, dead, False)
         with pytest.raises(ValueError, match="negative"):
             Transition(g, g.alive.copy(), 0, -1.0, dead, False)
-        with pytest.raises(ValueError, match=r"action -1 outside id range 0\.\.5"):
+        with pytest.raises(ValueError, match=r"node id -1 outside id range 0\.\.5"):
             Transition(g, g.alive.copy(), -1, 1.0, dead, False)
+        with pytest.raises(ValueError, match=r"node id 0\.0 is not an integer"):
+            Transition(g, g.alive.copy(), 0.0, 1.0, dead, False)
         with pytest.raises(ValueError, match="not finite"):
             Transition(g, g.alive.copy(), 0, float("nan"), dead, False)
         with pytest.raises(ValueError, match="not finite"):
             Transition(g, g.alive.copy(), 0, float("inf"), dead, False)
-        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+        with pytest.raises(ValueError, match=r"shape \(5,\) does not match 6 nodes"):
             Transition(g, g.alive.copy(), 0, 1.0, dead[:5], False)
+        with pytest.raises(ValueError, match=r"shape \(5,\) does not match 6 nodes"):
+            Transition(g, g.alive[:5].copy(), 0, 1.0, dead, False)
 
     def test_transition_masks_must_differ_by_the_action(self):
         g = gen_er(6, 0.5, 6)
@@ -222,14 +226,29 @@ class TestReplayBuffer:
         before[2] = False
         extra = before.copy()
         extra[[0, 4]] = False
-        with pytest.raises(ValueError, match="node 4 differs between alive_before and alive_after"):
+        with pytest.raises(ValueError, match="alive_after is not alive_before without node 0: node 4 differs"):
             Transition(g, before, 0, 1.0, extra, False)
         revived = g.alive.copy()
         revived[0] = False
-        with pytest.raises(ValueError, match="node 2 differs between alive_before and alive_after"):
+        with pytest.raises(ValueError, match="alive_after is not alive_before without node 0: node 2 differs"):
             Transition(g, before, 0, 1.0, revived, False)
-        with pytest.raises(ValueError, match="action 0 is still alive in alive_after"):
+        with pytest.raises(ValueError, match="alive_after is not alive_before without node 0: node 0 differs"):
             Transition(g, before, 0, 1.0, before.copy(), False)
+
+    def test_transition_masks_are_read_only_copies(self):
+        g = gen_er(6, 0.5, 6)
+        before = g.alive.copy()
+        after = before.copy()
+        after[3] = False
+        t = Transition(g, before, 3, 1.0, after, False)
+        before[5] = after[5] = False
+        after[3] = True
+        expected_after = [True, True, True, False, True, True]
+        assert t.state().alive.all() and t.next_state().alive.tolist() == expected_after
+        assert t.alive_before.all() and t.alive_after.tolist() == expected_after
+        for mask in (t.alive_before, t.alive_after):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = False
 
     def test_non_terminal_transition_leaves_a_node_alive(self):
         g = gen_er(6, 0.5, 6)

@@ -225,6 +225,8 @@ class TestBuildGraph:
             (3, [(2, 2), (0, 1), (0, 1)], "self-loop at node 2"),
             (3, [(0, 1), (1, 5), (1, 0)], "edge (1, 5) outside id range 0..2"),
             (3, [(0, 2**70)], f"edge (0, {2**70}) outside id range 0..2"),
+            (3, [(0.5, 1)], "edge (0.5, 1) has a non-integer node id"),
+            (3, [(0, 1), (1, "2")], "edge (1, '2') has a non-integer node id"),
         ],
         ids=[
             "self-loop",
@@ -236,6 +238,8 @@ class TestBuildGraph:
             "self-loop-before-duplicate",
             "range-before-duplicate",
             "id-beyond-int64",
+            "float-id",
+            "string-id",
         ],
     )
     def test_rejects_bad_edges(self, n, edges, message):
@@ -310,6 +314,24 @@ class TestRemoveNodes:
         g = remove_nodes(path_graph(4), [1])
         with pytest.raises(ValueError, match="already removed"):
             remove_nodes(g, [1])
+
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            (1.5, "node id 1.5 is not an integer"),
+            (1.0, "node id 1.0 is not an integer"),
+            ("1", "node id '1' is not an integer"),
+            (-1, "node id -1 outside id range 0..3"),
+            (4, "node id 4 outside id range 0..3"),
+        ],
+        ids=["float", "integral-float", "string", "negative", "equals-n"],
+    )
+    def test_rejects_a_bad_node_id(self, node, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            remove_nodes(path_graph(4), [node])
+
+    def test_accepts_numpy_integer_ids(self):
+        assert remove_nodes(path_graph(4), [np.int64(1), np.int32(2)]).alive.tolist() == [True, False, False, True]
 
     def test_sequential_equals_batch(self):
         rng = np.random.default_rng(9)
