@@ -18,8 +18,10 @@ Graph attention runs over a residual graph's closed-neighbourhood CSR, a
 ``graph.SparsePattern``: one value per stored entry of a structurally
 symmetric n x n matrix in CSR order, one column per attention head (E x H).
 ``gather_rows``, ``segment_softmax`` and ``spmm`` work on those per-entry
-values, and their backward passes scatter with ``np.add.reduceat`` over row
-segments, reading column-indexed entries through the pattern's transpose
+values. Every sum or max over a row's entries, forward or backward, is one
+of the pattern's slot kernels (``SparsePattern.row_sums`` and its
+siblings), which walk the entries slot by slot, a slice of rows at a time;
+column-indexed entries are read through the pattern's transpose
 permutation.
 
 Evaluation-time forwards should run inside ``no_grad()`` so no graph is
@@ -179,6 +181,35 @@ def add_bias(a: Tensor, bias: Tensor) -> Tensor:
     return _make(a.data + bias.data, (a, bias), backward)
 
 
+# rows of a dense layer's output that take their bias and ELU together: a block stays in cache
+DENSE_BLOCK_ROWS = 128
+
+
+def dense_elu(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """``elu(x @ w + bias)`` for a (1, d) ``bias`` row, in the product's own buffer.
+
+    The product is a ``matmul`` node that only this op sees. The bias and
+    the ELU overwrite that node's buffer in place, ``DENSE_BLOCK_ROWS`` rows
+    at a time, which is safe because ``matmul``'s rule reads its inputs, not
+    its output. So the layer allocates one array of its output's size.
+    """
+    if bias.shape != (1, w.shape[1]):
+        raise ValueError(f"bias shape {bias.shape} incompatible with {w.shape}")
+    product = matmul(x, w)
+    out = product.data
+    for start in range(0, len(out), DENSE_BLOCK_ROWS):
+        block = out[start : start + DENSE_BLOCK_ROWS]
+        block += bias.data
+        np.maximum(block, np.expm1(np.minimum(block, 0.0)), out=block)
+
+    def backward(g):
+        g = g * _elu_slope(out)
+        product._accumulate(g)
+        bias._accumulate(g.sum(axis=0, keepdims=True))
+
+    return _make(out, (product, bias), backward)
+
+
 def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         a._accumulate(g * c)
@@ -196,13 +227,19 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
-    pos = a.data > 0
-    out = np.where(pos, a.data, np.expm1(a.data))
+    out = np.minimum(a.data, 0.0)
+    np.expm1(out, out=out)
+    np.maximum(a.data, out, out=out)  # a > 0 keeps a; a <= 0 gives expm1(a), which is >= a
 
     def backward(g):
-        a._accumulate(g * np.where(pos, 1.0, out + 1.0))
+        a._accumulate(g * _elu_slope(out))
 
     return _make(out, (a,), backward)
+
+
+def _elu_slope(out: np.ndarray) -> np.ndarray:
+    """The ELU's derivative, read from its output: 1 where positive, else ``exp(a) = out + 1``."""
+    return np.where(out > 0, 1.0, out + 1.0)
 
 
 def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
@@ -235,23 +272,29 @@ def gather_rows(a: Tensor, pattern: SparsePattern, columns: bool = False) -> Ten
     index = pattern.cols if columns else pattern.rows
 
     def backward(g):
-        a._accumulate(pattern.row_sums(g[pattern.transpose] if columns else g))
+        a._accumulate(pattern.row_sums(np.take(g, pattern.transpose, axis=0) if columns else g))
 
-    return _make(a.data[index], (a,), backward)
+    return _make(np.take(a.data, index, axis=0), (a,), backward)
 
 
 def segment_softmax(logits: Tensor, pattern: SparsePattern) -> Tensor:
-    """Softmax of per-entry logits (E x H) over the entries of each row, per column."""
+    """Softmax of per-entry logits (E x H) over the entries of each row, per column.
+
+    Shifted by each row's max, then exponentiated and normalised in place: one E x H result.
+    """
     if logits.data.ndim != 2 or logits.shape[0] != len(pattern.rows):
         raise ValueError(f"logits shape {logits.shape} != ({len(pattern.rows)}, H)")
     x = logits.data
-    rowmax = np.maximum.reduceat(x, pattern.indptr[:-1], axis=0)
-    e = np.exp(x - rowmax[pattern.rows])
-    p = e / pattern.row_sums(e)[pattern.rows]
+    p = np.take(pattern.row_max(x), pattern.rows, axis=0)
+    np.subtract(x, p, out=p)
+    np.exp(p, out=p)
+    p /= np.take(pattern.row_sums(p), pattern.rows, axis=0)
 
     def backward(g):
-        dot = pattern.row_sums(g * p)
-        logits._accumulate(p * (g - dot[pattern.rows]))
+        gp = np.take(pattern.row_sums(g * p), pattern.rows, axis=0)
+        np.subtract(g, gp, out=gp)
+        gp *= p
+        logits._accumulate(gp)
 
     return _make(p, (logits,), backward)
 
@@ -261,33 +304,22 @@ def spmm(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
 
     ``x`` (n x H*d) is split into H blocks of d columns, and block h of the
     n x H*d result is sparse matrix h times block h of ``x``; H = 1 is a
-    plain sparse-dense product. Each head runs on its own E x d slice.
+    plain sparse-dense product. The pattern's slot kernels do the work, so
+    neither pass forms an E x H*d array.
     """
     if values.data.ndim != 2 or values.shape[0] != len(pattern.rows) or x.shape[0] != pattern.n:
         raise ValueError(f"spmm shape mismatch: values {values.shape}, x {x.shape}, pattern of {pattern.n} rows")
     heads = values.shape[1]
     if heads == 0 or x.shape[1] % heads:
         raise ValueError(f"spmm: {x.shape[1]} columns of x do not split into {heads} heads")
-    d = x.shape[1] // heads
-    blocks = [slice(k * d, (k + 1) * d) for k in range(heads)]
     w = values.data
-    x_cols = x.data[pattern.cols]
-    out = np.empty(x.shape)
-    for k, b in enumerate(blocks):
-        out[:, b] = pattern.row_sums(w[:, k : k + 1] * x_cols[:, b])
 
     def backward(g):
-        g_rows = g[pattern.rows]
-        # the E x H*d gather is the largest array here: gathered again rather than held on the tape
-        values._accumulate((g_rows * x.data[pattern.cols]).reshape(len(w), heads, d).sum(axis=2))
+        values._accumulate(pattern.entry_dots(g, x.data, heads))
         # entry transpose[e] sits at (cols[e], rows[e]): its weight times g's row cols[e]
-        w_t, g_cols = w[pattern.transpose], g[pattern.cols]
-        gx = np.empty(x.shape)
-        for k, b in enumerate(blocks):
-            gx[:, b] = pattern.row_sums(w_t[:, k : k + 1] * g_cols[:, b])
-        x._accumulate(gx)
+        x._accumulate(pattern.weighted_row_sums(np.take(w, pattern.transpose, axis=0), g))
 
-    return _make(out, (values, x), backward)
+    return _make(pattern.weighted_row_sums(w, x.data), (values, x), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

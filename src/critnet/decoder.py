@@ -21,6 +21,7 @@ per feature mode for as long as any of them is alive.
 """
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -81,8 +82,7 @@ def init_decoder_params(rng: np.random.Generator, dueling: bool = True) -> Decod
 
 
 def _mlp(x: ad.Tensor, p: MlpParams) -> ad.Tensor:
-    h = ad.elu(ad.add_bias(ad.matmul(x, p.w1), p.b1))
-    return ad.add_bias(ad.matmul(h, p.w2), p.b2)
+    return ad.add_bias(ad.matmul(ad.dense_elu(x, p.w1, p.b1), p.w2), p.b2)
 
 
 class QOutput(NamedTuple):
@@ -134,7 +134,8 @@ class Transition:
     masks are kept as read-only copies. ``state()`` and ``next_state()``
     each build their view of ``graph`` on first call and then return it, so
     each state's memo, features included, lives at least as long as the
-    transition sits in a replay buffer.
+    transition sits in a replay buffer. A deep copy shares the graph, the
+    read-only masks and the views built so far, in a dict of its own.
     """
 
     graph: Graph
@@ -158,6 +159,13 @@ class Transition:
         if not self.terminal and not after.alive.any():
             raise ValueError(f"non-terminal transition: removing node {self.action} leaves no node alive")
         self.alive_before, self.alive_after = before.alive, after.alive
+
+    def __deepcopy__(self, memo) -> "Transition":
+        # the graph and both masks are read-only: a copy shares them, and starts from the same views
+        clone = copy.copy(self)
+        clone._views = dict(self._views)
+        memo[id(self)] = clone
+        return clone
 
     def _view(self, key: str, alive: np.ndarray) -> Graph:
         if key not in self._views:
@@ -251,7 +259,9 @@ def td_targets(batch: list[Transition], online: Model, target: Model, gamma: flo
     Next-state features come from the state's memo, so each is computed
     once per feature mode while any view of that state is alive: the
     buffered transition's own, the next transition's ``state()``, or the
-    live episode view. A ``gamma`` outside [0, 1] raises.
+    live episode view. A ``gamma`` outside [0, 1] raises, so does an online
+    Q-value that ``select_action`` rejects (NaN or +inf), and so does a
+    target value that is not finite, naming its batch index.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -261,6 +271,9 @@ def td_targets(batch: list[Transition], online: Model, target: Model, gamma: flo
             ys[i] = t.reward
             continue
         nxt = t.next_state()
-        best = int(np.argmax(online.q_full(nxt)))
-        ys[i] = t.reward + gamma * target.q_full(nxt)[best]
+        best = select_action(online.q_full(nxt), 0.0, None)
+        value = target.q_full(nxt)[best]
+        if not np.isfinite(value):
+            raise ValueError(f"target network value {value} for batch index {i} is not finite")
+        ys[i] = t.reward + gamma * value
     return ys

@@ -214,11 +214,81 @@ def dense_encoder():
         yield
 
 
+# --- row-segment kernel oracles ------------------------------------------------
+#
+# The CSR kernels the slot layout replaced: one ``reduceat`` over each row's
+# segment, and a sparse product run head by head on E x d gathers.
+
+
+def reduceat_row_sums(pattern, values):
+    return np.add.reduceat(values, pattern.indptr[:-1], axis=0)
+
+
+def reduceat_row_max(pattern, values):
+    return np.maximum.reduceat(values, pattern.indptr[:-1], axis=0)
+
+
+def where_elu(a):
+    """ELU in its two-branch form (it evaluates ``expm1`` everywhere)."""
+    with np.errstate(over="ignore"):
+        return np.where(a > 0, a, np.expm1(a))
+
+
+def per_head_spmm(values, pattern, x):
+    """``autodiff.spmm`` as a tape op of E x d gathers and ``reduceat`` row sums, one head at a time."""
+    from critnet import autodiff as ad
+
+    heads = values.shape[1]
+    d = x.shape[1] // heads
+    blocks = [slice(k * d, (k + 1) * d) for k in range(heads)]
+    w = values.data
+    x_cols = x.data[pattern.cols]
+    out = np.empty(x.shape)
+    for k, b in enumerate(blocks):
+        out[:, b] = reduceat_row_sums(pattern, w[:, k : k + 1] * x_cols[:, b])
+
+    def backward(g):
+        g_rows = g[pattern.rows]
+        values._accumulate((g_rows * x_cols).reshape(len(w), heads, d).sum(axis=2))
+        w_t, g_cols = w[pattern.transpose], g[pattern.cols]
+        gx = np.empty(x.shape)
+        for k, b in enumerate(blocks):
+            gx[:, b] = reduceat_row_sums(pattern, w_t[:, k : k + 1] * g_cols[:, b])
+        x._accumulate(gx)
+
+    return ad._make(out, (values, x), backward)
+
+
+@st.composite
+def sparse_patterns(draw):
+    """A residual closed-neighbourhood pattern that reaches the slot kernels' edge cases.
+
+    A corpus graph large enough to fill the first slots, a star whose hub
+    row runs past the slot cut-off, an edgeless graph, one node, or a graph
+    with isolated rows.
+    """
+    from critnet.graph import TAIL_ROWS, build_graph, gen_er, residual
+
+    kind = draw(st.sampled_from(["corpus", "star", "edgeless", "one-node", "isolated"]))
+    if kind == "corpus":
+        g = draw(corpus_graphs(max_n=4 * TAIL_ROWS))
+    elif kind == "star":
+        g = star_graph(draw(st.integers(TAIL_ROWS + 2, 4 * TAIL_ROWS)))
+    elif kind == "edgeless":
+        g = build_graph(draw(st.integers(1, 2 * TAIL_ROWS)), [])
+    elif kind == "one-node":
+        g = build_graph(1, [])
+    else:
+        n = draw(st.integers(TAIL_ROWS, 3 * TAIL_ROWS))
+        g = gen_er(n, 1.0 / n, draw(st.integers(0, 2**31 - 1)))  # about a third of the rows hold only a self-loop
+    return residual(g)
+
+
 # --- per-head attention oracle ------------------------------------------------
 
 
 def per_head_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
-    """The encoder's attention layer run one head at a time, each with its own E x 1 chain."""
+    """The encoder's attention layer run one head at a time, each with its own E x 1 chain and ``reduceat`` product."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
 
@@ -231,7 +301,7 @@ def per_head_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
         dst = ad.gather_rows(ad.matmul(hw, head.a_dst), mask, columns=True)
         att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
         att = ad.dropout(att, dropout_rate, rng, training)
-        outputs.append(ad.spmm(att, mask, hw))
+        outputs.append(per_head_spmm(att, mask, hw))
     return ad.elu(ad.concat(outputs, axis=1))
 
 

@@ -1,11 +1,13 @@
 import copy
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import transpose
+from conftest import per_head_spmm, sparse_patterns, transpose, where_elu
 from critnet import autodiff as ad
 from critnet.graph import build_graph, gen_ba
 
@@ -385,6 +387,99 @@ class TestSingleUseGraph:
             tracemalloc.stop()
         # the E x 96 gather of x is 5x the output here: backward gathers it again
         assert held < 1.5 * out.data.nbytes
+
+
+class TestSlotKernelOracles:
+    """``spmm``, ``segment_softmax`` and ``elu`` against the forms the slot kernels replaced, at the encoder's shapes."""
+
+    @pytest.mark.parametrize("d", [8, 12])
+    @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
+    def test_spmm_matches_the_per_head_reduceat_product(self, d, p, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.random((len(p.rows), 8))
+        x_data, g = rng.standard_normal((2, p.n, 8 * d))
+        runs = []
+        for product in (ad.spmm, per_head_spmm):
+            values, x = ad.tensor(w, True), ad.tensor(x_data, True)
+            out = product(values, p, x)
+            ad.mse_loss(out, g).backward()
+            runs.append((out.data, values.grad, x.grad))
+        for got, want in zip(*runs):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [8, 12])
+    @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
+    def test_spmm_gradient_check(self, d, p, seed):
+        rng = np.random.default_rng(seed)
+        values, x = rand_tensor(rng, (len(p.rows), 8)), rand_tensor(rng, (p.n, 8 * d))
+        target = rng.standard_normal((p.n, 8 * d))
+        # the loss is quadratic in each coordinate, so a wide step adds no truncation error
+        err = ad.grad_check(lambda: ad.mse_loss(ad.spmm(values, p, x), target), [values, x], eps=1e-3, sample=12, rng=rng)
+        assert err < 1e-6
+
+    @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
+    def test_segment_softmax_gradient_check(self, p, seed):
+        rng = np.random.default_rng(seed)
+        logits = rand_tensor(rng, (len(p.rows), 8))
+        target = rng.standard_normal((len(p.rows), 8))
+        err = ad.grad_check(lambda: ad.mse_loss(ad.segment_softmax(logits, p), target), [logits], eps=1e-4, sample=24, rng=rng)
+        # a row of 40+ entries spreads its weight thin, so some gradients are ~1e-7 of a unit loss, and
+        # central differences resolve those to about 2e-5 (a wrong rule errs by order 1)
+        assert err < 1e-4
+
+    def test_elu_equals_the_where_form(self):
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 709.0, 710.0, 1e308, -745.0, -1e308]
+        a = np.concatenate((special, np.random.default_rng(45).standard_normal(200) * 30.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # expm1 must not be evaluated past 709
+            out = ad.elu(ad.tensor(a)).data
+        assert np.array_equal(out, where_elu(a), equal_nan=True)
+
+    def test_elu_gradient_uses_the_output_sign(self):
+        a = ad.tensor(np.array([[-2.0, -1e-3, 0.0, 1e-3, 3.0]]), requires_grad=True)
+        out = ad.elu(a)
+        ad.mse_loss(out, np.zeros((1, 5))).backward()
+        slope = np.where(a.data > 0, 1.0, np.exp(a.data))
+        np.testing.assert_allclose(a.grad, 2.0 / 5 * out.data * slope, rtol=1e-15, atol=0)
+
+
+class TestDenseElu:
+    @pytest.mark.parametrize("rows", [1, ad.DENSE_BLOCK_ROWS, 2 * ad.DENSE_BLOCK_ROWS + 5])
+    def test_matches_the_composed_layer_bit_for_bit(self, rows):
+        runs = []
+        for fused in (True, False):
+            rng = np.random.default_rng(46)
+            x, w, b = rand_tensor(rng, (rows, 6)), rand_tensor(rng, (6, 5)), rand_tensor(rng, (1, 5))
+            target = rng.standard_normal((rows, 5))
+            out = ad.dense_elu(x, w, b) if fused else ad.elu(ad.add_bias(ad.matmul(x, w), b))
+            ad.mse_loss(out, target).backward()
+            runs.append((out.data, x.grad, w.grad, b.grad))
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(47)
+        x, w, b = rand_tensor(rng, (9, 4)), rand_tensor(rng, (4, 3)), rand_tensor(rng, (1, 3))
+        target = rng.standard_normal((9, 3))
+        assert ad.grad_check(lambda: ad.mse_loss(ad.dense_elu(x, w, b), target), [x, w, b]) < 1e-6
+
+    def test_one_output_sized_array(self):
+        rng = np.random.default_rng(48)
+        x, w, b = rand_tensor(rng, (2000, 96)), rand_tensor(rng, (96, 256)), rand_tensor(rng, (1, 256))
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = ad.dense_elu(x, w, b)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        # the output plus two blocks of bias-and-ELU temporaries
+        assert peak < out.data.nbytes + 2 * ad.DENSE_BLOCK_ROWS * 256 * 8 + 64 * 1024
+
+    def test_rejects_a_bias_of_another_width(self):
+        with pytest.raises(ValueError, match=r"bias shape \(1, 4\) incompatible"):
+            ad.dense_elu(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((3, 5))), ad.tensor(np.ones((1, 4))))
 
 
 class TestGradCheck:

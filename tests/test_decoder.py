@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from unittest import mock
 
@@ -250,6 +251,23 @@ class TestReplayBuffer:
             with pytest.raises(ValueError, match="read-only"):
                 mask[0] = False
 
+    def test_deep_copies_share_the_read_only_masks_and_views(self):
+        g = gen_er(10, 0.4, 6)
+        after = g.alive.copy()
+        after[5] = False
+        t = Transition(g, g.alive.copy(), 5, 1.0, after, False)
+        state = t.state()
+        c = copy.deepcopy(t)
+        assert c.graph is g and c.alive_before is t.alive_before and c.alive_after is t.alive_after
+        for mask in (c.alive_before, c.alive_after):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = False
+        assert c.state() is state and c._views is not t._views
+        c.next_state()
+        assert "next_state" not in t._views
+        batch = copy.deepcopy([t, t])
+        assert batch[0] is batch[1]
+
     def test_non_terminal_transition_leaves_a_node_alive(self):
         g = gen_er(6, 0.5, 6)
         last = np.zeros(6, dtype=bool)
@@ -292,6 +310,23 @@ class TestTdTargets:
         batch = self.episode_transitions(3)
         with pytest.raises(ValueError, match=rf"gamma must be in \[0, 1\], got {gamma}"):
             td_targets(batch, model(4), model(5), gamma=gamma)
+
+    def test_a_nan_online_q_value_raises(self):
+        batch = [t for t in self.episode_transitions(3) if not t.terminal]
+        online = model(4)
+        online.decoder.node_head.b2.data[0, 0] = np.nan
+        with pytest.raises(ValueError, match="Q-values are NaN"):
+            td_targets(batch, online, model(5), gamma=0.9)
+
+    def test_a_target_value_that_is_not_finite_names_its_batch_index(self):
+        batch = [t for t in self.episode_transitions(3) if not t.terminal]
+        target = model(5)
+        target.decoder.value_head.b2.data[0, 0] = np.inf
+        with pytest.raises(ValueError, match="target network value inf for batch index 0 is not finite"):
+            td_targets(batch, model(4), target, gamma=0.9)
+        target.decoder.node_head.b2.data[0, 0] = np.nan
+        with pytest.raises(ValueError, match="target network value nan for batch index 0"):
+            td_targets(batch, model(4), target, gamma=0.9)
 
     def test_double_dqn_vs_vanilla_max_by_enumeration(self):
         online, target = model(6), model(7)

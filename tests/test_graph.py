@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +17,23 @@ from conftest import (
     dense_attention_mask,
     neighbor_lists,
     path_graph,
+    per_head_spmm,
     random_graph,
+    reduceat_row_max,
+    reduceat_row_sums,
+    sparse_patterns,
+    star_graph,
 )
-from critnet.encoder import attention_mask
+from critnet import autodiff as ad
+from critnet import graph as graph_module
+from critnet.decoder import Model, init_decoder_params
+from critnet.encoder import attention_mask, init_encoder_params
 from critnet.features import aggregate_features, degree_vector
 from critnet.graph import (
+    TAIL_ROWS,
     Graph,
     GraphParseError,
+    SparsePattern,
     build_graph,
     connected_components,
     format_edge_list,
@@ -437,6 +448,97 @@ class TestImmutableViews:
         assert copied["state"] is g
         assert not copied["state"].alive.flags.writeable
         assert copied["alive"] is not g.alive
+
+
+# the module's cut-off, and one that never cuts: every slot runs, there is no tail
+CUTOFFS = {"module-cutoff": TAIL_ROWS, "no-tail": 1}
+
+
+def with_cutoff(pattern, cutoff):
+    """A fresh copy of ``pattern`` with its slot layout built under ``cutoff``."""
+    fresh = SparsePattern(*pattern)
+    with mock.patch.object(graph_module, "TAIL_ROWS", cutoff):
+        fresh.layout
+    return fresh
+
+
+class TestSlotLayout:
+    @pytest.mark.parametrize("cutoff", CUTOFFS.values(), ids=CUTOFFS.keys())
+    @given(p=sparse_patterns())
+    def test_every_entry_is_visited_exactly_once(self, cutoff, p):
+        lay = with_cutoff(p, cutoff).layout
+        assert np.array_equal(np.sort(lay.perm), np.arange(len(p.rows)))
+        assert np.array_equal(lay.perm[lay.position], np.arange(len(p.rows)))
+        degree = np.diff(p.indptr)
+        assert np.array_equal(lay.order, np.argsort(-degree, kind="stable"))
+        assert np.array_equal(lay.order[lay.rank], np.arange(p.n))
+        assert all(c >= cutoff for c in lay.counts) and list(lay.counts) == sorted(lay.counts, reverse=True)
+        assert lay.head == sum(lay.counts) and np.array_equal(lay.cols, p.cols[lay.perm])
+        for slot, (c, o) in enumerate(zip(lay.counts, lay.offsets)):
+            # slot j holds entry j of the c rows of lowest rank, by rank
+            assert np.array_equal(lay.perm[o : o + c], p.indptr[lay.order[:c]] + slot)
+        # each open row's tail is the rest of its entries, in column order
+        bounds = np.append(lay.tail_starts, len(p.rows) - lay.head) + lay.head
+        for rank, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            row = lay.order[rank]
+            assert np.array_equal(lay.perm[lo:hi], np.arange(p.indptr[row] + len(lay.counts), p.indptr[row + 1]))
+        if lay.counts:
+            assert lay.counts[0] == p.n
+            assert len(lay.tail_starts) == np.count_nonzero(degree > len(lay.counts)) < cutoff
+        else:
+            assert len(lay.tail_starts) == p.n
+
+    def test_a_star_hub_finishes_in_the_tail(self):
+        lay = residual(star_graph(3 * TAIL_ROWS)).layout
+        assert lay.counts == (3 * TAIL_ROWS, 3 * TAIL_ROWS)  # every leaf holds the hub and itself
+        assert lay.order[0] == 0 and lay.tail_starts.tolist() == [0] and len(lay.perm) - lay.head == 3 * TAIL_ROWS - 2
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS.values(), ids=CUTOFFS.keys())
+    @given(p=sparse_patterns(), heads=st.sampled_from([1, 8]), seed=st.integers(0, 2**31 - 1))
+    def test_row_sums_and_row_max_match_reduceat(self, cutoff, p, heads, seed):
+        p = with_cutoff(p, cutoff)
+        values = np.random.default_rng(seed).standard_normal((len(p.rows), heads))
+        np.testing.assert_allclose(p.row_sums(values), reduceat_row_sums(p, values), rtol=0, atol=1e-12)
+        assert np.array_equal(p.row_max(values), reduceat_row_max(p, values))
+        assert np.array_equal(p.row_sums(values[:, 0]), p.row_sums(values)[:, 0])
+
+    @pytest.mark.parametrize("cutoff", CUTOFFS.values(), ids=CUTOFFS.keys())
+    @pytest.mark.parametrize("d", [8, 12])
+    @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
+    def test_weighted_row_sums_and_entry_dots_match_per_head_products(self, cutoff, d, p, seed):
+        p = with_cutoff(p, cutoff)
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((len(p.rows), 8))
+        x, y = rng.standard_normal((2, p.n, 8 * d))
+        want = per_head_spmm(ad.tensor(w), p, ad.tensor(x)).data
+        np.testing.assert_allclose(p.weighted_row_sums(w, x), want, rtol=0, atol=1e-12)
+        dots = (y[p.rows] * x[p.cols]).reshape(len(p.rows), 8, d).sum(axis=2)
+        np.testing.assert_allclose(p.entry_dots(y, x, 8), dots, rtol=0, atol=1e-12)
+
+    def test_layout_is_built_once_by_the_first_kernel_call(self):
+        spy = mock.Mock(wraps=graph_module._slot_layout)
+        with mock.patch.object(graph_module, "_slot_layout", spy):
+            g = remove_nodes(gen_ba(300, 2, 7), [0, 5])
+            p = residual(g)
+            pairwise_connectivity(g)
+            aggregate_features(g)
+            assert spy.call_count == 0
+            p.row_sums(np.ones(len(p.rows)))
+            p.row_max(np.ones(len(p.rows)))
+            assert spy.call_count == 1
+            rng = np.random.default_rng(8)
+            Model(init_encoder_params(rng), init_decoder_params(rng)).q_full(g)
+            assert spy.call_count == 2  # the forward's own pattern, shared by both layers
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+    def test_copies_and_frozen_patterns_leave_the_layout_out(self, clone):
+        g = gen_ba(100, 2, 9)
+        g.pattern.row_sums(np.ones(len(g.pattern.rows)))
+        assert "layout" in vars(g.pattern)
+        copied = clone(g.pattern)
+        assert "layout" not in vars(copied) and len(copied) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(copied, g.pattern))
+        assert "layout" not in vars(pickle.loads(pickle.dumps(g)).pattern)
 
 
 class TestGenerators:
