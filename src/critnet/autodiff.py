@@ -218,12 +218,23 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
-    pos = a.data > 0
+    """``a`` where positive, else ``slope * a``, for a slope in (0, 1].
+
+    In that range it is ``max(a, slope * a)``, formed in one array, and the
+    output is positive exactly where ``a`` is, so the backward pass reads
+    its mask from the output. At slope 0, ``0 * inf`` would turn +inf into NaN.
+    """
+    if not 0.0 < slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
+    out = a.data * slope
+    np.maximum(a.data, out, out=out)
 
     def backward(g):
-        a._accumulate(g * np.where(pos, 1.0, slope))
+        grad = g * slope
+        np.copyto(grad, g, where=out > 0)
+        a._accumulate(grad)
 
-    return _make(np.where(pos, a.data, slope * a.data), (a,), backward)
+    return _make(out, (a,), backward)
 
 
 def elu(a: Tensor) -> Tensor:
@@ -453,47 +464,3 @@ def zero_grads(params: list[Tensor]) -> None:
     for p in params:
         p.zero_grad()
 
-
-# --- gradient checking ------------------------------------------------------
-
-
-def grad_check(
-    scalar_fn,
-    params: list[Tensor],
-    eps: float = 1e-5,
-    sample: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``scalar_fn`` must rebuild its forward pass from the current parameter
-    values on every call. With ``sample`` set, only that many coordinates
-    per parameter are perturbed (chosen by ``rng``), which keeps the check
-    affordable on large parameter sets.
-    """
-    zero_grads(params)
-    out = scalar_fn()
-    out.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-    worst = 0.0
-    for p, an in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        an_flat = an.reshape(-1)
-        coords = range(flat.size)
-        if sample is not None and flat.size > sample:
-            gen = rng if rng is not None else np.random.default_rng(0)
-            coords = gen.choice(flat.size, size=sample, replace=False)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + eps
-            with no_grad():
-                f_plus = scalar_fn().item()
-            flat[i] = orig - eps
-            with no_grad():
-                f_minus = scalar_fn().item()
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            a = an_flat[i]
-            err = abs(fd - a) / max(abs(fd), abs(a), 1e-12)
-            worst = max(worst, err)
-    return worst

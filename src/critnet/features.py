@@ -33,18 +33,6 @@ def degree_vector(g: Graph) -> np.ndarray:
     return np.diff(residual(g).indptr) - 1.0
 
 
-def _scaled_degree(deg: np.ndarray) -> np.ndarray:
-    n = len(deg)
-    if n <= 1:
-        return np.zeros(n)
-    return deg / (n - 1)
-
-
-def degree_centrality(g: Graph) -> np.ndarray:
-    """Degree divided by (n_alive - 1); zeros when fewer than two nodes remain."""
-    return _scaled_degree(degree_vector(g))
-
-
 class PowerResult(NamedTuple):
     scores: np.ndarray
     converged: bool
@@ -127,7 +115,7 @@ def aggregate_features(g: Graph) -> np.ndarray:
     deg = degree_vector(g)
     cols = [
         deg,
-        _scaled_degree(deg),
+        deg / max(len(deg) - 1, 1),  # degree centrality; one alive node has degree 0
         eigenvector_centrality(g).scores,
         pagerank(g).scores,
     ]

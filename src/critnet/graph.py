@@ -315,34 +315,42 @@ class ComponentPartition(NamedTuple):
     sizes: list[int]
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Assemble a Graph from an edge list and build its closed-neighbourhood CSR.
 
+    ``edges`` is an iterable of ``(u, v)`` pairs or an ``(m, 2)`` integer
+    ndarray, which is taken whole; any other ndarray raises ``ValueError``.
     Non-integer ids, self-loops, ids outside ``0..n-1`` and duplicate edges
     (in either orientation) raise ``ValueError`` naming the first bad edge.
     Past that, every row holds its self-loop and no entry repeats, so the CSR
     needs no check of its own; its arrays are frozen in place, as nothing
     else holds them.
     """
-    edge_list = []
-    for u, v in edges:
+    if isinstance(edges, np.ndarray):
+        if edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
+            raise ValueError(f"an edge array must be (m, 2) of integers, got shape {edges.shape} of {edges.dtype}")
+        # a uint64 id beyond int64 wraps to a negative one, so it is still flagged as out of range
+        pairs, e = edges, edges.astype(np.int64, copy=False)
+    else:
+        pairs = []
+        for u, v in edges:
+            try:
+                pairs.append((operator.index(u), operator.index(v)))
+            except TypeError:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer node id") from None
+        count = 2 * len(pairs)
         try:
-            edge_list.append((operator.index(u), operator.index(v)))
-        except TypeError:
-            raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer node id") from None
-    count = 2 * len(edge_list)
-    try:
-        e = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64, count=count).reshape(-1, 2)
-    except OverflowError:  # an id beyond int64 is out of range; clamped to n it is still flagged
-        clamped = (min(max(x, -1), n) for x in chain.from_iterable(edge_list))
-        e = np.fromiter(clamped, dtype=np.int64, count=count).reshape(-1, 2)
+            e = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=count).reshape(-1, 2)
+        except OverflowError:  # an id beyond int64 is out of range; clamped to n it is still flagged
+            clamped = (min(max(x, -1), n) for x in chain.from_iterable(pairs))
+            e = np.fromiter(clamped, dtype=np.int64, count=count).reshape(-1, 2)
     lo, hi = e.min(axis=1), e.max(axis=1)
     # keys of two different pairs collide only if one is a self-loop or out of range, flagged no later
     repeat = np.ones(len(e), dtype=bool)
     repeat[np.unique(lo * n + hi, return_index=True)[1]] = False
     bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n) | repeat)
     if len(bad):
-        u, v = edge_list[bad[0]]
+        u, v = map(int, pairs[bad[0]])
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -499,37 +507,114 @@ def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
 #   * gen_ba starts from a star on m_attach+1 nodes (node 0 = hub) and each
 #     arriving node attaches to m_attach distinct degree-proportional
 #     targets, so the final edge count is exactly m_attach * (n - m_attach).
+#     A draw is a uniform position in the repeated-node list, which holds
+#     both ends of every edge so far, in order; an arrival draws until it
+#     has m_attach distinct targets, then adds its edges by target.
 #   * gen_ws builds the even-degree ring lattice, then rewires the far
 #     endpoint of each clockwise edge with probability p_rewire, rejecting
 #     self-loops and duplicates.
 #   * gen_er draws each of the n(n-1)/2 pairs independently, row by row:
 #     one uniform per pair (u, v), u < v, in (u, v) lexicographic order.
+#
+# gen_ba and gen_er draw in bulk, yet consume the stream exactly as one
+# scalar call per draw would, so a seed gives the graph of the draw-by-draw
+# loops the tests keep as oracles. ``random(k)`` is k consecutive scalar
+# uniforms, so gen_er draws ``ER_CHUNK`` pairs per call. ``integers(0,
+# highs)`` makes one bounded draw per entry of ``highs``, as scalar calls
+# would, and gen_ba knows every bound in advance: arrival v draws from a
+# list of 2 m_attach (v - m_attach) entries. So it draws m_attach positions
+# for each arrival of a window at once and resolves them to nodes. At the
+# first arrival in the window that draws some node twice, and so needs more
+# draws, it restores the generator state saved at the window's start,
+# replays the draws before that arrival, draws that arrival's targets one
+# call at a time, and starts the next window after it.
+# gen_ws interleaves ``random()`` and ``integers()`` draws, so it stays a loop.
+
+# A BA window takes the next max(BA_WINDOW_MIN, v // 2) arrivals from arrival
+# v. Repeats grow rarer as the graph grows (with m_attach = 2, 5 at n = 150,
+# 11 at n = 1000, 20 at n = 20000), and each one ends a window early and
+# wastes its later draws. Measured with m_attach = 2, seeds 1 to 3, one BLAS
+# thread: growth v/2 with minimums of 4 to 32 times within noise of the best
+# at every n from 150 to 20000; growth v is 1.3x to 1.6x slower at n = 20000,
+# and 2v 2.6x.
+BA_WINDOW_MIN = 16
+
+# Pair uniforms gen_er draws per call: 1 MiB of float64.
+ER_CHUNK = 1 << 17
+
+
+def _size(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _resolve_targets(repeated: np.ndarray, draws: np.ndarray, targets: np.ndarray) -> None:
+    """Fill ``targets``, a view of one window's target slots in ``repeated``, from the window's draws.
+
+    ``draws`` holds positions in ``repeated``, one row of ``targets`` (an
+    arrival) after another. Slots not yet filled hold -1. A draw at such a
+    slot waits for the earlier arrival that owns it; each round fills the
+    sorted targets of every arrival whose draws all resolved, and only the
+    draws still waiting are read again.
+    """
+    rows, m = targets.shape
+    nodes = repeated[draws]
+    waiting = np.flatnonzero(nodes < 0)
+    unfilled = np.ones(rows, dtype=bool)
+    while True:
+        ready = unfilled.copy()
+        ready[waiting // m] = False
+        done = np.flatnonzero(ready)
+        targets[done] = np.sort(nodes.reshape(rows, m)[done], axis=1)
+        unfilled[done] = False
+        if not len(waiting):
+            return
+        nodes[waiting] = repeated[draws[waiting]]
+        waiting = waiting[nodes[waiting] < 0]
 
 
 def gen_ba(n: int, m_attach: int, seed: int) -> Graph:
     """Preferential-attachment graph on n nodes, m_attach edges per arrival."""
-    if m_attach < 1:
+    n, m = _size(n, "n"), _size(m_attach, "m_attach")
+    if m < 1:
         raise ValueError("m_attach must be >= 1")
-    if n < m_attach + 1:
+    if n < m + 1:
         raise ValueError("need n >= m_attach + 1")
     rng = np.random.default_rng(seed)
-    edges = [(0, i) for i in range(1, m_attach + 1)]
-    # repeated-node list makes degree-proportional sampling O(1)
-    repeated: list[int] = []
-    for u, v in edges:
-        repeated.extend((u, v))
-    for v in range(m_attach + 1, n):
-        targets: set[int] = set()
-        while len(targets) < m_attach:
-            targets.add(repeated[rng.integers(len(repeated))])
-        for u in sorted(targets):
-            edges.append((u, v))
-            repeated.extend((u, v))
-    return build_graph(n, edges)
+    # both ends of every edge in order, so also the flat edge list: 2m entries
+    # for the star, then 2m per arrival, with its targets at the even ones
+    repeated = np.full(2 * m * (n - m), -1, dtype=np.int64)
+    repeated[: 2 * m : 2] = 0
+    repeated[1::2] = np.concatenate((np.arange(1, m + 1), np.repeat(np.arange(m + 1, n), m)))
+    v = m + 1
+    while v < n:
+        end = min(n, v + max(BA_WINDOW_MIN, v // 2))
+        state = rng.bit_generator.state
+        highs = np.repeat(2 * m * np.arange(v - m, end - m), m)
+        targets = repeated[2 * m * (v - m) : 2 * m * (end - m)].reshape(-1, 2 * m)[:, ::2]
+        _resolve_targets(repeated, rng.integers(0, highs), targets)
+        repeats = np.flatnonzero((targets[:, 1:] == targets[:, :-1]).any(axis=1))
+        if not len(repeats):
+            v = end
+            continue
+        # arrival v + a drew a node twice: replay the draws before it, then draw its targets one by one
+        a = int(repeats[0])
+        rng.bit_generator.state = state
+        rng.integers(0, highs[: a * m])
+        targets[a:] = -1
+        drawn: set[int] = set()
+        while len(drawn) < m:
+            drawn.add(int(repeated[rng.integers(highs[a * m])]))
+        targets[a] = sorted(drawn)
+        v += a + 1
+    return build_graph(n, repeated.reshape(-1, 2))
 
 
 def gen_ws(n: int, k_ring: int, p_rewire: float, seed: int) -> Graph:
     """Small-world graph: ring lattice of even degree k_ring, then rewiring."""
+    n, k_ring = _size(n, "n"), _size(k_ring, "k_ring")
     if k_ring % 2 != 0 or k_ring < 2:
         raise ValueError("k_ring must be even and >= 2")
     if k_ring >= n:
@@ -559,13 +644,18 @@ def gen_ws(n: int, k_ring: int, p_rewire: float, seed: int) -> Graph:
 
 def gen_er(n: int, p_edge: float, seed: int) -> Graph:
     """Bernoulli random graph: each pair kept with probability p_edge."""
+    n = _size(n, "n")
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0.0 <= p_edge <= 1.0:
         raise ValueError("p_edge must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges = []
-    for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - u) < p_edge)
-        edges.extend((u, u + 1 + int(j)) for j in hits)
-    return build_graph(n, edges)
+    pairs = n * (n - 1) // 2
+    hits = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, pairs, ER_CHUNK):
+        hits.append(np.flatnonzero(rng.random(min(ER_CHUNK, pairs - start)) < p_edge) + start)
+    k = np.concatenate(hits)
+    # row u holds the pairs (u, u + 1), ..., (u, n - 1), from index first[u]
+    first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
+    u = np.searchsorted(first, k, side="right") - 1
+    return build_graph(n, np.column_stack((u, k - first[u] + u + 1)))

@@ -98,6 +98,37 @@ def corpus_graphs(draw, max_n=40):
     return remove_nodes(g, draw(st.lists(st.integers(0, n - 1), max_size=n // 2, unique=True)))
 
 
+
+# --- draw-by-draw generator oracles -------------------------------------------
+
+
+def loop_gen_ba(n, m_attach, seed):
+    """``gen_ba`` as one scalar ``integers`` call per draw, arrival by arrival."""
+    from critnet.graph import build_graph
+
+    rng = np.random.default_rng(seed)
+    edges = [(0, i) for i in range(1, m_attach + 1)]
+    # repeated-node list makes degree-proportional sampling O(1)
+    repeated = []
+    for u, v in edges:
+        repeated.extend((u, v))
+    for v in range(m_attach + 1, n):
+        targets = set()
+        while len(targets) < m_attach:
+            targets.add(repeated[rng.integers(len(repeated))])
+        for u in sorted(targets):
+            edges.append((u, v))
+            repeated.extend((u, v))
+    return build_graph(n, edges)
+
+
+def pairwise_gen_er(n, p_edge, seed):
+    """``gen_er`` as one scalar ``random`` call per pair (u, v), u < v, in lexicographic order."""
+    from critnet.graph import build_graph
+
+    rng = np.random.default_rng(seed)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p_edge])
+
 def neighbor_lists(g):
     """Adjacency lists rebuilt from ``g.edges`` alone, ignoring the alive mask."""
     adj = [[] for _ in range(g.n)]
@@ -333,3 +364,53 @@ def norm_loop_eigenvector(g, tol=1e-8, max_iter=1000):
             return nxt, True
         x = nxt
     return x, False
+
+
+# --- gradient checking and degree centrality ---------------------------------
+#
+# Only tests use these; the library computes degree centrality inside
+# ``aggregate_features``.
+
+
+def grad_check(scalar_fn, params, eps=1e-5, sample=None, rng=None):
+    """Max relative error between tape gradients and central differences.
+
+    ``scalar_fn`` must rebuild its forward pass from the current parameter
+    values on every call. With ``sample`` set, only that many coordinates
+    per parameter are perturbed (chosen by ``rng``), which keeps the check
+    affordable on large parameter sets.
+    """
+    from critnet import autodiff as ad
+
+    ad.zero_grads(params)
+    scalar_fn().backward()
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+    worst = 0.0
+    for p, an in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        an_flat = an.reshape(-1)
+        coords = range(flat.size)
+        if sample is not None and flat.size > sample:
+            gen = rng if rng is not None else np.random.default_rng(0)
+            coords = gen.choice(flat.size, size=sample, replace=False)
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + eps
+            with ad.no_grad():
+                f_plus = scalar_fn().item()
+            flat[i] = orig - eps
+            with ad.no_grad():
+                f_minus = scalar_fn().item()
+            flat[i] = orig
+            fd = (f_plus - f_minus) / (2.0 * eps)
+            a = an_flat[i]
+            worst = max(worst, abs(fd - a) / max(abs(fd), abs(a), 1e-12))
+    return worst
+
+
+def degree_centrality(g):
+    """Degree divided by (n_alive - 1); zeros when fewer than two nodes remain."""
+    from critnet.features import degree_vector
+
+    deg = degree_vector(g)
+    return deg / (len(deg) - 1) if len(deg) > 1 else np.zeros(len(deg))

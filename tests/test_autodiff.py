@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import per_head_spmm, sparse_patterns, transpose, where_elu
+from conftest import grad_check, per_head_spmm, sparse_patterns, transpose, where_elu
 from critnet import autodiff as ad
 from critnet.graph import build_graph, gen_ba
 
@@ -71,7 +72,7 @@ class TestPrimitives:
         a = rand_tensor(rng, (3, 4))
         b = rand_tensor(rng, (4, 2))
         target = rng.standard_normal((3, 2))
-        err = ad.grad_check(lambda: ad.mse_loss(ad.matmul(a, b), target), [a, b])
+        err = grad_check(lambda: ad.mse_loss(ad.matmul(a, b), target), [a, b])
         assert err < 1e-6
 
     def test_shape_mismatch_raises(self):
@@ -97,7 +98,7 @@ class TestPrimitives:
             both = ad.concat([pooled, ad.mean_rows(g), ad.pick(g, 1, 2)], axis=1)
             return ad.mse_loss(both, target)
 
-        assert ad.grad_check(forward, [w, bias]) < 1e-6
+        assert grad_check(forward, [w, bias]) < 1e-6
 
     @pytest.mark.parametrize(
         "shapes, axis",
@@ -114,7 +115,7 @@ class TestPrimitives:
         rng = np.random.default_rng(12)
         parts = [rand_tensor(rng, s) for s in shapes]
         target = rng.standard_normal(np.concatenate([p.data for p in parts], axis=axis).shape)
-        assert ad.grad_check(lambda: ad.mse_loss(ad.concat(parts, axis=axis), target), parts) < 1e-6
+        assert grad_check(lambda: ad.mse_loss(ad.concat(parts, axis=axis), target), parts) < 1e-6
         assert [p.grad.shape for p in parts] == list(shapes)
 
     def test_add_gradient(self):
@@ -122,7 +123,7 @@ class TestPrimitives:
         a = rand_tensor(rng, (3, 3))
         b = rand_tensor(rng, (3, 3))
         target = rng.standard_normal((3, 3))
-        err = ad.grad_check(lambda: ad.mse_loss(ad.add(a, b), target), [a, b])
+        err = grad_check(lambda: ad.mse_loss(ad.add(a, b), target), [a, b])
         assert err < 1e-6
 
     def test_dropout_eval_is_identity(self):
@@ -168,7 +169,7 @@ class TestPrimitives:
         def forward():
             return ad.mse_loss(ad.dropout(a, 0.4, np.random.default_rng(10), True), target)
 
-        assert ad.grad_check(forward, [a]) < 1e-6
+        assert grad_check(forward, [a]) < 1e-6
 
     def test_block_diag_layout_and_gradient(self):
         rng = np.random.default_rng(11)
@@ -181,7 +182,7 @@ class TestPrimitives:
         assert np.count_nonzero(out) == 7
         x = ad.tensor(rng.standard_normal((4, 6)))
         target = rng.standard_normal((4, 4))
-        err = ad.grad_check(lambda: ad.mse_loss(ad.matmul(x, ad.block_diag(parts)), target), parts)
+        err = grad_check(lambda: ad.mse_loss(ad.matmul(x, ad.block_diag(parts)), target), parts)
         assert err < 1e-6
 
     def test_block_diag_needs_matrices(self):
@@ -229,14 +230,14 @@ class TestSparsePrimitives:
         target = rng.standard_normal((len(pattern.rows), 3))
         out = ad.gather_rows(a, pattern, columns)
         assert np.array_equal(out.data, a.data[pattern.cols if columns else pattern.rows])
-        err = ad.grad_check(lambda: ad.mse_loss(ad.gather_rows(a, pattern, columns), target), [a])
+        err = grad_check(lambda: ad.mse_loss(ad.gather_rows(a, pattern, columns), target), [a])
         assert err < 1e-6
 
     def test_segment_softmax_gradient(self, pattern):
         rng = np.random.default_rng(31)
         logits = rand_tensor(rng, (len(pattern.rows), 1))
         target = rng.standard_normal((len(pattern.rows), 1))
-        err = ad.grad_check(lambda: ad.mse_loss(ad.segment_softmax(logits, pattern), target), [logits])
+        err = grad_check(lambda: ad.mse_loss(ad.segment_softmax(logits, pattern), target), [logits])
         assert err < 1e-6
 
     def test_spmm_gradient(self, pattern):
@@ -246,14 +247,14 @@ class TestSparsePrimitives:
         target = rng.standard_normal((pattern.n, 3))
         out = ad.spmm(values, pattern, x)
         assert np.allclose(out.data, dense(pattern, values.data) @ x.data, rtol=0, atol=1e-14)
-        err = ad.grad_check(lambda: ad.mse_loss(ad.spmm(values, pattern, x), target), [values, x])
+        err = grad_check(lambda: ad.mse_loss(ad.spmm(values, pattern, x), target), [values, x])
         assert err < 1e-6
 
     def test_multi_head_segment_softmax_gradient(self, pattern):
         rng = np.random.default_rng(36)
         logits = rand_tensor(rng, (len(pattern.rows), 4))
         target = rng.standard_normal((len(pattern.rows), 4))
-        err = ad.grad_check(lambda: ad.mse_loss(ad.segment_softmax(logits, pattern), target), [logits])
+        err = grad_check(lambda: ad.mse_loss(ad.segment_softmax(logits, pattern), target), [logits])
         assert err < 1e-6
 
     def test_multi_head_segment_softmax_is_per_column(self, pattern):
@@ -267,7 +268,7 @@ class TestSparsePrimitives:
         values = rand_tensor(rng, (len(pattern.rows), 3))
         x = rand_tensor(rng, (pattern.n, 6))
         target = rng.standard_normal((pattern.n, 6))
-        err = ad.grad_check(lambda: ad.mse_loss(ad.spmm(values, pattern, x), target), [values, x])
+        err = grad_check(lambda: ad.mse_loss(ad.spmm(values, pattern, x), target), [values, x])
         assert err < 1e-6
 
     def test_multi_head_spmm_is_per_head_blocks(self, pattern):
@@ -414,7 +415,7 @@ class TestSlotKernelOracles:
         values, x = rand_tensor(rng, (len(p.rows), 8)), rand_tensor(rng, (p.n, 8 * d))
         target = rng.standard_normal((p.n, 8 * d))
         # the loss is quadratic in each coordinate, so a wide step adds no truncation error
-        err = ad.grad_check(lambda: ad.mse_loss(ad.spmm(values, p, x), target), [values, x], eps=1e-3, sample=12, rng=rng)
+        err = grad_check(lambda: ad.mse_loss(ad.spmm(values, p, x), target), [values, x], eps=1e-3, sample=12, rng=rng)
         assert err < 1e-6
 
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
@@ -422,7 +423,7 @@ class TestSlotKernelOracles:
         rng = np.random.default_rng(seed)
         logits = rand_tensor(rng, (len(p.rows), 8))
         target = rng.standard_normal((len(p.rows), 8))
-        err = ad.grad_check(lambda: ad.mse_loss(ad.segment_softmax(logits, p), target), [logits], eps=1e-4, sample=24, rng=rng)
+        err = grad_check(lambda: ad.mse_loss(ad.segment_softmax(logits, p), target), [logits], eps=1e-4, sample=24, rng=rng)
         # a row of 40+ entries spreads its weight thin, so some gradients are ~1e-7 of a unit loss, and
         # central differences resolve those to about 2e-5 (a wrong rule errs by order 1)
         assert err < 1e-4
@@ -461,7 +462,7 @@ class TestDenseElu:
         rng = np.random.default_rng(47)
         x, w, b = rand_tensor(rng, (9, 4)), rand_tensor(rng, (4, 3)), rand_tensor(rng, (1, 3))
         target = rng.standard_normal((9, 3))
-        assert ad.grad_check(lambda: ad.mse_loss(ad.dense_elu(x, w, b), target), [x, w, b]) < 1e-6
+        assert grad_check(lambda: ad.mse_loss(ad.dense_elu(x, w, b), target), [x, w, b]) < 1e-6
 
     def test_one_output_sized_array(self):
         rng = np.random.default_rng(48)
@@ -482,17 +483,63 @@ class TestDenseElu:
             ad.dense_elu(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((3, 5))), ad.tensor(np.ones((1, 4))))
 
 
+
+class TestLeakyRelu:
+    SPECIAL = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]
+
+    @pytest.mark.parametrize("slope", [0.2, 1e-3, 0.5, 1.0])
+    def test_forward_is_the_two_branch_form_bit_for_bit(self, slope):
+        a = np.concatenate((self.SPECIAL, np.random.default_rng(49).standard_normal(40))).reshape(10, 5)
+        got = ad.leaky_relu(ad.tensor(a), slope).data
+        want = np.where(a > 0, a, slope * a)
+        assert np.array_equal(got, want, equal_nan=True)
+        signed = ~np.isnan(want)  # a NaN's sign bit is left to the platform
+        assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
+
+    @pytest.mark.parametrize("slope", [0.2, 1.0])
+    def test_backward_mask_is_the_input_sign(self, slope):
+        rng = np.random.default_rng(50)
+        a = ad.tensor(np.concatenate(([0.0, -0.0, 5e-324, -5e-324], rng.standard_normal(26))).reshape(6, 5), requires_grad=True)
+        target = rng.standard_normal((6, 5))
+        out = ad.leaky_relu(a, slope)
+        ad.mse_loss(out, target).backward()
+        g = (2.0 / 30) * (out.data - target)  # the loss's gradient at the output
+        assert np.array_equal(a.grad, g * np.where(a.data > 0, 1.0, slope))
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(51)
+        a = rand_tensor(rng, (7, 4))
+        target = rng.standard_normal((7, 4))
+        assert grad_check(lambda: ad.mse_loss(ad.leaky_relu(a, 0.2), target), [a]) < 1e-6
+
+    def test_one_output_sized_array(self):
+        a = ad.tensor(np.random.default_rng(52).standard_normal((20000, 8)))
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = ad.leaky_relu(a, 0.2)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak < out.data.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("slope", [-0.1, 0.0, 1.5, float("nan")])
+    def test_rejects_a_slope_outside_0_1(self, slope):
+        with pytest.raises(ValueError, match=re.escape(f"slope must be in (0, 1], got {slope}")):
+            ad.leaky_relu(ad.tensor(np.ones((2, 2))), slope)
+
 class TestGradCheck:
     def test_quadratic(self):
         theta = ad.tensor(np.array([[1.0, -2.0, 3.0]]), requires_grad=True)
-        err = ad.grad_check(lambda: ad.mse_loss(theta, np.zeros((1, 3))), [theta])
+        err = grad_check(lambda: ad.mse_loss(theta, np.zeros((1, 3))), [theta])
         assert err < 1e-7
 
     def test_sampled_coordinates(self):
         rng = np.random.default_rng(7)
         w = rand_tensor(rng, (10, 10))
         target = rng.standard_normal((10, 10))
-        err = ad.grad_check(
+        err = grad_check(
             lambda: ad.mse_loss(ad.elu(w), target), [w], sample=5, rng=np.random.default_rng(0)
         )
         assert err < 1e-6

@@ -7,7 +7,7 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from conftest import corpus_graphs
+from conftest import corpus_graphs, grad_check
 from critnet import autodiff as ad
 from critnet import decoder as decoder_module
 from critnet.decoder import (
@@ -80,7 +80,7 @@ class TestQHead:
         def loss():
             return ad.mse_loss(q_from_embeddings(emb, params).q, target)
 
-        err = ad.grad_check(loss, params.parameters(), sample=12, rng=np.random.default_rng(9))
+        err = grad_check(loss, params.parameters(), sample=12, rng=np.random.default_rng(9))
         assert err < 1e-4
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import corpus_graphs, dense_encoder, path_graph, per_head_encoder
+from conftest import corpus_graphs, dense_encoder, grad_check, path_graph, per_head_encoder
 from critnet import autodiff as ad
 from critnet.decoder import Model, init_decoder_params, q_from_embeddings
 from critnet.encoder import (
@@ -133,7 +133,7 @@ class TestEncode:
         def loss():
             return ad.mse_loss(encode(g, feats, p), target)
 
-        err = ad.grad_check(loss, p.parameters(), sample=12, rng=np.random.default_rng(17))
+        err = grad_check(loss, p.parameters(), sample=12, rng=np.random.default_rng(17))
         assert err < 1e-4
 
 

@@ -7,6 +7,7 @@ from conftest import (
     complete_graph,
     corpus_graphs,
     cycle_graph,
+    degree_centrality,
     dense_adjacency,
     norm_loop_eigenvector,
     path_graph,
@@ -16,7 +17,6 @@ from conftest import (
 from critnet import features
 from critnet.features import (
     aggregate_features,
-    degree_centrality,
     degree_only_features,
     degree_vector,
     eigenvector_centrality,
@@ -115,6 +115,13 @@ class TestDegreeCentrality:
     def test_single_alive_node(self):
         g = remove_nodes(path_graph(3), [0, 1])
         assert degree_centrality(g).tolist() == [0.0]
+
+    @given(corpus_graphs())
+    def test_is_the_second_aggregate_column_before_scaling(self, g):
+        col = degree_centrality(g)
+        span = col.max() - col.min() if len(col) else 0.0
+        want = (col - col.min()) / span if span > 0 else np.zeros_like(col)
+        np.testing.assert_allclose(aggregate_features(g)[:, 1], want, rtol=0, atol=1e-12)
 
 
 class TestEigenvectorCentrality:

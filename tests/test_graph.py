@@ -15,7 +15,9 @@ from conftest import (
     corpus_graphs,
     cycle_graph,
     dense_attention_mask,
+    loop_gen_ba,
     neighbor_lists,
+    pairwise_gen_er,
     path_graph,
     per_head_spmm,
     random_graph,
@@ -263,6 +265,44 @@ class TestBuildGraph:
         g = build_graph(n, edges)
         assert g.edges == sorted((min(u, v), max(u, v)) for u, v in edges)
         assert g.m == len(edges)
+
+    @given(residual_graphs(), st.sampled_from([np.int32, np.int64, np.uint8]))
+    def test_an_integer_array_builds_the_list_graph(self, case, dtype):
+        n, edges, _ = case
+        want = build_graph(n, edges)
+        got = build_graph(n, np.array(edges, dtype=dtype).reshape(-1, 2))
+        assert all(np.array_equal(a, b) for a, b in zip(got.pattern, want.pattern))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            np.array([[0.0, 1.0]]),
+            np.array([0, 1]),
+            np.array([[0, 1, 2]]),
+            np.array([[True, False]]),
+            np.array([[0, 1]], dtype=object),
+        ],
+        ids=["float", "one-dimensional", "three-columns", "bool", "object"],
+    )
+    def test_rejects_an_array_that_is_not_m_by_2_integers(self, edges):
+        with pytest.raises(ValueError, match="an edge array must be \\(m, 2\\) of integers"):
+            build_graph(3, edges)
+
+    @pytest.mark.parametrize(
+        "edges, dtype, message",
+        [
+            ([(0, 1), (2, 2)], np.int64, "self-loop at node 2"),
+            ([(0, 1), (1, 3)], np.int32, "edge (1, 3) outside id range 0..2"),
+            ([(-1, 1)], np.int8, "edge (-1, 1) outside id range 0..2"),
+            ([(0, 1), (1, 2), (2, 1)], np.uint8, "duplicate edge (2, 1)"),
+            ([(0, 1), (1, 5), (1, 0)], np.int64, "edge (1, 5) outside id range 0..2"),
+            ([(0, 2**63 + 5)], np.uint64, f"edge (0, {2**63 + 5}) outside id range 0..2"),
+        ],
+        ids=["self-loop", "id-equals-n", "negative-id", "duplicate-reversed", "range-before-duplicate", "id-beyond-int64"],
+    )
+    def test_an_array_names_its_first_bad_edge(self, edges, dtype, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_graph(3, np.array(edges, dtype=dtype))
 
 
 class TestPairwiseConnectivity:
@@ -582,10 +622,39 @@ class TestGenerators:
     @example(12, 0.0, 3)
     @example(12, 1.0, 3)
     def test_er_matches_pairwise_draws(self, n, p, seed):
-        # oracle: one scalar rng.random() per pair (u, v), u < v, in lexicographic order
-        rng = np.random.default_rng(seed)
-        want = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        assert gen_er(n, p, seed).edges == want
+        assert gen_er(n, p, seed).edges == pairwise_gen_er(n, p, seed).edges
+
+    @given(st.integers(2, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_er_chunks_split_rows_anywhere(self, n, p, seed, chunk):
+        with mock.patch.object(graph_module, "ER_CHUNK", chunk):
+            assert gen_er(n, p, seed).edges == pairwise_gen_er(n, p, seed).edges
+
+    def test_er_spans_several_draw_chunks(self):
+        n = 1000  # 499500 pairs: three full chunks and part of a fourth
+        assert n * (n - 1) // 2 > 3 * graph_module.ER_CHUNK
+        assert gen_er(n, 4.0 / (n - 1), 5).edges == pairwise_gen_er(n, 4.0 / (n - 1), 5).edges
+
+    @given(st.integers(1, 5).flatmap(lambda m: st.tuples(st.integers(m + 1, 400), st.just(m))), st.integers(0, 2**64 - 1))
+    def test_ba_matches_scalar_draws(self, n_m, seed):
+        n, m_attach = n_m
+        assert gen_ba(n, m_attach, seed).edges == loop_gen_ba(n, m_attach, seed).edges
+
+    def test_ba_matches_scalar_draws_on_every_small_case(self):
+        for n in range(2, 60):
+            for m_attach in range(1, min(n, 5)):
+                for seed in range(4):
+                    assert gen_ba(n, m_attach, seed).edges == loop_gen_ba(n, m_attach, seed).edges, (n, m_attach, seed)
+
+    @pytest.mark.parametrize("n, seed", [(1000, 1), (1000, 2), (1000, 3), (5000, 1)])
+    def test_ba_matches_scalar_draws_at_benchmark_sizes(self, n, seed):
+        assert gen_ba(n, 2, seed).edges == loop_gen_ba(n, 2, seed).edges
+
+    @pytest.mark.parametrize("window", [1, 10**6])
+    def test_ba_does_not_depend_on_the_window(self, window):
+        # one arrival per window, or one window up to each repeat
+        with mock.patch.object(graph_module, "BA_WINDOW_MIN", window):
+            for n, m_attach, seed in [(300, 2, 7), (200, 4, 8), (100, 1, 9)]:
+                assert gen_ba(n, m_attach, seed).edges == loop_gen_ba(n, m_attach, seed).edges
 
     @pytest.mark.parametrize(
         "call",
@@ -597,8 +666,31 @@ class TestGenerators:
             lambda: gen_ws(10, 4, 1.5, 0),
             lambda: gen_er(10, -0.1, 0),
             lambda: gen_er(0, 0.5, 0),
+            lambda: gen_ba(10, 2.0, 0),
+            lambda: gen_er(10.0, 0.3, 0),
+            lambda: gen_ws(10, 4.0, 0.1, 0),
         ],
     )
     def test_parameter_validation(self, call):
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: gen_ba(10, 2.0, 0), "m_attach must be an integer, got 2.0"),
+            (lambda: gen_ba("10", 2, 0), "n must be an integer, got '10'"),
+            (lambda: gen_er(10.0, 0.3, 0), "n must be an integer, got 10.0"),
+            (lambda: gen_ws(10, 4.0, 0.1, 0), "k_ring must be an integer, got 4.0"),
+            (lambda: gen_ws(10.5, 4, 0.1, 0), "n must be an integer, got 10.5"),
+        ],
+        ids=["ba-m_attach", "ba-n", "er-n", "ws-k_ring", "ws-n"],
+    )
+    def test_a_non_integer_size_is_named(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        assert gen_ba(np.int64(30), np.int32(2), 1).edges == gen_ba(30, 2, 1).edges
+        assert gen_ws(np.int64(30), np.uint8(4), 0.2, 1).edges == gen_ws(30, 4, 0.2, 1).edges
+        assert gen_er(np.int16(30), 0.2, 1).edges == gen_er(30, 0.2, 1).edges

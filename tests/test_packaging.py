@@ -1,6 +1,8 @@
+import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,22 @@ def test_perfbench_trace_targets_resolve_in_src():
             target = getattr(target, part)
         assert callable(target), f"{module_name}.{path}"
         assert src in Path(inspect.getsourcefile(target)).resolve().parents, f"{module_name}.{path} is not in src/"
+
+
+def test_the_runtime_imports_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency pyproject.toml declares; any other
+    # import in the package would fail on an install that has only numpy
+    allowed = set(sys.stdlib_module_names) | {"numpy", "critnet"}
+    found = {}
+    for path in sorted((Path(__file__).parents[1] / "src" / "critnet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.partition(".")[0], []).append(f"{path.name}:{node.lineno}")
+    assert found.keys() >= {"numpy"}
+    assert {m: where for m, where in found.items() if m not in allowed} == {}
