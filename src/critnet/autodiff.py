@@ -47,6 +47,11 @@ def _spent(grad: np.ndarray) -> None:
     raise ValueError("this tensor's graph was freed by an earlier backward(); rebuild the forward pass")
 
 
+def grad_enabled() -> bool:
+    """Whether new ops record their backward rules (False inside ``no_grad()``)."""
+    return _grad_enabled
+
+
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording within the context (inference mode)."""
@@ -80,8 +85,16 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g``, an array other tensors may also receive, to ``.grad``; the first one is copied."""
         if self.grad is None:
             self.grad = g.copy()
+        else:
+            self.grad += g
+
+    def _adopt(self, g: np.ndarray) -> None:
+        """Add ``g``, a fresh array no one else holds, to ``.grad``; the first one becomes ``.grad`` uncopied."""
+        if self.grad is None:
+            self.grad = g
         else:
             self.grad += g
 
@@ -115,7 +128,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._adopt(np.ones_like(self.data))
         while order:
             node = order.pop()  # the list lets go of each tensor as it is consumed
             if node._backward is None:
@@ -152,8 +165,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        a._adopt(g @ b.data.T)
+        b._adopt(a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -169,16 +182,33 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def add_bias(a: Tensor, bias: Tensor) -> Tensor:
-    """Add a (1, d) row to every row of an (n, d) matrix."""
-    if bias.shape != (1, a.shape[1]):
-        raise ValueError(f"bias shape {bias.shape} incompatible with {a.shape}")
+def _segments(n: int, offsets) -> list[tuple[int, int]]:
+    """The (start, stop) rows of each segment ``offsets[i]:offsets[i + 1]``; ``None`` is all ``n`` rows as one."""
+    if offsets is None:
+        return [(0, n)]
+    offsets = [int(o) for o in offsets]
+    bounds = list(zip(offsets[:-1], offsets[1:]))
+    if not bounds or offsets[0] != 0 or offsets[-1] != n or any(hi <= lo for lo, hi in bounds):
+        raise ValueError(f"row offsets {offsets} do not split {n} rows into non-empty segments")
+    return bounds
+
+
+def add_bias(a: Tensor, bias: Tensor, offsets=None) -> Tensor:
+    """Add a (1, d) row to every row of an (n, d) matrix.
+
+    With row ``offsets``, ``bias`` holds one row per segment, and row i goes
+    to the rows ``offsets[i]:offsets[i + 1]``.
+    """
+    bounds = _segments(a.shape[0], offsets)
+    if bias.shape != (len(bounds), a.shape[1]):
+        raise ValueError(f"bias shape {bias.shape} incompatible with {a.shape} in {len(bounds)} segment(s)")
+    rows = bias.data if offsets is None else np.repeat(bias.data, [hi - lo for lo, hi in bounds], axis=0)
 
     def backward(g):
         a._accumulate(g)
-        bias._accumulate(g.sum(axis=0, keepdims=True))
+        bias._adopt(np.concatenate([g[lo:hi].sum(axis=0, keepdims=True) for lo, hi in bounds]))
 
-    return _make(a.data + bias.data, (a, bias), backward)
+    return _make(a.data + rows, (a, bias), backward)
 
 
 # rows of a dense layer's output that take their bias and ELU together: a block stays in cache
@@ -204,15 +234,37 @@ def dense_elu(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         g = g * _elu_slope(out)
-        product._accumulate(g)
-        bias._accumulate(g.sum(axis=0, keepdims=True))
+        bias._adopt(g.sum(axis=0, keepdims=True))
+        product._adopt(g)
 
     return _make(out, (product, bias), backward)
 
 
+def head_dots(x: Tensor, a: Tensor) -> Tensor:
+    """Block h of ``x``'s columns dotted with row h of ``a``, for each of H heads: n x H.
+
+    ``x`` is n x H*d, H blocks of d columns, and ``a`` is H x d. The result
+    is ``x`` times the H*d x H block-diagonal matrix whose block h is row h
+    of ``a`` as a column, and runs as that one product, so it is bit-equal
+    to forming that matrix from per-head d x 1 tensors.
+    """
+    heads, d = a.shape
+    if x.data.ndim != 2 or x.shape[1] != heads * d:
+        raise ValueError(f"head_dots shape mismatch: {x.shape} against {heads} heads of width {d}")
+    diagonal = (np.arange(heads * d), np.repeat(np.arange(heads), d))
+    blocks = np.zeros((heads * d, heads))
+    blocks[diagonal] = a.data.reshape(-1)
+
+    def backward(g):
+        x._adopt(g @ blocks.T)
+        a._adopt((x.data.T @ g)[diagonal].reshape(heads, d))
+
+    return _make(x.data @ blocks, (x, a), backward)
+
+
 def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
-        a._accumulate(g * c)
+        a._adopt(g * c)
 
     return _make(a.data * c, (a,), backward)
 
@@ -232,7 +284,7 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
     def backward(g):
         grad = g * slope
         np.copyto(grad, g, where=out > 0)
-        a._accumulate(grad)
+        a._adopt(grad)
 
     return _make(out, (a,), backward)
 
@@ -243,14 +295,18 @@ def elu(a: Tensor) -> Tensor:
     np.maximum(a.data, out, out=out)  # a > 0 keeps a; a <= 0 gives expm1(a), which is >= a
 
     def backward(g):
-        a._accumulate(g * _elu_slope(out))
+        a._adopt(g * _elu_slope(out))
 
     return _make(out, (a,), backward)
 
 
 def _elu_slope(out: np.ndarray) -> np.ndarray:
-    """The ELU's derivative, read from its output: 1 where positive, else ``exp(a) = out + 1``."""
-    return np.where(out > 0, 1.0, out + 1.0)
+    """The ELU's derivative, read from its output: 1 where positive, else ``exp(a) = out + 1``.
+
+    That is ``min(out + 1, 1)``, in one buffer: ``out > 0`` exactly where ``out + 1 > 1``.
+    """
+    slope = out + 1.0
+    return np.minimum(slope, 1.0, out=slope)
 
 
 def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
@@ -271,7 +327,7 @@ def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
 
     def backward(g):
         dot = (g * p).sum(axis=1, keepdims=True)
-        logits._accumulate(p * (g - dot))
+        logits._adopt(p * (g - dot))
 
     return _make(p, (logits,), backward)
 
@@ -283,7 +339,7 @@ def gather_rows(a: Tensor, pattern: SparsePattern, columns: bool = False) -> Ten
     index = pattern.cols if columns else pattern.rows
 
     def backward(g):
-        a._accumulate(pattern.row_sums(np.take(g, pattern.transpose, axis=0) if columns else g))
+        a._adopt(pattern.row_sums(np.take(g, pattern.transpose, axis=0) if columns else g))
 
     return _make(np.take(a.data, index, axis=0), (a,), backward)
 
@@ -305,7 +361,7 @@ def segment_softmax(logits: Tensor, pattern: SparsePattern) -> Tensor:
         gp = np.take(pattern.row_sums(g * p), pattern.rows, axis=0)
         np.subtract(g, gp, out=gp)
         gp *= p
-        logits._accumulate(gp)
+        logits._adopt(gp)
 
     return _make(p, (logits,), backward)
 
@@ -326,9 +382,9 @@ def spmm(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
     w = values.data
 
     def backward(g):
-        values._accumulate(pattern.entry_dots(g, x.data, heads))
+        values._adopt(pattern.entry_dots(g, x.data, heads))
         # entry transpose[e] sits at (cols[e], rows[e]): its weight times g's row cols[e]
-        x._accumulate(pattern.weighted_row_sums(np.take(w, pattern.transpose, axis=0), g))
+        x._adopt(pattern.weighted_row_sums(np.take(w, pattern.transpose, axis=0), g))
 
     return _make(pattern.weighted_row_sums(w, x.data), (values, x), backward)
 
@@ -347,19 +403,25 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
     keep = (rng.random(a.shape[::-1]).T >= rate) / (1.0 - rate)
 
     def backward(g):
-        a._accumulate(g * keep)
+        a._adopt(g * keep)
 
     return _make(a.data * keep, (a,), backward)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Column means as a (1, d) row (mean pooling over rows)."""
-    n = a.shape[0]
+def mean_rows(a: Tensor, offsets=None) -> Tensor:
+    """Column means as a (1, d) row (mean pooling over rows).
+
+    With row ``offsets``, one row per segment: row i averages the rows
+    ``offsets[i]:offsets[i + 1]``, each segment on its own, exactly as a
+    matrix of just those rows would be averaged.
+    """
+    bounds = _segments(a.shape[0], offsets)
+    counts = [hi - lo for lo, hi in bounds]
 
     def backward(g):
-        a._accumulate(np.repeat(g / n, n, axis=0))
+        a._adopt(np.repeat(g / np.reshape(counts, (-1, 1)), counts, axis=0))
 
-    return _make(a.data.mean(axis=0, keepdims=True), (a,), backward)
+    return _make(np.concatenate([a.data[lo:hi].mean(axis=0, keepdims=True) for lo, hi in bounds]), (a,), backward)
 
 
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
@@ -372,24 +434,6 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
-def block_diag(parts: list[Tensor]) -> Tensor:
-    """The 2-D ``parts`` along the diagonal of one zero-filled matrix."""
-    if not parts or any(p.data.ndim != 2 for p in parts):
-        raise ValueError(f"block_diag needs 2-D parts, got shapes {[p.shape for p in parts]}")
-    rows = np.cumsum([0] + [p.shape[0] for p in parts])
-    cols = np.cumsum([0] + [p.shape[1] for p in parts])
-    blocks = [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in zip(rows, rows[1:], cols, cols[1:])]
-    out = np.zeros((rows[-1], cols[-1]))
-    for p, b in zip(parts, blocks):
-        out[b] = p.data
-
-    def backward(g):
-        for p, b in zip(parts, blocks):
-            p._accumulate(g[b])
-
-    return _make(out, tuple(parts), backward)
-
-
 def pick(a: Tensor, row: int, col: int = 0) -> Tensor:
     """Extract one entry of a matrix as a (1, 1) tensor; negative indices are out of range."""
     if a.data.ndim != 2 or not (0 <= row < a.shape[0] and 0 <= col < a.shape[1]):
@@ -398,7 +442,7 @@ def pick(a: Tensor, row: int, col: int = 0) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[row, col] = g[0, 0]
-        a._accumulate(full)
+        a._adopt(full)
 
     return _make(a.data[row, col].reshape(1, 1), (a,), backward)
 
@@ -411,7 +455,7 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     n = diff.size
 
     def backward(g):
-        pred._accumulate((2.0 / n) * diff * g[0, 0])
+        pred._adopt((2.0 / n) * diff * g[0, 0])
 
     return _make(np.array([[float((diff * diff).mean())]]), (pred,), backward)
 

@@ -10,7 +10,12 @@ over the currently alive action set:
 The per-node stream alone (``value_head=None``) gives the plain,
 non-dueling Q head used by the ablation. Targets are double-DQN: the online
 network picks the argmax action in the next state, the target network
-scores it.
+scores it. ``td_targets`` scores every non-terminal next state of a batch
+in one forward per network, over the states' disjoint union (a
+``GraphBatch``): attention stays within a state, and the dueling head
+pools and centres each state's rows on their own. Inference runs the
+node head ``DENSE_BLOCK_ROWS`` rows at a time, so its n x 256 hidden layer
+never exists whole.
 
 Input features are memoised on the residual state they describe
 (``Model.features`` keeps them in ``Graph.memo``). The memo belongs to the
@@ -31,7 +36,7 @@ import numpy as np
 from critnet import autodiff as ad
 from critnet.encoder import DROPOUT_PROFILES, EMBEDDING_DIM, EncoderParams, encode
 from critnet.features import aggregate_features, degree_only_features
-from critnet.graph import Graph, remove_nodes, with_alive_mask
+from critnet.graph import Graph, GraphBatch, remove_nodes, with_alive_mask
 
 Q_HIDDEN_DIM = 256
 
@@ -82,7 +87,14 @@ def init_decoder_params(rng: np.random.Generator, dueling: bool = True) -> Decod
 
 
 def _mlp(x: ad.Tensor, p: MlpParams) -> ad.Tensor:
-    return ad.add_bias(ad.matmul(ad.dense_elu(x, p.w1, p.b1), p.w2), p.b2)
+    if ad.grad_enabled():
+        return ad.add_bias(ad.matmul(ad.dense_elu(x, p.w1, p.b1), p.w2), p.b2)
+    # nothing is recorded, so the hidden layer can go a block of rows at a time
+    out = np.empty((x.shape[0], p.w2.shape[1]))
+    for start in range(0, len(out), ad.DENSE_BLOCK_ROWS):
+        rows = slice(start, start + ad.DENSE_BLOCK_ROWS)
+        out[rows] = ad.dense_elu(ad.tensor(x.data[rows]), p.w1, p.b1).data @ p.w2.data
+    return ad.add_bias(ad.tensor(out), p.b2)
 
 
 class QOutput(NamedTuple):
@@ -91,16 +103,21 @@ class QOutput(NamedTuple):
     advantage: ad.Tensor | None
 
 
-def q_from_embeddings(emb: ad.Tensor, params: DecoderParams) -> QOutput:
-    """Differentiable Q over the alive rows of an embedding matrix."""
+def q_from_embeddings(emb: ad.Tensor, params: DecoderParams, offsets=None) -> QOutput:
+    """Differentiable Q over the alive rows of an embedding matrix.
+
+    With a ``GraphBatch``'s row ``offsets``, the rows are several states'
+    nodes: the dueling head pools and centres each state's rows on their
+    own, and ``value`` has one row per state.
+    """
     if emb.shape[0] == 0:
         raise ValueError("no alive nodes to score")
     adv = _mlp(emb, params.node_head)
     if params.value_head is None:
         return QOutput(q=adv, value=None, advantage=None)
-    value = _mlp(ad.mean_rows(emb), params.value_head)
-    center = ad.add(value, ad.scale(ad.mean_rows(adv), -1.0))
-    return QOutput(q=ad.add_bias(adv, center), value=value, advantage=adv)
+    value = _mlp(ad.mean_rows(emb, offsets), params.value_head)
+    center = ad.add(value, ad.scale(ad.mean_rows(adv, offsets), -1.0))
+    return QOutput(q=ad.add_bias(adv, center, offsets), value=value, advantage=adv)
 
 
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -221,11 +238,14 @@ class Model:
     def parameters(self) -> list[ad.Tensor]:
         return self.encoder.parameters() + self.decoder.parameters()
 
-    def features(self, g: Graph) -> np.ndarray:
+    def features(self, g: Graph | GraphBatch) -> np.ndarray:
         """Read-only ``n_alive x 4`` input matrix of ``g``, memoised on its state per feature mode.
 
-        Models with the same ``feature_mode`` share one matrix per state.
+        Models with the same ``feature_mode`` share one matrix per state. A
+        batch stacks its states' matrices in order.
         """
+        if isinstance(g, GraphBatch):
+            return np.concatenate([self.features(s) for s in g.graphs])
         feats = g.memo.get(self.feature_mode)
         if feats is None:
             feats = degree_only_features(g) if self.feature_mode == "degree" else aggregate_features(g)
@@ -233,21 +253,30 @@ class Model:
             g.memo[self.feature_mode] = feats
         return feats
 
-    def embed(self, g: Graph, training: bool = False, rng: np.random.Generator | None = None) -> ad.Tensor:
-        if g.n_alive() == 0:
+    def embed(self, g: Graph | GraphBatch, training: bool = False, rng: np.random.Generator | None = None) -> ad.Tensor:
+        if any(s.n_alive() == 0 for s in (g.graphs if isinstance(g, GraphBatch) else (g,))):
             raise ValueError("no alive nodes to score")
         return encode(g, self.features(g), self.encoder, training, rng, self.dropout_profile)
 
-    def q_output(self, g: Graph, training: bool = False, rng: np.random.Generator | None = None) -> QOutput:
-        return q_from_embeddings(self.embed(g, training, rng), self.decoder)
+    def q_output(self, g: Graph | GraphBatch, training: bool = False, rng: np.random.Generator | None = None) -> QOutput:
+        offsets = g.offsets if isinstance(g, GraphBatch) else None
+        return q_from_embeddings(self.embed(g, training, rng), self.decoder, offsets)
 
-    def q_full(self, g: Graph) -> np.ndarray:
-        """Inference-mode Q over all node ids; dead nodes are -inf."""
+    def q_full(self, g: Graph | GraphBatch) -> np.ndarray | list[np.ndarray]:
+        """Inference-mode Q over all node ids; dead nodes are -inf.
+
+        A ``GraphBatch`` gives one such array per state, from one forward
+        over all of them.
+        """
         with ad.no_grad():
-            out = self.q_output(g)
-        q = np.full(g.n, -np.inf)
-        q[g.alive_ids()] = out.q.data[:, 0]
-        return q
+            q = self.q_output(g).q.data[:, 0]
+        states, offsets = (g.graphs, g.offsets) if isinstance(g, GraphBatch) else ((g,), (0, len(q)))
+        out = []
+        for s, lo, hi in zip(states, offsets, offsets[1:]):
+            full = np.full(s.n, -np.inf)
+            full[s.alive_ids()] = q[lo:hi]
+            out.append(full)
+        return out if isinstance(g, GraphBatch) else out[0]
 
 
 def td_targets(batch: list[Transition], online: Model, target: Model, gamma: float) -> np.ndarray:
@@ -256,24 +285,26 @@ def td_targets(batch: list[Transition], online: Model, target: Model, gamma: flo
     y = r + gamma * Q_target(s', argmax_a Q_online(s', a)), or y = r for a
     terminal transition. This is <= the vanilla target r + gamma * max_a
     Q_target(s', a), with equality when the two argmaxes agree or tie.
-    Next-state features come from the state's memo, so each is computed
-    once per feature mode while any view of that state is alive: the
-    buffered transition's own, the next transition's ``state()``, or the
-    live episode view. A ``gamma`` outside [0, 1] raises, so does an online
-    Q-value that ``select_action`` rejects (NaN or +inf), and so does a
-    target value that is not finite, naming its batch index.
+    The non-terminal next states go into one ``GraphBatch``, and each
+    network scores them all in one ``q_full``; a batch of terminal
+    transitions runs no forward. Next-state features come from the state's
+    memo, so each is computed once per feature mode while any view of that
+    state is alive: the buffered transition's own, the next transition's
+    ``state()``, or the live episode view. A ``gamma`` outside [0, 1]
+    raises, so does an online Q-value that ``select_action`` rejects (NaN
+    or +inf), and so does a target value that is not finite, naming its
+    batch index.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    ys = np.empty(len(batch))
-    for i, t in enumerate(batch):
-        if t.terminal:
-            ys[i] = t.reward
-            continue
-        nxt = t.next_state()
-        best = select_action(online.q_full(nxt), 0.0, None)
-        value = target.q_full(nxt)[best]
+    ys = np.array([t.reward for t in batch], dtype=np.float64)
+    live = [i for i, t in enumerate(batch) if not t.terminal]
+    if not live:
+        return ys
+    states = GraphBatch.of(batch[i].next_state() for i in live)
+    for i, q_online, q_target in zip(live, online.q_full(states), target.q_full(states)):
+        value = q_target[select_action(q_online, 0.0, None)]
         if not np.isfinite(value):
             raise ValueError(f"target network value {value} for batch index {i} is not finite")
-        ys[i] = t.reward + gamma * value
+        ys[i] += gamma * value
     return ys

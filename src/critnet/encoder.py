@@ -8,9 +8,15 @@ E = 2 * m_alive + n_alive entries, and no n x n array is formed. Per head:
 linear transform, per-entry logits ``src[row] + dst[col]`` through a
 leaky-relu(0.2), a softmax over each row's entries, dropout on the E
 attention values, then the sparse attention-weighted sum. Head outputs are
-concatenated and passed through an ELU. The parameters stay per head, but
-``gat_layer`` runs all heads as one chain: one product with the
-concatenated head weights, then E x H logits and attention values.
+concatenated and passed through an ELU. Each layer keeps one tensor per
+role: ``w`` (in x H*d) holds the heads' transforms side by side, and
+``a_src`` and ``a_dst`` (H x d) hold one attention vector per row. So
+``gat_layer`` runs all heads as one chain (one product with ``w``, then
+``head_dots`` to E x H logits and attention values), and no per-head
+tensor is concatenated on the tape. A seed draws the weights head after
+head, as separate per-head tensors would, so the layout changes no value.
+Given a ``GraphBatch``, ``encode`` runs once over the disjoint union of
+its states, and no attention crosses from one state to another.
 
 ``encode`` takes one of two dropout profiles from ``DROPOUT_PROFILES``:
 
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from critnet import autodiff as ad
-from critnet.graph import Graph, SparsePattern, residual
+from critnet.graph import Graph, GraphBatch, SparsePattern, residual
 
 IN_FEATURES = 4
 N_HEADS = 8
@@ -48,7 +54,9 @@ DROPOUT_PROFILES = {"reduced": (0.0, 0.0, 0.0, 0.3), "original": (0.6, 0.6, 0.6,
 
 
 @dataclass
-class HeadParams:
+class LayerParams:
+    """One attention layer: head h owns columns ``h*d:(h+1)*d`` of ``w`` and row h of ``a_src`` and ``a_dst``."""
+
     w: ad.Tensor
     a_src: ad.Tensor
     a_dst: ad.Tensor
@@ -56,26 +64,29 @@ class HeadParams:
 
 @dataclass
 class EncoderParams:
-    layer1: list[HeadParams]
-    layer2: list[HeadParams]
+    layer1: LayerParams
+    layer2: LayerParams
 
     def parameters(self) -> list[ad.Tensor]:
         return [t for _, t in self.named_parameters()]
 
     def named_parameters(self) -> list[tuple[str, ad.Tensor]]:
-        out = []
-        for li, layer in enumerate((self.layer1, self.layer2), start=1):
-            for hi, head in enumerate(layer):
-                for name in ("w", "a_src", "a_dst"):
-                    out.append((f"encoder.l{li}.h{hi}.{name}", getattr(head, name)))
-        return out
+        return [
+            (f"encoder.l{li}.{name}", getattr(layer, name))
+            for li, layer in enumerate((self.layer1, self.layer2), start=1)
+            for name in ("w", "a_src", "a_dst")
+        ]
 
 
-def _init_layer(rng: np.random.Generator, in_dim: int, out_dim: int) -> list[HeadParams]:
-    return [
-        HeadParams(ad.glorot(rng, in_dim, out_dim), ad.glorot(rng, out_dim, 1), ad.glorot(rng, out_dim, 1))
-        for _ in range(N_HEADS)
-    ]
+def _init_layer(rng: np.random.Generator, in_dim: int, per_head: int) -> LayerParams:
+    """Glorot weights drawn head after head: a head's in x d transform, then its two d x 1 attention vectors."""
+    w = np.empty((in_dim, N_HEADS * per_head))
+    a_src, a_dst = np.empty((N_HEADS, per_head)), np.empty((N_HEADS, per_head))
+    for h in range(N_HEADS):
+        w[:, h * per_head : (h + 1) * per_head] = ad.glorot(rng, in_dim, per_head).data
+        a_src[h] = ad.glorot(rng, per_head, 1).data[:, 0]
+        a_dst[h] = ad.glorot(rng, per_head, 1).data[:, 0]
+    return LayerParams(*(ad.tensor(t, requires_grad=True) for t in (w, a_src, a_dst)))
 
 
 def init_encoder_params(rng: np.random.Generator) -> EncoderParams:
@@ -85,15 +96,18 @@ def init_encoder_params(rng: np.random.Generator) -> EncoderParams:
     )
 
 
-def attention_mask(g: Graph) -> SparsePattern:
-    """Closed-neighborhood pattern of the alive subgraph (alive edges both ways plus self-loops)."""
-    return residual(g)
+def attention_mask(g: Graph | GraphBatch) -> SparsePattern:
+    """Closed-neighborhood pattern of the alive subgraph (alive edges both ways plus self-loops).
+
+    A ``GraphBatch`` gives the disjoint union of its states' patterns.
+    """
+    return g.pattern if isinstance(g, GraphBatch) else residual(g)
 
 
 def gat_layer(
     h: ad.Tensor,
     mask: SparsePattern,
-    heads: list[HeadParams],
+    layer: LayerParams,
     dropout_rate: float,
     training: bool,
     rng: np.random.Generator | None = None,
@@ -101,29 +115,33 @@ def gat_layer(
     """One multi-head attention layer; returns elu(concat of head outputs).
 
     All H heads share one chain: ``hw`` holds every head's transform side
-    by side (n x H*d), the block-diagonal attention vectors turn it into
-    n x H source and destination logits, and the attention values are
+    by side (n x H*d), ``head_dots`` with the attention vectors turns it
+    into n x H source and destination logits, and the attention values are
     E x H. Dropout draws head after head, as H per-head layers would.
     """
     if mask.n != h.shape[0]:
         raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
-    hw = ad.matmul(h, ad.concat([head.w for head in heads], axis=1))
-    src = ad.gather_rows(ad.matmul(hw, ad.block_diag([head.a_src for head in heads])), mask)
-    dst = ad.gather_rows(ad.matmul(hw, ad.block_diag([head.a_dst for head in heads])), mask, columns=True)
+    hw = ad.matmul(h, layer.w)
+    src = ad.gather_rows(ad.head_dots(hw, layer.a_src), mask)
+    dst = ad.gather_rows(ad.head_dots(hw, layer.a_dst), mask, columns=True)
     att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
     att = ad.dropout(att, dropout_rate, rng, training)
     return ad.elu(ad.spmm(att, mask, hw))
 
 
 def encode(
-    g: Graph,
+    g: Graph | GraphBatch,
     features: np.ndarray,
     params: EncoderParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
     profile: str = "reduced",
 ) -> ad.Tensor:
-    """Per-node embeddings (n_alive x 96) under a ``DROPOUT_PROFILES`` profile."""
+    """Per-node embeddings (n_alive x 96) under a ``DROPOUT_PROFILES`` profile.
+
+    For a ``GraphBatch`` the rows are every state's alive nodes, state after
+    state; attention never crosses from one state to another.
+    """
     if profile not in DROPOUT_PROFILES:
         raise ValueError(f"unknown dropout profile {profile!r}; known: {', '.join(DROPOUT_PROFILES)}")
     in1, att1, in2, att2 = DROPOUT_PROFILES[profile]

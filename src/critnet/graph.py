@@ -16,10 +16,12 @@ the last of them.
 renumbers the stored pattern's alive entries into the alive subgraph's CSR,
 which features, the encoder and the objective all read. A pattern also owns
 the row kernels the attention layers run on it, over a slot-major layout of
-its entries that the first kernel call builds. One engine on that
-CSR, a numpy pointer-jumping fixpoint, finds the components behind
-``connected_components`` and the exact pairwise-connectivity objective. The
-module also holds edge-list ingestion and the synthetic generators.
+its entries that the first kernel call builds. A ``GraphBatch`` lays
+several states' residual patterns side by side, so one forward scores them
+all. One engine on that CSR, a numpy pointer-jumping fixpoint, finds the
+components behind ``connected_components`` and the exact
+pairwise-connectivity objective. The module also holds edge-list ingestion
+and the synthetic generators.
 """
 from __future__ import annotations
 
@@ -380,6 +382,45 @@ def residual(g: Graph) -> SparsePattern:
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=g.n_alive()))))
     transpose = (np.cumsum(keep) - 1)[p.transpose[keep]]
     return SparsePattern(indptr, rows, position[p.cols[keep]], transpose)
+
+
+def disjoint_union(patterns: list[SparsePattern]) -> SparsePattern:
+    """The patterns along the diagonal of one pattern: each one's rows, columns and entries follow the ones before it.
+
+    One pattern is returned as it is.
+    """
+    if len(patterns) == 1:
+        return patterns[0]
+    rows = np.cumsum([0] + [p.n for p in patterns])
+    entries = np.cumsum([0] + [len(p.rows) for p in patterns])
+    return SparsePattern(
+        np.concatenate([p.indptr[:-1] + e for p, e in zip(patterns, entries)] + [entries[-1:]]),
+        np.concatenate([p.rows + r for p, r in zip(patterns, rows)]),
+        np.concatenate([p.cols + r for p, r in zip(patterns, rows)]),
+        np.concatenate([p.transpose + e for p, e in zip(patterns, entries)]),
+    )
+
+
+class GraphBatch(NamedTuple):
+    """Residual states side by side, for one forward over all of them (disjoint-union batching).
+
+    ``pattern`` is the ``disjoint_union`` of the states' ``residual``
+    patterns: state i owns rows ``offsets[i]:offsets[i + 1]``, its alive
+    nodes in id order, and no entry joins two states. A batch of one state
+    holds that state's ``residual`` pattern.
+    """
+
+    graphs: tuple[Graph, ...]
+    pattern: SparsePattern
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, graphs: Iterable[Graph]) -> "GraphBatch":
+        graphs = tuple(graphs)
+        if not graphs:
+            raise ValueError("a batch holds at least one state")
+        patterns = [residual(g) for g in graphs]
+        return cls(graphs, disjoint_union(patterns), np.cumsum([0] + [p.n for p in patterns]))
 
 
 class ParseResult(NamedTuple):

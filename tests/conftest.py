@@ -1,6 +1,7 @@
 import contextlib
 import os
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -214,7 +215,38 @@ def dense_attention_mask(g):
     return mask
 
 
-def dense_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
+def cut(a, index):
+    """``a.data[index]`` for a basic (slice) index, as a tape op that routes the gradient back into place."""
+    from critnet import autodiff as ad
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[index] = g
+        a._accumulate(full)
+
+    return ad._make(a.data[index].copy(), (a,), backward)
+
+
+class HeadParams(NamedTuple):
+    w: object
+    a_src: object
+    a_dst: object
+
+
+def layer_heads(layer):
+    """Each head's tensors cut out of a layer's by tape ops: its in x d ``w`` and d x 1 attention vectors."""
+    d = layer.a_src.shape[1]
+    return [
+        HeadParams(
+            cut(layer.w, (slice(None), slice(h * d, (h + 1) * d))),
+            transpose(cut(layer.a_src, (slice(h, h + 1), slice(None)))),
+            transpose(cut(layer.a_dst, (slice(h, h + 1), slice(None)))),
+        )
+        for h in range(layer.a_src.shape[0])
+    ]
+
+
+def dense_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
     """The encoder's attention layer over dense n x n logits, masks and softmaxes."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
@@ -223,7 +255,7 @@ def dense_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
     ones_row = ad.tensor(np.ones((1, n)))
     ones_col = ad.tensor(np.ones((n, 1)))
     outputs = []
-    for head in heads:
+    for head in layer_heads(layer):
         hw = ad.matmul(h, head.w)
         src = ad.matmul(hw, head.a_src)
         dst = ad.matmul(hw, head.a_dst)
@@ -318,7 +350,7 @@ def sparse_patterns(draw):
 # --- per-head attention oracle ------------------------------------------------
 
 
-def per_head_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
+def per_head_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
     """The encoder's attention layer run one head at a time, each with its own E x 1 chain and ``reduceat`` product."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
@@ -326,7 +358,7 @@ def per_head_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
     if mask.n != h.shape[0]:
         raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
     outputs = []
-    for head in heads:
+    for head in layer_heads(layer):
         hw = ad.matmul(h, head.w)
         src = ad.gather_rows(ad.matmul(hw, head.a_src), mask)
         dst = ad.gather_rows(ad.matmul(hw, head.a_dst), mask, columns=True)
@@ -334,6 +366,54 @@ def per_head_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
         att = ad.dropout(att, dropout_rate, rng, training)
         outputs.append(per_head_spmm(att, mask, hw))
     return ad.elu(ad.concat(outputs, axis=1))
+
+
+def block_diag(parts):
+    """The 2-D ``parts`` along the diagonal of one zero-filled matrix, as a tape op."""
+    from critnet import autodiff as ad
+
+    if not parts or any(p.data.ndim != 2 for p in parts):
+        raise ValueError(f"block_diag needs 2-D parts, got shapes {[p.shape for p in parts]}")
+    rows = np.cumsum([0] + [p.shape[0] for p in parts])
+    cols = np.cumsum([0] + [p.shape[1] for p in parts])
+    blocks = [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in zip(rows, rows[1:], cols, cols[1:])]
+    out = np.zeros((rows[-1], cols[-1]))
+    for p, b in zip(parts, blocks):
+        out[b] = p.data
+
+    def backward(g):
+        for p, b in zip(parts, blocks):
+            p._accumulate(g[b])
+
+    return ad._make(out, tuple(parts), backward)
+
+
+def per_head_leaves(layer):
+    """Copies of each head's parameters as leaves of their own: ``w`` in x d, ``a_src`` and ``a_dst`` d x 1."""
+    from critnet import autodiff as ad
+
+    d = layer.a_src.shape[1]
+    return [
+        HeadParams(
+            ad.tensor(layer.w.data[:, h * d : (h + 1) * d].copy(), requires_grad=True),
+            ad.tensor(layer.a_src.data[h : h + 1].T.copy(), requires_grad=True),
+            ad.tensor(layer.a_dst.data[h : h + 1].T.copy(), requires_grad=True),
+        )
+        for h in range(layer.a_src.shape[0])
+    ]
+
+
+def concat_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
+    """The attention layer on per-head leaves: one product with their concatenated transforms, and block-diagonal attention vectors."""
+    from critnet import autodiff as ad
+    from critnet.encoder import ATTENTION_SLOPE
+
+    hw = ad.matmul(h, ad.concat([head.w for head in heads], axis=1))
+    src = ad.gather_rows(ad.matmul(hw, block_diag([head.a_src for head in heads])), mask)
+    dst = ad.gather_rows(ad.matmul(hw, block_diag([head.a_dst for head in heads])), mask, columns=True)
+    att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
+    att = ad.dropout(att, dropout_rate, rng, training)
+    return ad.elu(ad.spmm(att, mask, hw))
 
 
 @contextlib.contextmanager
@@ -345,25 +425,67 @@ def per_head_encoder():
         yield
 
 
-# --- power-iteration oracle -----------------------------------------------------
+# --- eigenvector and PageRank oracles ------------------------------------------
 
 
-def norm_loop_eigenvector(g, tol=1e-8, max_iter=1000):
-    """``eigenvector_centrality``'s sparse loop normalising with ``np.linalg.norm``."""
+def eigh_eigenvector(g, cluster=1e-9):
+    """The uniform vector projected onto the top eigenspace of the alive adjacency, L2-normalised.
+
+    Eigenvalues from ``np.linalg.eigh`` within ``cluster`` of the largest
+    span the top eigenspace. With one top eigenvalue this is its
+    eigenvector, signed non-negative; with a repeated one (equal
+    components) it is where an iteration from the uniform vector ends.
+    """
+    a = dense_adjacency(g)
+    n = len(a)
+    if n == 0:
+        return np.zeros(0)
+    w, v = np.linalg.eigh(a)
+    top = v[:, w >= w[-1] - cluster]
+    x = top @ (top.T @ np.full(n, 1.0 / np.sqrt(n)))
+    return x / np.linalg.norm(x)
+
+
+def loop_pagerank(g, damping=0.85, tol=1e-8, max_iter=200):
+    """``pagerank``'s power loop with the step it had first: a masked divide and the dangling mass added on every step."""
     from critnet.graph import residual
 
     sub = residual(g)
     n = sub.n
     if n == 0:
         return np.zeros(0), True
-    x = np.full(n, 1.0 / np.sqrt(n))
+    deg = np.diff(sub.indptr) - 1.0
+    dangling = deg == 0
+    x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        nxt = np.bincount(sub.rows, weights=x[sub.cols], minlength=n)
-        nxt /= np.linalg.norm(nxt)
+        y = np.divide(x, deg, out=np.zeros(n), where=~dangling)
+        walk = np.bincount(sub.rows, weights=y[sub.cols], minlength=n) - y
+        nxt = damping * (walk + x[dangling].sum() / n) + (1.0 - damping) / n
         if np.abs(nxt - x).sum() < tol:
             return nxt, True
         x = nxt
     return x, False
+
+
+# --- per-transition TD targets -------------------------------------------------
+
+
+def loop_td_targets(batch, online, target, gamma):
+    """``td_targets`` one transition at a time: an online and a target ``q_full`` on each non-terminal next state."""
+    from critnet.decoder import select_action
+
+    ys = np.empty(len(batch))
+    for i, t in enumerate(batch):
+        if t.terminal:
+            ys[i] = t.reward
+            continue
+        nxt = t.next_state()
+        best = select_action(online.q_full(nxt), 0.0, None)
+        value = target.q_full(nxt)[best]
+        if not np.isfinite(value):
+            raise ValueError(f"target network value {value} for batch index {i} is not finite")
+        ys[i] = t.reward + gamma * value
+    return ys
 
 
 # --- gradient checking and degree centrality ---------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import grad_check, per_head_spmm, sparse_patterns, transpose, where_elu
+from conftest import block_diag, grad_check, per_head_spmm, sparse_patterns, transpose, where_elu
 from critnet import autodiff as ad
 from critnet.graph import build_graph, gen_ba
 
@@ -174,7 +174,7 @@ class TestPrimitives:
     def test_block_diag_layout_and_gradient(self):
         rng = np.random.default_rng(11)
         parts = [rand_tensor(rng, (3, 1)), rand_tensor(rng, (2, 1)), rand_tensor(rng, (1, 2))]
-        out = ad.block_diag(parts).data
+        out = block_diag(parts).data
         assert out.shape == (6, 4)
         assert np.array_equal(out[:3, :1], parts[0].data)
         assert np.array_equal(out[3:5, 1:2], parts[1].data)
@@ -182,14 +182,14 @@ class TestPrimitives:
         assert np.count_nonzero(out) == 7
         x = ad.tensor(rng.standard_normal((4, 6)))
         target = rng.standard_normal((4, 4))
-        err = grad_check(lambda: ad.mse_loss(ad.matmul(x, ad.block_diag(parts)), target), parts)
+        err = grad_check(lambda: ad.mse_loss(ad.matmul(x, block_diag(parts)), target), parts)
         assert err < 1e-6
 
     def test_block_diag_needs_matrices(self):
         with pytest.raises(ValueError, match="2-D parts"):
-            ad.block_diag([ad.tensor(np.ones((2, 1))), ad.tensor(np.ones(3))])
+            block_diag([ad.tensor(np.ones((2, 1))), ad.tensor(np.ones(3))])
         with pytest.raises(ValueError, match="2-D parts"):
-            ad.block_diag([])
+            block_diag([])
 
     def test_no_grad_suppresses_graph(self):
         x = ad.tensor(np.ones((2, 2)), requires_grad=True)
@@ -442,6 +442,111 @@ class TestSlotKernelOracles:
         ad.mse_loss(out, np.zeros((1, 5))).backward()
         slope = np.where(a.data > 0, 1.0, np.exp(a.data))
         np.testing.assert_allclose(a.grad, 2.0 / 5 * out.data * slope, rtol=1e-15, atol=0)
+
+
+    def test_elu_slope_equals_the_where_form(self):
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-17, -1e-17, 1.0, -1.0]
+        out = np.concatenate((special, np.random.default_rng(49).standard_normal(500) * 3.0))
+        want = np.where(out > 0, 1.0, out + 1.0)
+        assert np.array_equal(ad._elu_slope(out), want, equal_nan=True)
+
+
+class TestSegments:
+    """Row-segment pooling and bias rows, as a batch of stacked graphs uses them."""
+
+    OFFSETS = [0, 3, 4, 9]
+
+    def test_each_segment_equals_its_own_matrix(self):
+        rng = np.random.default_rng(52)
+        a, bias = rand_tensor(rng, (9, 5)), rand_tensor(rng, (3, 5))
+        means = ad.mean_rows(a, self.OFFSETS).data
+        shifted = ad.add_bias(a, bias, self.OFFSETS).data
+        for i, (lo, hi) in enumerate(zip(self.OFFSETS, self.OFFSETS[1:])):
+            part = ad.tensor(a.data[lo:hi])
+            assert np.array_equal(means[i : i + 1], ad.mean_rows(part).data)
+            assert np.array_equal(shifted[lo:hi], ad.add_bias(part, ad.tensor(bias.data[i : i + 1])).data)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(53)
+        a, bias = rand_tensor(rng, (9, 5)), rand_tensor(rng, (3, 5))
+        target = rng.standard_normal((9, 5))
+
+        def forward():
+            pooled = ad.mean_rows(a, self.OFFSETS)
+            return ad.mse_loss(ad.add_bias(a, ad.add(bias, pooled), self.OFFSETS), target)
+
+        assert grad_check(forward, [a, bias]) < 1e-6
+
+    @pytest.mark.parametrize("offsets", [[0, 3, 3, 9], [1, 9], [0, 8], [0], [0, 5, 4, 9]])
+    def test_offsets_must_split_every_row_into_non_empty_segments(self, offsets):
+        a = ad.tensor(np.ones((9, 2)))
+        with pytest.raises(ValueError, match="do not split 9 rows"):
+            ad.mean_rows(a, offsets)
+        with pytest.raises(ValueError, match="do not split 9 rows"):
+            ad.add_bias(a, ad.tensor(np.ones((len(offsets) - 1, 2))), offsets)
+
+    def test_bias_needs_one_row_per_segment(self):
+        with pytest.raises(ValueError, match="in 3 segment"):
+            ad.add_bias(ad.tensor(np.ones((9, 2))), ad.tensor(np.ones((2, 2))), self.OFFSETS)
+
+
+class TestHeadDots:
+    def test_bit_equal_to_the_block_diagonal_product(self):
+        rng = np.random.default_rng(54)
+        x = rand_tensor(rng, (30, 8 * 12))
+        a = rand_tensor(rng, (8, 12))
+        heads = [ad.tensor(a.data[h : h + 1].T.copy(), requires_grad=True) for h in range(8)]
+        target = rng.standard_normal((30, 8))
+        got = ad.head_dots(x, a)
+        ad.mse_loss(got, target).backward()
+        got_x = x.grad
+        x.zero_grad()
+        want = ad.matmul(x, block_diag(heads))
+        ad.mse_loss(want, target).backward()
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got_x, x.grad)
+        assert np.array_equal(a.grad, np.concatenate([h.grad.T for h in heads]))
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(55)
+        x, a = rand_tensor(rng, (7, 3 * 4)), rand_tensor(rng, (3, 4))
+        target = rng.standard_normal((7, 3))
+        assert grad_check(lambda: ad.mse_loss(ad.head_dots(x, a), target), [x, a]) < 1e-6
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="head_dots shape mismatch"):
+            ad.head_dots(ad.tensor(np.ones((4, 10))), ad.tensor(np.ones((3, 4))))
+
+
+class TestGradientBuffers:
+    """A rule's fresh array becomes ``.grad`` uncopied; an array two tensors receive is copied."""
+
+    def test_add_parents_never_share_a_buffer(self):
+        rng = np.random.default_rng(56)
+        a, b = rand_tensor(rng, (4, 3)), rand_tensor(rng, (4, 3))
+        ad.mse_loss(ad.add(a, b), np.zeros((4, 3))).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, b.grad)
+        c = rand_tensor(rng, (4, 3))
+        ad.mse_loss(ad.add(c, c), np.zeros((4, 3))).backward()
+        np.testing.assert_allclose(c.grad, 4 * 2.0 / 12 * c.data, rtol=1e-15)
+
+    def test_concat_parts_never_share_a_buffer(self):
+        rng = np.random.default_rng(57)
+        parts = [rand_tensor(rng, (2, 3)) for _ in range(3)]
+        ad.mse_loss(ad.concat(parts, axis=0), np.zeros((6, 3))).backward()
+        for i, p in enumerate(parts):
+            assert p.grad.base is None and p.grad.flags.owndata
+            for q in parts[i + 1 :]:
+                assert not np.shares_memory(p.grad, q.grad)
+
+    def test_a_leaf_reached_twice_gets_the_sum(self):
+        # the first contribution, a fresh product, becomes w.grad, and the second is added into it
+        rng = np.random.default_rng(58)
+        w = rand_tensor(rng, (3, 3))
+        x = ad.tensor(rng.standard_normal((4, 3)))
+        target = rng.standard_normal((4, 3))
+        assert grad_check(lambda: ad.mse_loss(ad.matmul(ad.matmul(x, w), w), target), [w]) < 1e-6
 
 
 class TestDenseElu:

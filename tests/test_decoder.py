@@ -7,7 +7,7 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from conftest import corpus_graphs, grad_check
+from conftest import corpus_graphs, grad_check, loop_td_targets
 from critnet import autodiff as ad
 from critnet import decoder as decoder_module
 from critnet.decoder import (
@@ -21,7 +21,7 @@ from critnet.decoder import (
 )
 from critnet.encoder import EMBEDDING_DIM, encode, init_encoder_params
 from critnet.features import aggregate_features, degree_only_features
-from critnet.graph import build_graph, gen_ba, gen_er, gen_ws, remove_nodes, with_alive_mask
+from critnet.graph import GraphBatch, build_graph, gen_ba, gen_er, gen_ws, remove_nodes, residual, with_alive_mask
 
 
 def decoder(seed=0, dueling=True):
@@ -384,6 +384,97 @@ class TestTdTargets:
             best = int(np.argmax(online.q_full(nxt)))
             assert y == t.reward + 0.9 * target.q_full(nxt)[best]
 
+    @staticmethod
+    def mixed_batch(seed, size=8, terminal_every=0):
+        """Transitions on BA, ER and WS graphs of different sizes, some several removals deep."""
+        rng = np.random.default_rng(seed)
+        batch = []
+        for i in range(size):
+            n = int(rng.integers(12, 60))
+            g = (gen_ba(n, 2, seed + i), gen_er(n, 4 / (n - 1), seed + i), gen_ws(n, 4, 0.1, seed + i))[i % 3]
+            before = remove_nodes(g, rng.choice(n, size=int(rng.integers(0, n // 3)), replace=False).tolist())
+            a = int(rng.choice(before.alive_ids()))
+            after = remove_nodes(before, [a])
+            terminal = bool(terminal_every) and i % terminal_every == 0
+            batch.append(Transition(g, before.alive, a, float(rng.integers(0, 20)), after.alive, terminal))
+        return batch
+
+    @pytest.mark.parametrize("dueling", [True, False], ids=["dueling", "plain"])
+    @pytest.mark.parametrize("seed", [60, 61, 62])
+    def test_matches_the_per_transition_oracle(self, dueling, seed):
+        rng = np.random.default_rng(seed)
+        online = Model(init_encoder_params(rng), init_decoder_params(rng, dueling=dueling))
+        target = Model(init_encoder_params(rng), init_decoder_params(rng, dueling=dueling))
+        batch = self.mixed_batch(seed, terminal_every=3)
+        got = td_targets(batch, online, target, gamma=0.9)
+        np.testing.assert_allclose(got, loop_td_targets(batch, online, target, 0.9), rtol=0, atol=1e-12)
+
+    def test_two_forwards_per_batch_and_none_for_terminal_transitions(self):
+        online, target = model(63), model(64)
+        batch = self.mixed_batch(65, terminal_every=2)
+        with mock.patch.object(Model, "q_full", autospec=True, side_effect=Model.q_full) as spy:
+            td_targets(batch, online, target, gamma=0.9)
+            assert spy.call_count == 2
+            assert all(isinstance(c.args[1], GraphBatch) and len(c.args[1].graphs) == 4 for c in spy.call_args_list)
+            terminal = [t for t in batch if t.terminal]
+            assert td_targets(terminal, online, target, gamma=0.9).tolist() == [t.reward for t in terminal]
+            assert spy.call_count == 2
+
+    def test_one_state_batch_is_the_single_graph_path(self):
+        online, target = model(66), model(67)
+        batch = self.mixed_batch(68, size=1)
+        assert np.array_equal(td_targets(batch, online, target, 0.9), loop_td_targets(batch, online, target, 0.9))
+
+    def test_errors_name_the_batch_index_after_a_terminal_transition(self):
+        batch = self.mixed_batch(69, size=4, terminal_every=4)  # index 0 is terminal
+        target = model(70)
+        target.decoder.value_head.b2.data[0, 0] = np.inf
+        with pytest.raises(ValueError, match="target network value inf for batch index 1 is not finite"):
+            td_targets(batch, model(71), target, gamma=0.9)
+
+
+class TestGraphBatch:
+    def test_pattern_is_the_residual_of_the_disjoint_union(self):
+        parts = [remove_nodes(gen_ba(20, 2, 1), [0, 4]), gen_er(15, 0.2, 2), remove_nodes(gen_ws(12, 4, 0.2, 3), [11])]
+        batch = GraphBatch.of(parts)
+        shift = np.cumsum([0] + [g.n for g in parts])
+        union = build_graph(int(shift[-1]), [(u + s, v + s) for g, s in zip(parts, shift) for u, v in g.edges])
+        union = with_alive_mask(union, np.concatenate([g.alive for g in parts]))
+        for got, want in zip(batch.pattern, residual(union)):
+            assert np.array_equal(got, want)
+        assert batch.offsets.tolist() == [0, 18, 33, 44]
+
+    def test_one_state_is_its_residual(self):
+        g = remove_nodes(gen_ba(20, 2, 4), [3])
+        for got, want in zip(GraphBatch.of([g]).pattern, residual(g)):
+            assert np.array_equal(got, want)
+
+    def test_needs_a_state(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            GraphBatch.of([])
+
+    def test_a_state_with_no_alive_node_is_rejected(self):
+        g = gen_er(6, 0.5, 5)
+        batch = GraphBatch.of([g, remove_nodes(g, range(6))])
+        with pytest.raises(ValueError, match="no alive nodes to score"):
+            model(72).q_full(batch)
+
+    @pytest.mark.parametrize("dueling", [True, False], ids=["dueling", "plain"])
+    @pytest.mark.parametrize("seed", [73, 74, 75])
+    def test_union_q_matches_per_graph_q_full(self, dueling, seed):
+        # not bit for bit on OpenBLAS: a row's matrix-vector dot depends on its place in the stack, the
+        # one-row value head runs as a vector product, and a stacked row may end its slot kernels in the tail
+        rng = np.random.default_rng(seed)
+        m = Model(init_encoder_params(rng), init_decoder_params(rng, dueling=dueling))
+        states = [t.next_state() for t in TestTdTargets.mixed_batch(seed, size=7)]
+        states.append(remove_nodes(gen_ba(300, 2, seed), [0]))  # rows past one DENSE_BLOCK_ROWS block
+        qs = m.q_full(GraphBatch.of(states))
+        assert len(qs) == len(states)
+        for g, q in zip(states, qs):
+            want = m.q_full(g)
+            assert np.array_equal(np.isneginf(q), ~g.alive)
+            np.testing.assert_allclose(q[g.alive], want[g.alive], rtol=0, atol=1e-12)
+
 
 class TestFeatureMemo:
     @pytest.mark.parametrize("mode", ["aggregate", "degree"])
@@ -516,6 +607,37 @@ class TestTapeMemory:
 
 
 class TestModel:
+    @pytest.mark.parametrize(
+        "dueling, seed, want",
+        [(True, 61, [12, 70, 102, 74, 61]), (False, 63, [0, 13, 7, 3, 144])],
+        ids=["dueling", "plain"],
+    )
+    def test_greedy_removals_are_unchanged(self, dueling, seed, want):
+        # recorded with the power-loop eigenvector column and per-head weights: a change
+        # that moves a removal shows here, not only in the benchmark's digests
+        rng = np.random.default_rng(seed)
+        m = Model(init_encoder_params(rng), init_decoder_params(rng, dueling=dueling))
+        g = gen_ba(150, 2, seed + 1)
+        removed = []
+        for _ in range(5):
+            removed.append(select_action(m.q_full(g), 0.0, None))
+            g = remove_nodes(g, removed[-1:])
+        assert removed == want
+
+    def test_inference_head_never_holds_the_whole_hidden_layer(self):
+        m = model(76)
+        emb = ad.tensor(np.random.default_rng(77).standard_normal((2000, EMBEDDING_DIM)))
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                q = q_from_embeddings(emb, m.decoder).q.data
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak < 2000 * 256 * 8 / 2  # half of one n x 256 array
+        np.testing.assert_allclose(q, q_from_embeddings(emb, m.decoder).q.data, rtol=0, atol=1e-12)
+
     def test_q_full_on_a_10000_node_graph(self):
         # dense attention would need 0.8 GB per n x n array here
         g = remove_nodes(gen_ba(10_000, 2, 25), [0, 1, 2])

@@ -2,11 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import corpus_graphs, dense_encoder, grad_check, path_graph, per_head_encoder
+from conftest import (
+    concat_gat_layer,
+    corpus_graphs,
+    dense_encoder,
+    grad_check,
+    path_graph,
+    per_head_encoder,
+    per_head_leaves,
+)
 from critnet import autodiff as ad
 from critnet.decoder import Model, init_decoder_params, q_from_embeddings
 from critnet.encoder import (
     EMBEDDING_DIM,
+    HIDDEN_DIM,
+    HIDDEN_PER_HEAD,
+    IN_FEATURES,
+    N_HEADS,
+    OUT_PER_HEAD,
     attention_mask,
     encode,
     gat_layer,
@@ -27,7 +40,7 @@ class TestGatLayer:
         p = params()
         h = ad.tensor(np.array([[0.1, 0.4, 0.0, 0.9]]))
         out = gat_layer(h, attention_mask(g), p.layer1, 0.0, False)
-        expect = np.concatenate([h.data @ head.w.data for head in p.layer1], axis=1)
+        expect = h.data @ p.layer1.w.data
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, expect)
 
@@ -49,7 +62,7 @@ class TestGatLayer:
         p = params()
         row = np.array([[0.3, -0.8, 0.5, 1.2]])
         out = gat_layer(ad.tensor(np.repeat(row, 13, axis=0)), attention_mask(g), p.layer1, 0.0, False)
-        expect = np.concatenate([row @ head.w.data for head in p.layer1], axis=1)
+        expect = row @ p.layer1.w.data
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, np.repeat(expect, 13, axis=0), rtol=0, atol=1e-14)
 
@@ -244,7 +257,7 @@ class TestPerHeadOracle:
         got_emb, got_grads = self.run(model, g, seed + 1)
         with per_head_encoder():
             want_emb, want_grads = self.run(model, g, seed + 1)
-        assert len(got_grads) == 48
+        assert len(got_grads) == 6
         for a, b in zip(got_emb + got_grads, want_emb + want_grads):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -261,6 +274,44 @@ class TestPerHeadOracle:
         g = gen_er(6, 0.5, 42)
         with pytest.raises(ValueError, match="6 rows does not match 5 nodes"):
             gat_layer(ad.tensor(np.zeros((5, 4))), attention_mask(g), params().layer1, 0.0, False)
+
+
+class TestPerLayerTensors:
+    """One tensor per layer and role, against per-head leaves concatenated and block-diagonalised on the tape."""
+
+    def test_init_equals_the_per_head_draws(self):
+        p = params(seed=60)
+        rng = np.random.default_rng(60)
+        for layer, in_dim, d in ((p.layer1, IN_FEATURES, HIDDEN_PER_HEAD), (p.layer2, HIDDEN_DIM, OUT_PER_HEAD)):
+            assert layer.w.shape == (in_dim, N_HEADS * d) and layer.a_src.shape == layer.a_dst.shape == (N_HEADS, d)
+            for h in range(N_HEADS):
+                assert np.array_equal(layer.w.data[:, h * d : (h + 1) * d], ad.glorot(rng, in_dim, d).data)
+                assert np.array_equal(layer.a_src.data[h], ad.glorot(rng, d, 1).data[:, 0])
+                assert np.array_equal(layer.a_dst.data[h], ad.glorot(rng, d, 1).data[:, 0])
+        assert all(t.requires_grad for t in p.parameters()) and len(p.parameters()) == 6
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @given(g=corpus_graphs(max_n=60))
+    def test_layer_and_gradients_are_bit_equal_to_per_head_leaves(self, training, g):
+        rng = np.random.default_rng(g.n)
+        p = params(seed=g.n)
+        mask = attention_mask(g)
+        h = ad.tensor(rng.standard_normal((g.n_alive(), HIDDEN_PER_HEAD * N_HEADS)), requires_grad=True)
+        target = rng.standard_normal((g.n_alive(), N_HEADS * OUT_PER_HEAD))
+        got = gat_layer(h, mask, p.layer2, 0.6, training, np.random.default_rng(1))
+        ad.mse_loss(got, target).backward()
+        got_h = h.grad
+        h.zero_grad()
+        heads = per_head_leaves(p.layer2)
+        want = concat_gat_layer(h, mask, heads, 0.6, training, np.random.default_rng(1))
+        ad.mse_loss(want, target).backward()
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got_h, h.grad)
+        d = OUT_PER_HEAD
+        for k, head in enumerate(heads):
+            assert np.array_equal(p.layer2.w.grad[:, k * d : (k + 1) * d], head.w.grad)
+            assert np.array_equal(p.layer2.a_src.grad[k], head.a_src.grad[:, 0])
+            assert np.array_equal(p.layer2.a_dst.grad[k], head.a_dst.grad[:, 0])
 
 
 def gen_ba_like(n):

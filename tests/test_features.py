@@ -9,7 +9,8 @@ from conftest import (
     cycle_graph,
     degree_centrality,
     dense_adjacency,
-    norm_loop_eigenvector,
+    eigh_eigenvector,
+    loop_pagerank,
     path_graph,
     random_graph,
     star_graph,
@@ -61,20 +62,6 @@ def dense_pagerank(g, damping=0.85, tol=1e-13, iters=5000):
             break
         x = nxt
     return x
-
-
-def dense_matvec_eigenvector(g, tol=1e-8, max_iter=1000):
-    """Oracle: the same power iteration as ``eigenvector_centrality`` with a dense matvec."""
-    a = dense_adjacency(g)
-    n = len(a)
-    x = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(max_iter):
-        nxt = a @ x + x
-        nxt /= np.linalg.norm(nxt)
-        if np.abs(nxt - x).sum() < tol:
-            return nxt, True
-        x = nxt
-    return x, False
 
 
 def dense_matvec_pagerank(g, damping=0.85, tol=1e-8, max_iter=200):
@@ -223,44 +210,101 @@ class TestPagerank:
         self.check_converges_by_the_contraction_bound(g, monkeypatch)
 
 
-class TestEigenvectorNormalisation:
-    """``np.sqrt(x @ x)`` is how ``np.linalg.norm`` computes a 1-D norm, so the scores are bit-equal."""
+class TestLanczosMatchesEigh:
+    """The eigenvector column against ``eigh``: the top eigenvector, or the uniform start projected onto a repeated top eigenspace."""
 
-    @staticmethod
-    def check(g):
-        want, want_converged = norm_loop_eigenvector(g)
+    TOL = 1e-10
+
+    def check(self, g):
         got = eigenvector_centrality(g)
-        assert got.converged == want_converged
-        assert np.array_equal(got.scores, want)
-        return got.converged
+        assert got.converged
+        assert np.abs(got.scores - eigh_eigenvector(g)).max() <= self.TOL
+        return got
 
     @given(corpus_graphs())
-    def test_bit_equal_to_the_linalg_norm_loop(self, g):
+    def test_corpus_graphs(self, g):
         self.check(g)
 
     @pytest.mark.parametrize(
-        "make, converges",
-        [(lambda: gen_ba(150, 2, 1), True), (lambda: gen_ws(150, 4, 0.1, 2), True), (lambda: gen_ws(300, 4, 0.1, 2), False)],
-        ids=["ba-150", "ws-150", "ws-300"],
+        "make",
+        [
+            lambda: gen_ba(150, 2, 1),
+            lambda: gen_ws(150, 4, 0.1, 2),
+            lambda: gen_ws(300, 4, 0.1, 2),
+            lambda: gen_ws(1000, 4, 0.1, 3),
+        ],
+        ids=["ba-150", "ws-150", "ws-300", "ws-1000"],
     )
-    def test_bit_equal_on_training_sizes(self, make, converges):
-        assert self.check(make()) == converges
+    def test_training_sizes(self, make):
+        self.check(make())
+
+    def test_residual_graphs(self):
+        # 90 training-sized states with up to a fifth of their nodes removed, often in several components
+        rng = np.random.default_rng(50)
+        for i in range(90):
+            seed = int(rng.integers(2**31))
+            g = (gen_ba(150, 2, seed), gen_er(150, 4 / 149, seed), gen_ws(150, 4, 0.1, seed))[i % 3]
+            self.check(remove_nodes(g, rng.choice(150, size=int(rng.integers(0, 31)), replace=False).tolist()))
+
+    @pytest.mark.parametrize("make", [lambda: complete_graph(5), lambda: cycle_graph(9), lambda: build_graph(4, [])])
+    def test_regular_graph_stops_at_its_first_step(self, make, monkeypatch):
+        # the uniform start is an eigenvector, so the recurrence breaks down at once
+        monkeypatch.setattr(features, "EIGENVECTOR_MAX_STEPS", 1)
+        g = make()
+        scores = self.check(g).scores
+        np.testing.assert_allclose(scores, 1.0 / np.sqrt(g.n), rtol=0, atol=1e-15)
+
+    def test_repeated_top_eigenvalue_keeps_the_projected_start(self):
+        # two cycles share the top eigenvalue 2, and two copies of one graph share all of theirs
+        cycles = build_graph(12, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 7) for i in range(7)])
+        base = gen_ba(20, 2, 4)
+        twins = build_graph(40, base.edges + [(u + 20, v + 20) for u, v in base.edges])
+        for g in (cycles, twins):
+            scores = self.check(g).scores
+            assert (scores > 0).all()
+        np.testing.assert_allclose(self.check(cycles).scores, 1.0 / np.sqrt(12), rtol=0, atol=self.TOL)
+
+    def test_isolated_nodes_score_zero(self):
+        g = build_graph(8, [(0, 1), (1, 2), (2, 0), (2, 3)])  # nodes 4..7 are isolated
+        scores = self.check(g).scores
+        assert np.abs(scores[4:]).max() <= self.TOL
+
+    @pytest.mark.parametrize(
+        "g, want",
+        [
+            (build_graph(1, []), [1.0]),
+            (build_graph(2, []), [np.sqrt(0.5)] * 2),
+            (build_graph(2, [(0, 1)]), [np.sqrt(0.5)] * 2),
+        ],
+        ids=["one-node", "two-isolated", "one-edge"],
+    )
+    def test_one_and_two_nodes(self, g, want):
+        np.testing.assert_allclose(self.check(g).scores, want, rtol=0, atol=1e-15)
+
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(features, "EIGENVECTOR_MAX_STEPS", 5)
+        assert not eigenvector_centrality(gen_ws(150, 4, 0.1, 2)).converged
 
 
 class TestPowerIterationsMatchDenseOracle:
-    @given(corpus_graphs())
-    def test_eigenvector_centrality(self, g):
-        want, want_converged = dense_matvec_eigenvector(g)
-        got = eigenvector_centrality(g)
-        assert got.converged == want_converged
-        np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
-
     @given(corpus_graphs())
     def test_pagerank(self, g):
         want, want_converged = dense_matvec_pagerank(g)
         got = pagerank(g)
         assert got.converged == want_converged
         np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
+        assert np.array_equal(got.scores, loop_pagerank(g)[0])
+
+    def test_pagerank_step_is_bit_equal_on_residual_graphs(self):
+        rng = np.random.default_rng(51)
+        for i in range(90):
+            seed = int(rng.integers(2**31))
+            g = (gen_ba(150, 2, seed), gen_er(150, 4 / 149, seed), gen_ws(150, 4, 0.1, seed))[i % 3]
+            g = remove_nodes(g, rng.choice(150, size=int(rng.integers(0, 60)), replace=False).tolist())
+            want, want_converged = loop_pagerank(g)
+            got = pagerank(g)
+            assert got.converged == want_converged
+            assert np.array_equal(got.scores, want)
 
 
 class TestAggregateFeatures:
