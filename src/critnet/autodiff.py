@@ -30,6 +30,7 @@ recorded.
 from __future__ import annotations
 
 import contextlib
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -435,7 +436,11 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
 
 
 def pick(a: Tensor, row: int, col: int = 0) -> Tensor:
-    """Extract one entry of a matrix as a (1, 1) tensor; negative indices are out of range."""
+    """Extract one entry of a matrix as a (1, 1) tensor; a negative, out-of-range or non-integer index raises."""
+    try:
+        row, col = operator.index(row), operator.index(col)
+    except TypeError:
+        raise ValueError(f"pick({row!r}, {col!r}) needs integer indices") from None
     if a.data.ndim != 2 or not (0 <= row < a.shape[0] and 0 <= col < a.shape[1]):
         raise ValueError(f"pick({row}, {col}) is outside a tensor of shape {a.shape}")
 

@@ -8,21 +8,21 @@ over the currently alive action set:
     Q(a) = V + A(a) - mean_over_alive(A)
 
 The per-node stream alone (``value_head=None``) gives the plain,
-non-dueling Q head used by the ablation. Targets are double-DQN: the online
-network picks the argmax action in the next state, the target network
-scores it. ``td_targets`` scores every non-terminal next state of a batch
-in one forward per network, over the states' disjoint union (a
-``GraphBatch``): attention stays within a state, and the dueling head
-pools and centres each state's rows on their own. Inference runs the
-node head ``DENSE_BLOCK_ROWS`` rows at a time, so its n x 256 hidden layer
-never exists whole.
+non-dueling Q head used by the ablation. Every forward runs over a
+``GraphBatch`` (a single graph is a batch of one): attention stays within
+a state, and the dueling head pools and centres each state's rows on their
+own. Targets are double-DQN: the online network picks the argmax action in
+the next state, the target network scores it. ``td_targets`` scores every
+non-terminal next state of a batch in one forward per network. Inference
+runs the node head ``DENSE_BLOCK_ROWS`` rows at a time, so its n x 256
+hidden layer never exists whole.
 
 Input features are memoised on the residual state they describe
-(``Model.features`` keeps them in ``Graph.memo``). The memo belongs to the
-state, not to the view: every live view of one graph under one alive mask
-shares it, through a table that holds it weakly. So the live episode view,
-``t[k].next_state()`` and ``t[k + 1].state()`` share one feature matrix
-per feature mode for as long as any of them is alive.
+(``Model.features`` keeps them in ``Graph.memo``, next to its CSR). The memo
+belongs to the state, not to the view: every live view of one graph under
+one alive mask shares it, through a table that holds it weakly. So the live
+episode view, ``t[k].next_state()`` and ``t[k + 1].state()`` share one
+feature matrix per feature mode for as long as any of them is alive.
 """
 from __future__ import annotations
 
@@ -120,17 +120,20 @@ def q_from_embeddings(emb: ad.Tensor, params: DecoderParams, offsets=None) -> QO
     return QOutput(q=ad.add_bias(adv, center, offsets), value=value, advantage=adv)
 
 
-def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator | None) -> int:
     """Epsilon-greedy over alive nodes.
 
-    Dead nodes are -inf and never chosen; a NaN or +inf anywhere in ``q``, or
-    an ``epsilon`` outside [0, 1], raises.
+    Dead nodes are -inf and never chosen; a NaN or +inf anywhere in ``q``,
+    an ``epsilon`` outside [0, 1], or an ``epsilon`` > 0 without ``rng``
+    raises.
     Bit-equal maxima go to the lowest id, but structurally equivalent nodes can
     get Q-values that differ by rounding, so which of them is picked is not
     promised.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    if epsilon > 0 and rng is None:
+        raise ValueError(f"epsilon {epsilon} > 0 draws, so it needs an rng")
     for name, bad in (("NaN", np.isnan(q)), ("+inf", q == np.inf)):
         if bad.any():
             raise ValueError(f"Q-values are {name} at node(s) {np.flatnonzero(bad)[:5].tolist()}")
@@ -238,14 +241,11 @@ class Model:
     def parameters(self) -> list[ad.Tensor]:
         return self.encoder.parameters() + self.decoder.parameters()
 
-    def features(self, g: Graph | GraphBatch) -> np.ndarray:
+    def features(self, g: Graph) -> np.ndarray:
         """Read-only ``n_alive x 4`` input matrix of ``g``, memoised on its state per feature mode.
 
-        Models with the same ``feature_mode`` share one matrix per state. A
-        batch stacks its states' matrices in order.
+        Models with the same ``feature_mode`` share one matrix per state.
         """
-        if isinstance(g, GraphBatch):
-            return np.concatenate([self.features(s) for s in g.graphs])
         feats = g.memo.get(self.feature_mode)
         if feats is None:
             feats = degree_only_features(g) if self.feature_mode == "degree" else aggregate_features(g)
@@ -253,14 +253,15 @@ class Model:
             g.memo[self.feature_mode] = feats
         return feats
 
-    def embed(self, g: Graph | GraphBatch, training: bool = False, rng: np.random.Generator | None = None) -> ad.Tensor:
-        if any(s.n_alive() == 0 for s in (g.graphs if isinstance(g, GraphBatch) else (g,))):
+    def embed(self, batch: GraphBatch, training: bool = False, rng: np.random.Generator | None = None) -> ad.Tensor:
+        if any(s.n_alive() == 0 for s in batch.graphs):
             raise ValueError("no alive nodes to score")
-        return encode(g, self.features(g), self.encoder, training, rng, self.dropout_profile)
+        features = np.concatenate([self.features(s) for s in batch.graphs])
+        return encode(batch, features, self.encoder, training, rng, self.dropout_profile)
 
     def q_output(self, g: Graph | GraphBatch, training: bool = False, rng: np.random.Generator | None = None) -> QOutput:
-        offsets = g.offsets if isinstance(g, GraphBatch) else None
-        return q_from_embeddings(self.embed(g, training, rng), self.decoder, offsets)
+        batch = g if isinstance(g, GraphBatch) else GraphBatch.of((g,))
+        return q_from_embeddings(self.embed(batch, training, rng), self.decoder, batch.offsets)
 
     def q_full(self, g: Graph | GraphBatch) -> np.ndarray | list[np.ndarray]:
         """Inference-mode Q over all node ids; dead nodes are -inf.
@@ -268,15 +269,15 @@ class Model:
         A ``GraphBatch`` gives one such array per state, from one forward
         over all of them.
         """
+        batch = g if isinstance(g, GraphBatch) else GraphBatch.of((g,))
         with ad.no_grad():
-            q = self.q_output(g).q.data[:, 0]
-        states, offsets = (g.graphs, g.offsets) if isinstance(g, GraphBatch) else ((g,), (0, len(q)))
+            q = self.q_output(batch).q.data[:, 0]
         out = []
-        for s, lo, hi in zip(states, offsets, offsets[1:]):
+        for s, lo, hi in zip(batch.graphs, batch.offsets, batch.offsets[1:]):
             full = np.full(s.n, -np.inf)
             full[s.alive_ids()] = q[lo:hi]
             out.append(full)
-        return out if isinstance(g, GraphBatch) else out[0]
+        return out if batch is g else out[0]
 
 
 def td_targets(batch: list[Transition], online: Model, target: Model, gamma: float) -> np.ndarray:

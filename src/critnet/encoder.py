@@ -2,8 +2,8 @@
 
 Attention runs over each node's closed neighborhood: the alive edges in
 both directions plus one self-loop per alive node, so an isolated residual
-node still attends to itself. ``attention_mask`` is the residual graph's
-closed-neighbourhood CSR from ``graph.residual``, a ``SparsePattern`` with
+node still attends to itself. ``attention_mask`` is a ``GraphBatch``'s
+pattern, its states' ``graph.residual`` CSRs side by side, with
 E = 2 * m_alive + n_alive entries, and no n x n array is formed. Per head:
 linear transform, per-entry logits ``src[row] + dst[col]`` through a
 leaky-relu(0.2), a softmax over each row's entries, dropout on the E
@@ -15,8 +15,8 @@ role: ``w`` (in x H*d) holds the heads' transforms side by side, and
 ``head_dots`` to E x H logits and attention values), and no per-head
 tensor is concatenated on the tape. A seed draws the weights head after
 head, as separate per-head tensors would, so the layout changes no value.
-Given a ``GraphBatch``, ``encode`` runs once over the disjoint union of
-its states, and no attention crosses from one state to another.
+``encode`` runs once over all of a batch's states (a single graph is a
+batch of one), and no attention crosses from one state to another.
 
 ``encode`` takes one of two dropout profiles from ``DROPOUT_PROFILES``:
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from critnet import autodiff as ad
-from critnet.graph import Graph, GraphBatch, SparsePattern, residual
+from critnet.graph import GraphBatch, SparsePattern
 
 IN_FEATURES = 4
 N_HEADS = 8
@@ -96,12 +96,9 @@ def init_encoder_params(rng: np.random.Generator) -> EncoderParams:
     )
 
 
-def attention_mask(g: Graph | GraphBatch) -> SparsePattern:
-    """Closed-neighborhood pattern of the alive subgraph (alive edges both ways plus self-loops).
-
-    A ``GraphBatch`` gives the disjoint union of its states' patterns.
-    """
-    return g.pattern if isinstance(g, GraphBatch) else residual(g)
+def attention_mask(batch: GraphBatch) -> SparsePattern:
+    """Closed-neighborhood pattern of the batch's alive subgraphs (alive edges both ways plus self-loops), side by side."""
+    return batch.pattern
 
 
 def gat_layer(
@@ -130,7 +127,7 @@ def gat_layer(
 
 
 def encode(
-    g: Graph | GraphBatch,
+    batch: GraphBatch,
     features: np.ndarray,
     params: EncoderParams,
     training: bool = False,
@@ -139,13 +136,13 @@ def encode(
 ) -> ad.Tensor:
     """Per-node embeddings (n_alive x 96) under a ``DROPOUT_PROFILES`` profile.
 
-    For a ``GraphBatch`` the rows are every state's alive nodes, state after
-    state; attention never crosses from one state to another.
+    The rows, like those of ``features``, are every state's alive nodes,
+    state after state; attention never crosses from one state to another.
     """
     if profile not in DROPOUT_PROFILES:
         raise ValueError(f"unknown dropout profile {profile!r}; known: {', '.join(DROPOUT_PROFILES)}")
     in1, att1, in2, att2 = DROPOUT_PROFILES[profile]
-    mask = attention_mask(g)
+    mask = attention_mask(batch)
     h = ad.dropout(ad.tensor(features), in1, rng, training)
     h = gat_layer(h, mask, params.layer1, att1, training, rng)
     h = ad.dropout(h, in2, rng, training)

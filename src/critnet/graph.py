@@ -13,12 +13,13 @@ result reaches one table that holds memo dicts weakly, keyed by alive mask,
 so all live views under one mask share one memo, which lives as long as
 the last of them.
 ``residual`` is the only filter, the one place that applies the mask: it
-renumbers the stored pattern's alive entries into the alive subgraph's CSR,
-which features, the encoder and the objective all read. A pattern also owns
-the row kernels the attention layers run on it, over a slot-major layout of
-its entries that the first kernel call builds. A ``GraphBatch`` lays
-several states' residual patterns side by side, so one forward scores them
-all. One engine on that CSR, a numpy pointer-jumping fixpoint, finds the
+renumbers the stored pattern's alive entries into the alive subgraph's CSR
+once per state, into its memo, and features, the encoder and the objective
+all read that object. A pattern also owns the row kernels the attention
+layers run on it, over a slot-major layout the first kernel call builds and
+the pattern keeps. A ``GraphBatch`` lays several states' residual patterns
+side by side, so one forward scores them all; one state is a batch of one.
+One engine on that CSR, a numpy pointer-jumping fixpoint, finds the
 components behind ``connected_components`` and the exact
 pairwise-connectivity objective. The module also holds edge-list ingestion
 and the synthetic generators.
@@ -60,7 +61,8 @@ class SlotLayout(NamedTuple):
     ``TAIL_ROWS`` rows. The ``len(tail_starts)`` rows still open then
     follow from ``head = sum(counts)``: the rest of each row, in CSR order,
     rank by rank, starting ``tail_starts[r]`` past ``head``. So every entry
-    is in exactly one slot or one tail.
+    is in exactly one slot or one tail. A state's ``residual`` pattern keeps
+    its layout, so each state's is built once.
     """
 
     order: np.ndarray
@@ -124,8 +126,8 @@ class SparsePattern(_Csr):
     The row kernels (``row_sums``, ``row_max``, ``weighted_row_sums``,
     ``entry_dots``) read the pattern through its ``layout``, a
     ``SlotLayout``. The first kernel called on a pattern builds it, once,
-    and the pattern keeps it: in the encoder that is the first attention op
-    of a forward pass, and every later op of that pass reuses it.
+    and the pattern keeps it: a state's ``residual`` pattern for as long as
+    the state lives, a batch's union pattern for one forward.
     ``build_graph``, ``residual`` and the component engine never build one.
     It is derived data, not one of the four arrays, so a copy or a pickle
     leaves it out and ``_freeze`` never sees it. Each row is summed left to
@@ -230,9 +232,9 @@ class Graph:
     mask it was built with, checked to hold one entry per node, so nothing
     can change a view after it exists; removing nodes builds a new view.
 
-    ``memo`` caches values derived from the residual state
-    (``decoder.Model.features`` keeps the input matrix there, keyed by
-    feature mode). It belongs to the state, not to the view: ``memos`` maps
+    ``memo`` caches values derived from the residual state (``residual``
+    keeps its CSR there, ``decoder.Model.features`` the input matrix, keyed
+    by feature mode). It belongs to the state, not to the view: ``memos`` maps
     each alive mask, as bytes, weakly to its memo, and every view derived
     from one graph (``with_alive_mask``, ``remove_nodes``) passes the table
     on. So all live views of one state share one memo, and the entry goes
@@ -246,9 +248,13 @@ class Graph:
     memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        alive = np.array(self.alive, dtype=bool)  # a private copy: no caller holds a writable alias
+        given = np.asarray(self.alive)
+        alive = np.array(given, dtype=bool)  # a private copy: no caller holds a writable alias
         if alive.shape != (self.n,):
             raise ValueError(f"alive mask of shape {alive.shape} does not match {self.n} nodes")
+        bad = () if given.dtype == bool else np.flatnonzero(alive != given)  # a value other than 0 or 1
+        if len(bad):
+            raise ValueError(f"alive mask holds {given[bad[0]]} at node {bad[0]}; only 0 and 1 are allowed")
         alive.flags.writeable = False
         object.__setattr__(self, "alive", alive)
         if any(a.flags.writeable for a in self.pattern):  # from outside (unpickled): freeze a private copy
@@ -371,17 +377,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
 def residual(g: Graph) -> SparsePattern:
     """Closed-neighbourhood CSR of the alive subgraph, rows in alive-id order.
 
-    Keeps the stored entries whose two ends are alive and renumbers them to
-    positions among the alive ids. The kept entries stay in CSR order and
-    the kept set is symmetric, so nothing is sorted or validated again.
+    Built once per state into its memo, frozen: the stored entries with both
+    ends alive, renumbered to alive positions. They stay in CSR order and the
+    kept set is symmetric, so nothing is sorted or validated again.
     """
-    p, alive = g.pattern, g.alive
-    keep = alive[p.rows] & alive[p.cols]
-    position = np.cumsum(alive) - 1
-    rows = position[p.rows[keep]]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=g.n_alive()))))
-    transpose = (np.cumsum(keep) - 1)[p.transpose[keep]]
-    return SparsePattern(indptr, rows, position[p.cols[keep]], transpose)
+    if "residual" not in g.memo:
+        p, alive = g.pattern, g.alive
+        keep = alive[p.rows] & alive[p.cols]
+        position = np.cumsum(alive) - 1
+        rows = position[p.rows[keep]]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=g.n_alive()))))
+        transpose = (np.cumsum(keep) - 1)[p.transpose[keep]]
+        g.memo["residual"] = _freeze(SparsePattern(indptr, rows, position[p.cols[keep]], transpose))
+    return g.memo["residual"]
 
 
 def disjoint_union(patterns: list[SparsePattern]) -> SparsePattern:
@@ -407,7 +415,7 @@ class GraphBatch(NamedTuple):
     ``pattern`` is the ``disjoint_union`` of the states' ``residual``
     patterns: state i owns rows ``offsets[i]:offsets[i + 1]``, its alive
     nodes in id order, and no entry joins two states. A batch of one state
-    holds that state's ``residual`` pattern.
+    holds that state's ``residual`` object itself, layout and all.
     """
 
     graphs: tuple[Graph, ...]

@@ -208,9 +208,12 @@ def dense_adjacency(g):
     return a
 
 
-def dense_attention_mask(g):
-    """Closed-neighborhood mask as a dense 0/1 matrix: adjacency plus the identity."""
-    mask = dense_adjacency(g)
+def dense_attention_mask(batch):
+    """A batch's closed-neighborhood masks as one dense 0/1 matrix: each state's adjacency, block-diagonally, plus the identity."""
+    bounds = np.cumsum([0] + [g.n_alive() for g in batch.graphs])
+    mask = np.zeros((bounds[-1], bounds[-1]))
+    for g, lo, hi in zip(batch.graphs, bounds, bounds[1:]):
+        mask[lo:hi, lo:hi] = dense_adjacency(g)
     np.fill_diagonal(mask, 1.0)
     return mask
 

@@ -62,6 +62,13 @@ class TestPrimitives:
         with pytest.raises(ValueError, match=rf"pick\({row}, {col}\) is outside a tensor of shape \(3, 2\)"):
             ad.pick(a, row, col)
 
+    @pytest.mark.parametrize("row, col", [(1.5, 0), (0, 1.0), ("1", 0)])
+    def test_pick_rejects_an_index_that_is_not_an_integer(self, row, col):
+        a = ad.tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with pytest.raises(ValueError, match=re.escape(f"pick({row!r}, {col!r}) needs integer indices")):
+            ad.pick(a, row, col)
+        assert ad.pick(a, np.int64(2), np.int32(1)).item() == 5.0
+
     def test_mse_rejects_a_target_of_another_shape(self):
         pred = ad.tensor(np.arange(3.0).reshape(3, 1), requires_grad=True)
         with pytest.raises(ValueError, match=r"\(3,\).*\(3, 1\)"):

@@ -133,6 +133,12 @@ class TestSelectAction:
         with pytest.raises(ValueError, match=rf"epsilon must be in \[0, 1\], got {epsilon}"):
             select_action(np.array([1.0, 2.0]), epsilon, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0])
+    def test_a_positive_epsilon_without_an_rng_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=rf"epsilon {epsilon} > 0 draws, so it needs an rng"):
+            select_action(np.array([1.0, 2.0]), epsilon, None)
+        assert select_action(np.array([1.0, 2.0]), 0.0, None) == 1
+
     def test_all_nan_is_reported_as_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             select_action(np.full(3, np.nan), 0.0, np.random.default_rng(0))
@@ -379,10 +385,9 @@ class TestTdTargets:
         batch = [t for t in self.episode_transitions(22) if not t.terminal]
         online, target = model(23), model(24, feature_mode="degree")
         ys = td_targets(batch, online, target, gamma=0.9)
-        for t, y in zip(batch, ys):
-            nxt = t.next_state()
-            best = int(np.argmax(online.q_full(nxt)))
-            assert y == t.reward + 0.9 * target.q_full(nxt)[best]
+        # each next state keeps one matrix per mode: the online model's and the target's
+        assert all({"aggregate", "degree"} <= set(t.next_state().memo) for t in batch)
+        np.testing.assert_allclose(ys, loop_td_targets(batch, online, target, 0.9), rtol=0, atol=1e-12)
 
     @staticmethod
     def mixed_batch(seed, size=8, terminal_every=0):
@@ -502,7 +507,7 @@ class TestFeatureMemo:
         agg = model(29).features(g)
         assert model(30).features(g) is agg
         deg = model(31, feature_mode="degree").features(g)
-        assert set(g.memo) == {"aggregate", "degree"}
+        assert set(g.memo) == {"aggregate", "degree", "residual"}
         assert np.array_equal(deg, degree_only_features(g))
 
     def test_new_views_do_not_inherit_the_memo(self):
@@ -682,6 +687,7 @@ class TestModel:
     def test_embed_uses_the_model_profile(self, profile):
         m = model(16, dropout_profile=profile)
         g = remove_nodes(gen_er(12, 0.3, 17), [2])
-        got = m.embed(g, training=True, rng=np.random.default_rng(18)).data
-        want = encode(g, m.features(g), m.encoder, True, np.random.default_rng(18), profile).data
+        batch = GraphBatch.of([g])
+        got = m.embed(batch, training=True, rng=np.random.default_rng(18)).data
+        want = encode(batch, m.features(g), m.encoder, True, np.random.default_rng(18), profile).data
         assert np.array_equal(got, want)

@@ -26,7 +26,7 @@ from critnet.encoder import (
     init_encoder_params,
 )
 from critnet.features import aggregate_features
-from critnet.graph import build_graph, gen_er, remove_nodes
+from critnet.graph import GraphBatch, build_graph, gen_er, remove_nodes
 
 
 def params(seed=0):
@@ -39,7 +39,7 @@ class TestGatLayer:
         g = build_graph(1, [])
         p = params()
         h = ad.tensor(np.array([[0.1, 0.4, 0.0, 0.9]]))
-        out = gat_layer(h, attention_mask(g), p.layer1, 0.0, False)
+        out = gat_layer(h, attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False)
         expect = h.data @ p.layer1.w.data
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, expect)
@@ -48,7 +48,7 @@ class TestGatLayer:
         g = gen_er(12, 0.3, 1)
         p = params()
         h = ad.tensor(np.random.default_rng(2).random((12, 4)))
-        mask = attention_mask(g)
+        mask = attention_mask(GraphBatch.of([g]))
         rng = np.random.default_rng(3)
         out_train = gat_layer(h, mask, p.layer1, 0.0, True, rng)
         out_eval = gat_layer(h, mask, p.layer1, 0.0, False)
@@ -61,7 +61,7 @@ class TestGatLayer:
         g = remove_nodes(gen_er(15, 0.25, 4), [2, 7])
         p = params()
         row = np.array([[0.3, -0.8, 0.5, 1.2]])
-        out = gat_layer(ad.tensor(np.repeat(row, 13, axis=0)), attention_mask(g), p.layer1, 0.0, False)
+        out = gat_layer(ad.tensor(np.repeat(row, 13, axis=0)), attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False)
         expect = row @ p.layer1.w.data
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, np.repeat(expect, 13, axis=0), rtol=0, atol=1e-14)
@@ -71,13 +71,13 @@ class TestGatLayer:
         g = gen_er(10, 0.3, 6)
         p = params()
         feats = rng.random((10, 4))
-        base = gat_layer(ad.tensor(feats), attention_mask(g), p.layer1, 0.0, False).data
+        base = gat_layer(ad.tensor(feats), attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False).data
         for _ in range(5):
             perm = rng.permutation(10)
             gp = build_graph(10, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
             fp = np.empty_like(feats)
             fp[perm] = feats
-            out = gat_layer(ad.tensor(fp), attention_mask(gp), p.layer1, 0.0, False).data
+            out = gat_layer(ad.tensor(fp), attention_mask(GraphBatch.of([gp])), p.layer1, 0.0, False).data
             assert np.allclose(out[perm], base, atol=1e-10)
 
 
@@ -86,17 +86,17 @@ class TestEncode:
         g = gen_er(20, 0.2, 7)
         p = params()
         feats = aggregate_features(g)
-        a = encode(g, feats, p).data
-        b = encode(g, feats, p).data
+        a = encode(GraphBatch.of([g]), feats, p).data
+        b = encode(GraphBatch.of([g]), feats, p).data
         assert np.array_equal(a, b)
 
     def test_training_mode_seeded_reproducible(self):
         g = gen_er(20, 0.2, 8)
         p = params()
         feats = aggregate_features(g)
-        a = encode(g, feats, p, training=True, rng=np.random.default_rng(9)).data
-        b = encode(g, feats, p, training=True, rng=np.random.default_rng(9)).data
-        c = encode(g, feats, p, training=True, rng=np.random.default_rng(10)).data
+        a = encode(GraphBatch.of([g]), feats, p, training=True, rng=np.random.default_rng(9)).data
+        b = encode(GraphBatch.of([g]), feats, p, training=True, rng=np.random.default_rng(9)).data
+        c = encode(GraphBatch.of([g]), feats, p, training=True, rng=np.random.default_rng(10)).data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -104,14 +104,14 @@ class TestEncode:
         p = params()
         for n in (10, 50, 150):
             g = gen_ba_like(n)
-            emb = encode(g, aggregate_features(g), p)
+            emb = encode(GraphBatch.of([g]), aggregate_features(g), p)
             assert emb.shape == (n, EMBEDDING_DIM)
 
     def test_residual_graph_rows_track_alive_nodes(self):
         g = gen_er(18, 0.3, 11)
         p = params()
         g2 = remove_nodes(g, [0, 5, 6])
-        emb = encode(g2, aggregate_features(g2), p)
+        emb = encode(GraphBatch.of([g2]), aggregate_features(g2), p)
         assert emb.shape == (15, EMBEDDING_DIM)
         assert np.isfinite(emb.data).all()
 
@@ -119,7 +119,7 @@ class TestEncode:
         g = path_graph(5)
         g2 = remove_nodes(g, [1, 3])  # leaves three isolated nodes
         p = params()
-        emb = encode(g2, aggregate_features(g2), p)
+        emb = encode(GraphBatch.of([g2]), aggregate_features(g2), p)
         assert np.isfinite(emb.data).all()
 
     def test_full_encoder_permutation_equivariance(self):
@@ -127,13 +127,13 @@ class TestEncode:
         g = gen_er(12, 0.35, 13)
         p = params()
         feats = rng.random((12, 4))
-        base = encode(g, feats, p).data
+        base = encode(GraphBatch.of([g]), feats, p).data
         for _ in range(20):
             perm = rng.permutation(12)
             gp = build_graph(12, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
             fp = np.empty_like(feats)
             fp[perm] = feats
-            out = encode(gp, fp, p).data
+            out = encode(GraphBatch.of([gp]), fp, p).data
             assert np.allclose(out[perm], base, atol=1e-10)
 
     def test_gradient_against_finite_differences(self):
@@ -144,7 +144,7 @@ class TestEncode:
         target = rng.standard_normal((g.n, EMBEDDING_DIM))
 
         def loss():
-            return ad.mse_loss(encode(g, feats, p), target)
+            return ad.mse_loss(encode(GraphBatch.of([g]), feats, p), target)
 
         err = grad_check(loss, p.parameters(), sample=12, rng=np.random.default_rng(17))
         assert err < 1e-4
@@ -155,23 +155,23 @@ class TestOriginalGatProfile:
         g = gen_er(14, 0.3, 18)
         p = params()
         feats = aggregate_features(g)
-        assert encode(g, feats, p, profile="original").shape == encode(g, feats, p).shape
+        assert encode(GraphBatch.of([g]), feats, p, profile="original").shape == encode(GraphBatch.of([g]), feats, p).shape
 
     def test_eval_mode_deterministic_and_equal_to_reduced(self):
         # without dropout both profiles are the same architecture
         g = gen_er(14, 0.3, 19)
         p = params()
         feats = aggregate_features(g)
-        a = encode(g, feats, p, profile="original").data
-        assert np.array_equal(a, encode(g, feats, p, profile="original").data)
-        assert np.array_equal(a, encode(g, feats, p).data)
+        a = encode(GraphBatch.of([g]), feats, p, profile="original").data
+        assert np.array_equal(a, encode(GraphBatch.of([g]), feats, p, profile="original").data)
+        assert np.array_equal(a, encode(GraphBatch.of([g]), feats, p).data)
 
     def test_training_mode_differs_from_reduced_profile(self):
         g = gen_er(14, 0.3, 20)
         p = params()
         feats = aggregate_features(g)
-        a = encode(g, feats, p, training=True, rng=np.random.default_rng(21)).data
-        b = encode(g, feats, p, training=True, rng=np.random.default_rng(21), profile="original").data
+        a = encode(GraphBatch.of([g]), feats, p, training=True, rng=np.random.default_rng(21)).data
+        b = encode(GraphBatch.of([g]), feats, p, training=True, rng=np.random.default_rng(21), profile="original").data
         assert not np.array_equal(a, b)
 
 
@@ -182,9 +182,9 @@ class TestDropoutProfiles:
         g = remove_nodes(gen_er(16, 0.3, 22), [3, 9])
         p = params(seed=23)
         feats = aggregate_features(g)
-        got = encode(g, feats, p, training=True, rng=np.random.default_rng(24), profile=profile).data
+        got = encode(GraphBatch.of([g]), feats, p, training=True, rng=np.random.default_rng(24), profile=profile).data
         rng = np.random.default_rng(24)
-        mask = attention_mask(g)
+        mask = attention_mask(GraphBatch.of([g]))
         if profile == "original":
             h = ad.dropout(ad.tensor(feats), 0.6, rng, True)
             h = gat_layer(h, mask, p.layer1, 0.6, True, rng)
@@ -199,12 +199,12 @@ class TestDropoutProfiles:
     def test_training_without_rng_rejected(self, profile):
         g = gen_er(8, 0.4, 25)
         with pytest.raises(ValueError, match="needs an rng"):
-            encode(g, aggregate_features(g), params(), training=True, rng=None, profile=profile)
+            encode(GraphBatch.of([g]), aggregate_features(g), params(), training=True, rng=None, profile=profile)
 
     def test_unknown_profile_names_known_ones(self):
         g = gen_er(8, 0.4, 26)
         with pytest.raises(ValueError, match="'bogus'.*reduced.*original"):
-            encode(g, aggregate_features(g), params(), profile="bogus")
+            encode(GraphBatch.of([g]), aggregate_features(g), params(), profile="bogus")
 
 
 class TestDenseOracle:
@@ -212,7 +212,7 @@ class TestDenseOracle:
 
     @staticmethod
     def run(model, g, target):
-        emb = model.embed(g)
+        emb = model.embed(GraphBatch.of([g]))
         loss = ad.mse_loss(q_from_embeddings(emb, model.decoder).q, target)
         loss.backward()
         grads = [p.grad.copy() for p in model.parameters()]
@@ -237,14 +237,25 @@ class TestDenseOracle:
             assert np.abs(got - want).max() <= 1e-12 * scale
 
 
+    def test_a_batch_matches_block_diagonal_dense_attention(self):
+        rng = np.random.default_rng(43)
+        model = Model(init_encoder_params(rng), init_decoder_params(rng))
+        batch = GraphBatch.of([remove_nodes(gen_er(14, 0.3, 44), [2]), gen_ba_like(20), path_graph(3)])
+        got = model.q_full(batch)
+        with dense_encoder():
+            want = model.q_full(batch)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
 class TestPerHeadOracle:
     """Head-batched layers against the one-head-at-a-time layer kept in conftest."""
 
     @staticmethod
     def run(model, g, seed):
         with ad.no_grad():
-            eval_emb = model.embed(g).data
-        train_emb = model.embed(g, training=True, rng=np.random.default_rng(seed))
+            eval_emb = model.embed(GraphBatch.of([g])).data
+        train_emb = model.embed(GraphBatch.of([g]), training=True, rng=np.random.default_rng(seed))
         q = q_from_embeddings(train_emb, model.decoder).q
         ad.mse_loss(q, np.linspace(-1.0, 1.0, q.shape[0]).reshape(-1, 1)).backward()
         grads = [p.grad.copy() for p in model.encoder.parameters()]
@@ -273,7 +284,7 @@ class TestPerHeadOracle:
     def test_layer_rejects_a_mismatched_pattern(self):
         g = gen_er(6, 0.5, 42)
         with pytest.raises(ValueError, match="6 rows does not match 5 nodes"):
-            gat_layer(ad.tensor(np.zeros((5, 4))), attention_mask(g), params().layer1, 0.0, False)
+            gat_layer(ad.tensor(np.zeros((5, 4))), attention_mask(GraphBatch.of([g])), params().layer1, 0.0, False)
 
 
 class TestPerLayerTensors:
@@ -295,7 +306,7 @@ class TestPerLayerTensors:
     def test_layer_and_gradients_are_bit_equal_to_per_head_leaves(self, training, g):
         rng = np.random.default_rng(g.n)
         p = params(seed=g.n)
-        mask = attention_mask(g)
+        mask = attention_mask(GraphBatch.of([g]))
         h = ad.tensor(rng.standard_normal((g.n_alive(), HIDDEN_PER_HEAD * N_HEADS)), requires_grad=True)
         target = rng.standard_normal((g.n_alive(), N_HEADS * OUT_PER_HEAD))
         got = gat_layer(h, mask, p.layer2, 0.6, training, np.random.default_rng(1))

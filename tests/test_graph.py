@@ -34,6 +34,7 @@ from critnet.features import aggregate_features, degree_vector
 from critnet.graph import (
     TAIL_ROWS,
     Graph,
+    GraphBatch,
     GraphParseError,
     SparsePattern,
     build_graph,
@@ -194,8 +195,9 @@ def check_residual(n, edges, alive):
     assert np.array_equal(degree_vector(g), deg)
     dense = np.zeros((k, k))
     dense[sub.rows, sub.cols] = 1.0
-    assert np.array_equal(dense_attention_mask(g), dense)
-    assert all(np.array_equal(a, b) for a, b in zip(attention_mask(g), sub))
+    batch = GraphBatch.of([g])
+    assert np.array_equal(dense_attention_mask(batch), dense)
+    assert attention_mask(batch) is sub
     # every residual view shares the stored pattern, so it must stay read-only
     for a in g.pattern:
         with pytest.raises(ValueError, match="read-only"):
@@ -223,6 +225,36 @@ class TestAliveEdges:
         alive = np.ones(n, dtype=bool)
         alive[dead] = False
         check_residual(n, edges, alive)
+
+
+class TestOneResidualPerState:
+    """``residual`` builds a state's CSR once and hands every reader that one frozen object."""
+
+    def test_every_live_view_of_a_state_returns_one_read_only_pattern(self):
+        g = gen_ba(60, 2, 3)
+        state = remove_nodes(g, [0, 7])
+        sub = residual(state)
+        assert all(not a.flags.writeable for a in sub)
+        views = [
+            with_alive_mask(g, state.alive.copy()),
+            with_alive_mask(state, state.alive),
+            remove_nodes(remove_nodes(g, [7]), [0]),
+        ]
+        assert all(residual(v) is sub for v in views)
+        assert residual(g) is not sub and residual(remove_nodes(g, [0])) is not sub
+
+    def test_features_q_full_objective_and_batch_build_the_csr_once(self):
+        g = remove_nodes(gen_ba(60, 2, 4), [5])
+        rng = np.random.default_rng(5)
+        model = Model(init_encoder_params(rng), init_decoder_params(rng))
+        spy = mock.Mock(wraps=SparsePattern)
+        with mock.patch.object(graph_module, "SparsePattern", spy):
+            aggregate_features(g)
+            model.q_full(g)
+            pairwise_connectivity(g)
+            batch = GraphBatch.of([g])
+        assert spy.call_count == 1
+        assert batch.pattern is residual(g)
 
 
 class TestBuildGraph:
@@ -450,6 +482,16 @@ class TestImmutableViews:
         with pytest.raises(ValueError, match=r"shape \(1, 4\) does not match 4 nodes"):
             Graph(g.pattern, np.ones((1, 4), dtype=bool))
 
+    @pytest.mark.parametrize("value", [0.5, 2, -1, np.nan])
+    def test_mask_values_other_than_0_and_1_rejected(self, value):
+        g = path_graph(4)
+        mask = np.array([1, 0, value, value])
+        with pytest.raises(ValueError, match=rf"alive mask holds {value} at node 2; only 0 and 1 are allowed"):
+            with_alive_mask(g, mask)
+        with pytest.raises(ValueError, match=rf"alive mask holds {value} at node 2"):
+            Graph(g.pattern, mask)
+        assert with_alive_mask(g, [1, 0, 1, 1]).memo is with_alive_mask(g, np.array([True, False, True, True])).memo
+
     def test_list_mask_accepted(self):
         g = path_graph(4)
         view = with_alive_mask(g, [True, False, True, True])
@@ -568,7 +610,7 @@ class TestSlotLayout:
             assert spy.call_count == 1
             rng = np.random.default_rng(8)
             Model(init_encoder_params(rng), init_decoder_params(rng)).q_full(g)
-            assert spy.call_count == 2  # the forward's own pattern, shared by both layers
+            assert spy.call_count == 1  # the forward reads the state's own pattern, layout and all
 
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
     def test_copies_and_frozen_patterns_leave_the_layout_out(self, clone):
