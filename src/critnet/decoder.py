@@ -19,10 +19,10 @@ hidden layer never exists whole.
 
 Input features are memoised on the residual state they describe
 (``Model.features`` keeps them in ``Graph.memo``, next to its CSR). The memo
-belongs to the state, not to the view: every live view of one graph under
-one alive mask shares it, through a table that holds it weakly. So the live
-episode view, ``t[k].next_state()`` and ``t[k + 1].state()`` share one
-feature matrix per feature mode for as long as any of them is alive.
+belongs to the state, not to the view: the graph's pattern holds it weakly
+for every live view under one alive mask. So the live episode view,
+``t[k].next_state()`` and ``t[k + 1].state()`` share one feature matrix per
+feature mode for as long as any of them is alive.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import numpy as np
 from critnet import autodiff as ad
 from critnet.encoder import DROPOUT_PROFILES, EMBEDDING_DIM, EncoderParams, encode
 from critnet.features import aggregate_features, degree_only_features
-from critnet.graph import Graph, GraphBatch, remove_nodes, with_alive_mask
+from critnet.graph import Graph, GraphBatch, remove_nodes
 
 Q_HIDDEN_DIM = 256
 
@@ -152,10 +152,10 @@ class Transition:
     ``alive_after`` is ``alive_before`` with only ``action`` cleared, as the
     graph layer checks, and a non-terminal step leaves some node alive. Both
     masks are kept as read-only copies. ``state()`` and ``next_state()``
-    each build their view of ``graph`` on first call and then return it, so
-    each state's memo, features included, lives at least as long as the
-    transition sits in a replay buffer. A deep copy shares the graph, the
-    read-only masks and the views built so far, in a dict of its own.
+    build their view, ``Graph(graph.pattern, mask)``, on first call and keep
+    it, so each state's memo, features included, lives at least as long as
+    the transition sits in a replay buffer. A deep copy shares the graph,
+    the read-only masks and the views built so far, in a dict of its own.
     """
 
     graph: Graph
@@ -171,9 +171,9 @@ class Transition:
             raise ValueError(f"reward {self.reward} is not finite")
         if self.reward < 0:
             raise ValueError("rewards are connectivity drops and cannot be negative")
-        before = with_alive_mask(self.graph, self.alive_before)
+        before = Graph(self.graph.pattern, self.alive_before)
         after = remove_nodes(before, [self.action])
-        differs = np.flatnonzero(after.alive != with_alive_mask(self.graph, self.alive_after).alive)
+        differs = np.flatnonzero(after.alive != Graph(self.graph.pattern, self.alive_after).alive)
         if len(differs):
             raise ValueError(f"alive_after is not alive_before without node {self.action}: node {differs[0]} differs")
         if not self.terminal and not after.alive.any():
@@ -189,7 +189,7 @@ class Transition:
 
     def _view(self, key: str, alive: np.ndarray) -> Graph:
         if key not in self._views:
-            self._views[key] = with_alive_mask(self.graph, alive)
+            self._views[key] = Graph(self.graph.pattern, alive)
         return self._views[key]
 
     def state(self) -> Graph:

@@ -98,6 +98,8 @@ def init_encoder_params(rng: np.random.Generator) -> EncoderParams:
 
 def attention_mask(batch: GraphBatch) -> SparsePattern:
     """Closed-neighborhood pattern of the batch's alive subgraphs (alive edges both ways plus self-loops), side by side."""
+    if not isinstance(batch, GraphBatch):
+        raise TypeError(f"expected a GraphBatch, got {type(batch).__name__}; GraphBatch.of([g]) is a batch of one")
     return batch.pattern
 
 

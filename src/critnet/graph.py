@@ -8,10 +8,9 @@ The residual graph of a partially-dismantled network is that pattern plus a
 per-node ``alive`` mask. A view is immutable: its mask is read-only, and
 removing nodes builds a new view with bits cleared, so evaluation never
 mutates the original instance. Values derived from a residual state are
-memoised per state, not per view: every view built from one ``build_graph``
-result reaches one table that holds memo dicts weakly, keyed by alive mask,
-so all live views under one mask share one memo, which lives as long as
-the last of them.
+memoised per state, not per view: a pattern holds a table of memo dicts,
+weakly and keyed by alive mask, so all live views of one pattern under one
+mask share one memo, which lives as long as the last of them.
 ``residual`` is the only filter, the one place that applies the mask: it
 renumbers the stored pattern's alive entries into the alive subgraph's CSR
 once per state, into its memo, and features, the encoder and the objective
@@ -129,10 +128,11 @@ class SparsePattern(_Csr):
     and the pattern keeps it: a state's ``residual`` pattern for as long as
     the state lives, a batch's union pattern for one forward.
     ``build_graph``, ``residual`` and the component engine never build one.
-    It is derived data, not one of the four arrays, so a copy or a pickle
-    leaves it out and ``_freeze`` never sees it. Each row is summed left to
-    right in column order, one slot at a time; a row still open after the
-    last slot adds the ``reduceat`` sum of its tail.
+    It and ``memos``, the weak memo table of the views (see ``Graph``), are
+    derived data, not among the four arrays, so a copy or a pickle leaves
+    them out. Each row is summed left to right in column order, one slot at
+    a time; a row still open after the last slot adds the ``reduceat`` sum
+    of its tail.
     """
 
     @property
@@ -140,11 +140,15 @@ class SparsePattern(_Csr):
         return len(self.indptr) - 1
 
     def __reduce__(self):
-        return SparsePattern, tuple(self)
+        return _frozen_copy, tuple(self)
 
     @cached_property
     def layout(self) -> SlotLayout:
         return _slot_layout(self)
+
+    @cached_property
+    def memos(self) -> WeakValueDictionary:
+        return WeakValueDictionary()
 
     def _reduce(self, ufunc, values: np.ndarray, identity: float) -> np.ndarray:
         lay = self.layout
@@ -234,17 +238,15 @@ class Graph:
 
     ``memo`` caches values derived from the residual state (``residual``
     keeps its CSR there, ``decoder.Model.features`` the input matrix, keyed
-    by feature mode). It belongs to the state, not to the view: ``memos`` maps
-    each alive mask, as bytes, weakly to its memo, and every view derived
-    from one graph (``with_alive_mask``, ``remove_nodes``) passes the table
-    on. So all live views of one state share one memo, and the entry goes
-    with the last of them. A graph built on its own starts a new
-    table, even with the same edges and mask.
+    by feature mode). It belongs to the state, not to the view: the
+    pattern's ``memos`` table maps each alive mask, as bytes, weakly to its
+    memo, so all live views of one pattern under one mask share one memo,
+    and the entry goes with the last of them. A graph built on its own, or
+    a view given a writable pattern (frozen as a copy), has a table of its own.
     """
 
     pattern: SparsePattern = field(repr=False)
     alive: np.ndarray = field(repr=False)
-    memos: WeakValueDictionary = field(default_factory=WeakValueDictionary, repr=False)
     memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -257,13 +259,9 @@ class Graph:
             raise ValueError(f"alive mask holds {given[bad[0]]} at node {bad[0]}; only 0 and 1 are allowed")
         alive.flags.writeable = False
         object.__setattr__(self, "alive", alive)
-        if any(a.flags.writeable for a in self.pattern):  # from outside (unpickled): freeze a private copy
-            object.__setattr__(self, "pattern", _freeze(SparsePattern(*map(np.array, self.pattern))))
-        key = alive.tobytes()
-        memo = self.memos.get(key)
-        if memo is None:
-            memo = self.memos[key] = _Memo()
-        object.__setattr__(self, "memo", memo)
+        if any(a.flags.writeable for a in self.pattern):  # from outside: freeze a private copy
+            object.__setattr__(self, "pattern", _frozen_copy(*self.pattern))
+        object.__setattr__(self, "memo", self.pattern.memos.setdefault(alive.tobytes(), _Memo()))
 
     @property
     def n(self) -> int:
@@ -293,7 +291,7 @@ class Graph:
         return self
 
     def __reduce__(self):
-        # rebuilt through the constructor: read-only arrays, and no memo (a weak table cannot be pickled)
+        # rebuilt through the constructor, without the memo; views pickled together get one frozen pattern back
         return Graph, (self.pattern, self.alive)
 
 
@@ -302,6 +300,11 @@ def _freeze(pattern: SparsePattern) -> SparsePattern:
     for a in pattern:
         a.flags.writeable = False
     return pattern
+
+
+def _frozen_copy(*arrays: np.ndarray) -> SparsePattern:
+    """A read-only pattern on private copies of ``arrays``: for arrays from outside, such as unpickled ones."""
+    return _freeze(SparsePattern(*map(np.array, arrays)))
 
 
 @dataclass
@@ -323,17 +326,28 @@ class ComponentPartition(NamedTuple):
     sizes: list[int]
 
 
+def _size(value, name: str, least: int = 0) -> int:
+    try:
+        size = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if size < least:
+        raise ValueError(f"{name} must be >= {least}, got {size}")
+    return size
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Assemble a Graph from an edge list and build its closed-neighbourhood CSR.
 
     ``edges`` is an iterable of ``(u, v)`` pairs or an ``(m, 2)`` integer
-    ndarray, which is taken whole; any other ndarray raises ``ValueError``.
-    Non-integer ids, self-loops, ids outside ``0..n-1`` and duplicate edges
-    (in either orientation) raise ``ValueError`` naming the first bad edge.
-    Past that, every row holds its self-loop and no entry repeats, so the CSR
-    needs no check of its own; its arrays are frozen in place, as nothing
-    else holds them.
+    ndarray, which is taken whole. A negative or non-integer ``n``, any
+    other ndarray, non-integer ids, self-loops, ids outside ``0..n-1`` and
+    duplicate edges (in either orientation) raise ``ValueError``, naming the
+    first bad edge. Past that, every row holds its self-loop and no entry
+    repeats, so the CSR needs no check of its own; its arrays are frozen in
+    place, as nothing else holds them.
     """
+    n = _size(n, "n")
     if isinstance(edges, np.ndarray):
         if edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
             raise ValueError(f"an edge array must be (m, 2) of integers, got shape {edges.shape} of {edges.dtype}")
@@ -524,11 +538,6 @@ def pairwise_connectivity(g: Graph) -> int:
     return sum(s * (s - 1) // 2 for s in sizes)
 
 
-def with_alive_mask(g: Graph, alive: np.ndarray) -> Graph:
-    """Residual view of ``g`` under ``alive``, one bool per node (the view keeps its own copy)."""
-    return Graph(g.pattern, alive, g.memos)
-
-
 def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
     """Return a new residual view with ``nodes`` marked dead; ``g`` is unchanged.
 
@@ -546,7 +555,7 @@ def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
         if not alive[v]:
             raise ValueError(f"node {v} is already removed")
         alive[v] = False
-    return Graph(g.pattern, alive, g.memos)
+    return Graph(g.pattern, alive)
 
 
 # --- synthetic generators -------------------------------------------------
@@ -592,13 +601,6 @@ BA_WINDOW_MIN = 16
 ER_CHUNK = 1 << 17
 
 
-def _size(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _resolve_targets(repeated: np.ndarray, draws: np.ndarray, targets: np.ndarray) -> None:
     """Fill ``targets``, a view of one window's target slots in ``repeated``, from the window's draws.
 
@@ -626,9 +628,7 @@ def _resolve_targets(repeated: np.ndarray, draws: np.ndarray, targets: np.ndarra
 
 def gen_ba(n: int, m_attach: int, seed: int) -> Graph:
     """Preferential-attachment graph on n nodes, m_attach edges per arrival."""
-    n, m = _size(n, "n"), _size(m_attach, "m_attach")
-    if m < 1:
-        raise ValueError("m_attach must be >= 1")
+    n, m = _size(n, "n"), _size(m_attach, "m_attach", 1)
     if n < m + 1:
         raise ValueError("need n >= m_attach + 1")
     rng = np.random.default_rng(seed)
@@ -693,9 +693,7 @@ def gen_ws(n: int, k_ring: int, p_rewire: float, seed: int) -> Graph:
 
 def gen_er(n: int, p_edge: float, seed: int) -> Graph:
     """Bernoulli random graph: each pair kept with probability p_edge."""
-    n = _size(n, "n")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _size(n, "n", 1)
     if not 0.0 <= p_edge <= 1.0:
         raise ValueError("p_edge must be in [0, 1]")
     rng = np.random.default_rng(seed)

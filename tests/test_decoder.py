@@ -1,4 +1,5 @@
 import copy
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -21,7 +22,7 @@ from critnet.decoder import (
 )
 from critnet.encoder import EMBEDDING_DIM, encode, init_encoder_params
 from critnet.features import aggregate_features, degree_only_features
-from critnet.graph import GraphBatch, build_graph, gen_ba, gen_er, gen_ws, remove_nodes, residual, with_alive_mask
+from critnet.graph import Graph, GraphBatch, build_graph, gen_ba, gen_er, gen_ws, remove_nodes, residual
 
 
 def decoder(seed=0, dueling=True):
@@ -205,6 +206,21 @@ class TestReplayBuffer:
             buf.push(self.make_transition(g, action=a))
         batch = buf.sample(5, np.random.default_rng(5))
         assert len({t.action for t in batch}) == 5
+
+    def test_a_pickled_buffer_comes_back_with_one_pattern_and_one_memo_per_state(self):
+        buf = ReplayBuffer(capacity=8)
+        for t in TestTdTargets().episode_transitions(41):
+            buf.push(t)
+            model(42).features(t.state())
+            t.next_state()
+        loaded = list(pickle.loads(pickle.dumps(buf))._items)
+        views = [v for t in loaded for v in (t.graph, t.state(), t.next_state())]
+        assert len({id(v.pattern) for v in views}) == 1
+        assert all(loaded[k].next_state().memo is loaded[k + 1].state().memo for k in range(len(loaded) - 1))
+        states = {v.alive.tobytes() for v in views}
+        assert len({id(v.memo) for v in views}) == len(views[0].pattern.memos) == len(states) == 4
+        for t, was in zip(loaded, buf._items):
+            assert np.array_equal(model(42).features(t.state()), model(42).features(was.state()))
 
     def test_transition_validation(self):
         g = gen_er(6, 0.5, 6)
@@ -444,7 +460,7 @@ class TestGraphBatch:
         batch = GraphBatch.of(parts)
         shift = np.cumsum([0] + [g.n for g in parts])
         union = build_graph(int(shift[-1]), [(u + s, v + s) for g, s in zip(parts, shift) for u, v in g.edges])
-        union = with_alive_mask(union, np.concatenate([g.alive for g in parts]))
+        union = Graph(union.pattern, np.concatenate([g.alive for g in parts]))
         for got, want in zip(batch.pattern, residual(union)):
             assert np.array_equal(got, want)
         assert batch.offsets.tolist() == [0, 18, 33, 44]
@@ -492,10 +508,10 @@ class TestFeatureMemo:
         with pytest.raises(ValueError, match="read-only"):
             feats[0, 0] = 1.0
         # the same state, reached through each path, shares the matrix
-        assert m.features(with_alive_mask(g, g.alive.copy())) is feats
-        assert m.features(with_alive_mask(g, g.alive)) is feats
+        assert m.features(Graph(g.pattern, g.alive.copy())) is feats
+        assert m.features(Graph(g.pattern, g.alive)) is feats
         # a separately built graph with the same edges and mask starts empty
-        fresh = with_alive_mask(build_graph(g.n, g.edges), g.alive.copy())
+        fresh = Graph(build_graph(g.n, g.edges).pattern, g.alive.copy())
         assert fresh.memo == {}
         compute = aggregate_features if mode == "aggregate" else degree_only_features
         assert np.array_equal(m.features(fresh), compute(g))
@@ -527,12 +543,12 @@ class TestFeatureMemo:
         feats = model(34).features(state)
         mask = state.alive.copy()
         views = [
-            with_alive_mask(state, state.alive),
-            with_alive_mask(g, mask),
-            with_alive_mask(with_alive_mask(with_alive_mask(g, g.alive), mask), mask),
+            Graph(state.pattern, state.alive),
+            Graph(g.pattern, mask),
+            Graph(Graph(Graph(g.pattern, g.alive).pattern, mask).pattern, mask),
             remove_nodes(g, nodes[::-1]),
             remove_nodes(remove_nodes(g, nodes[-1:]), nodes[:-1]),
-            remove_nodes(with_alive_mask(state, g.alive.copy()), nodes),
+            remove_nodes(Graph(state.pattern, g.alive.copy()), nodes),
         ]
         for view in views:
             assert view.memo is state.memo
@@ -541,15 +557,15 @@ class TestFeatureMemo:
     def test_entry_goes_with_the_last_view_of_its_state(self):
         g = gen_er(12, 0.3, 35)
         first = remove_nodes(g, [0])
-        second = with_alive_mask(g, first.alive)
+        second = Graph(g.pattern, first.alive)
         model(36).features(first)
         key = first.alive.tobytes()
-        assert g.memos[key] is first.memo
+        assert g.pattern.memos[key] is first.memo
         del first
         assert "aggregate" in second.memo  # the state lives on in its other view
         del second
-        assert key not in g.memos
-        assert len(g.memos) == 1  # only g's own state is left
+        assert key not in g.pattern.memos
+        assert len(g.pattern.memos) == 1  # only g's own state is left
         assert remove_nodes(g, [0]).memo == {}
 
 

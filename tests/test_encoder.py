@@ -122,6 +122,14 @@ class TestEncode:
         emb = encode(GraphBatch.of([g2]), aggregate_features(g2), p)
         assert np.isfinite(emb.data).all()
 
+    @pytest.mark.parametrize("dead", [[], [0, 5, 6]], ids=["all-alive", "residual"])
+    def test_a_graph_is_not_a_batch(self, dead):
+        g = remove_nodes(gen_er(18, 0.3, 11), dead)
+        with pytest.raises(TypeError, match="expected a GraphBatch, got Graph"):
+            attention_mask(g)
+        with pytest.raises(TypeError, match="expected a GraphBatch, got Graph"):
+            encode(g, aggregate_features(g), params())
+
     def test_full_encoder_permutation_equivariance(self):
         rng = np.random.default_rng(12)
         g = gen_er(12, 0.35, 13)

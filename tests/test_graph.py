@@ -47,7 +47,6 @@ from critnet.graph import (
     parse_edge_list,
     remove_nodes,
     residual,
-    with_alive_mask,
 )
 
 
@@ -145,7 +144,7 @@ def shuffled(g, rng, dead_fraction=0.0):
     perm = rng.permutation(g.n)
     alive = np.empty(g.n, dtype=bool)
     alive[perm] = g.alive & (rng.random(g.n) >= dead_fraction)
-    return with_alive_mask(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]), alive)
+    return Graph(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]).pattern, alive)
 
 
 def check_components(g):
@@ -174,7 +173,7 @@ def residual_graphs(draw):
 
 def check_residual(n, edges, alive):
     """Compare residual(g) with the closed neighbourhoods rebuilt from the input edge list."""
-    g = with_alive_mask(build_graph(n, edges), alive)
+    g = Graph(build_graph(n, edges).pattern, alive)
     ids = [v for v in range(n) if alive[v]]
     pos = {v: i for i, v in enumerate(ids)}
     k = len(ids)
@@ -236,8 +235,8 @@ class TestOneResidualPerState:
         sub = residual(state)
         assert all(not a.flags.writeable for a in sub)
         views = [
-            with_alive_mask(g, state.alive.copy()),
-            with_alive_mask(state, state.alive),
+            Graph(g.pattern, state.alive.copy()),
+            Graph(state.pattern, state.alive),
             remove_nodes(remove_nodes(g, [7]), [0]),
         ]
         assert all(residual(v) is sub for v in views)
@@ -272,6 +271,9 @@ class TestBuildGraph:
             (3, [(0, 2**70)], f"edge (0, {2**70}) outside id range 0..2"),
             (3, [(0.5, 1)], "edge (0.5, 1) has a non-integer node id"),
             (3, [(0, 1), (1, "2")], "edge (1, '2') has a non-integer node id"),
+            (-1, [], "n must be >= 0, got -1"),
+            (3.0, [(0, 1)], "n must be an integer, got 3.0"),
+            (-2, [(0, 1)], "n must be >= 0, got -2"),
         ],
         ids=[
             "self-loop",
@@ -285,6 +287,9 @@ class TestBuildGraph:
             "id-beyond-int64",
             "float-id",
             "string-id",
+            "negative-n",
+            "float-n",
+            "negative-n-with-an-edge",
         ],
     )
     def test_rejects_bad_edges(self, n, edges, message):
@@ -437,7 +442,7 @@ CONSTRUCTORS = {
     "gen_er": lambda: gen_er(10, 0.3, 0),
     "gen_ws": lambda: gen_ws(10, 4, 0.2, 0),
     "remove_nodes": lambda: remove_nodes(path_graph(4), [1]),
-    "with_alive_mask": lambda: with_alive_mask(path_graph(4), np.array([True, False, True, True])),
+    "Graph": lambda: Graph(path_graph(4).pattern, np.array([True, False, True, True])),
 }
 
 
@@ -458,12 +463,12 @@ class TestImmutableViews:
     def test_views_keep_their_own_mask(self):
         g = path_graph(4)
         mask = np.array([True, False, True, True])
-        view = with_alive_mask(g, mask)
+        view = Graph(g.pattern, mask)
         mask[0] = False
         assert view.alive.tolist() == [True, False, True, True]
         assert remove_nodes(view, [2]).alive.tolist() == [True, False, False, True]
         assert view.alive.tolist() == [True, False, True, True]
-        assert with_alive_mask(g, g.alive).alive is not g.alive
+        assert Graph(g.pattern, g.alive).alive is not g.alive
 
     @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
     def test_node_count_is_read_from_the_pattern(self, make):
@@ -476,8 +481,6 @@ class TestImmutableViews:
         g = path_graph(4)
         mask = np.ones(length, dtype=bool)
         with pytest.raises(ValueError, match=rf"shape \({length},\) does not match 4 nodes"):
-            with_alive_mask(g, mask)
-        with pytest.raises(ValueError, match=rf"shape \({length},\) does not match 4 nodes"):
             Graph(g.pattern, mask)
         with pytest.raises(ValueError, match=r"shape \(1, 4\) does not match 4 nodes"):
             Graph(g.pattern, np.ones((1, 4), dtype=bool))
@@ -487,16 +490,14 @@ class TestImmutableViews:
         g = path_graph(4)
         mask = np.array([1, 0, value, value])
         with pytest.raises(ValueError, match=rf"alive mask holds {value} at node 2; only 0 and 1 are allowed"):
-            with_alive_mask(g, mask)
-        with pytest.raises(ValueError, match=rf"alive mask holds {value} at node 2"):
             Graph(g.pattern, mask)
-        assert with_alive_mask(g, [1, 0, 1, 1]).memo is with_alive_mask(g, np.array([True, False, True, True])).memo
+        assert Graph(g.pattern, [1, 0, 1, 1]).memo is Graph(g.pattern, np.array([True, False, True, True])).memo
 
     def test_list_mask_accepted(self):
         g = path_graph(4)
-        view = with_alive_mask(g, [True, False, True, True])
+        view = Graph(g.pattern, [True, False, True, True])
         assert view.alive.tolist() == [True, False, True, True]
-        assert view.memo is with_alive_mask(g, np.array([True, False, True, True])).memo
+        assert view.memo is Graph(g.pattern, np.array([True, False, True, True])).memo
 
     @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
     def test_pickle_round_trip_rebuilds_an_immutable_view(self, make):
@@ -530,6 +531,40 @@ class TestImmutableViews:
         assert copied["state"] is g
         assert not copied["state"].alive.flags.writeable
         assert copied["alive"] is not g.alive
+
+
+class TestMemoTable:
+    """A pattern holds the memo table, so every live view of it under one mask finds one memo."""
+
+    def test_a_view_of_another_graph_leaves_this_ones_memo_alone(self):
+        a, b = gen_er(12, 0.2, 1), gen_er(12, 0.2, 5)
+        assert np.array_equal(a.alive, b.alive) and a.edges != b.edges
+        with pytest.raises(TypeError):
+            Graph(b.pattern, b.alive, a.pattern.memos)  # a view takes no memo table
+        view = Graph(b.pattern, b.alive)
+        assert view.memo is b.memo and view.memo is not a.memo
+        assert pairwise_connectivity(view) == pairwise_connectivity(b) == brute_pairwise(b)
+        assert pairwise_connectivity(a) == brute_pairwise(a) == 46
+
+    @pytest.mark.parametrize("nodes", [[0], [3, 1], [5, 0, 9]])
+    def test_a_view_built_from_the_pattern_shares_the_memo_of_remove_nodes(self, nodes):
+        g = gen_ba(20, 2, 6)
+        mask = g.alive.copy()
+        mask[nodes] = False
+        state = remove_nodes(g, nodes)
+        assert Graph(g.pattern, mask).memo is state.memo
+        assert Graph(state.pattern, mask).memo is remove_nodes(Graph(g.pattern, g.alive), nodes[::-1]).memo
+        assert state.memo is not g.memo
+
+    def test_views_pickled_together_share_one_pattern_and_one_memo_per_state(self):
+        g = gen_ba(200, 2, 7)
+        views = [g, remove_nodes(g, [3]), remove_nodes(g, [3]), remove_nodes(g, [3, 8])]
+        loaded = pickle.loads(pickle.dumps(views))
+        assert all(v.pattern is loaded[0].pattern for v in loaded)
+        assert all(not a.flags.writeable for a in loaded[0].pattern)
+        assert loaded[1].memo is loaded[2].memo
+        assert len({id(v.memo) for v in loaded}) == len(loaded[0].pattern.memos) == 3
+        assert [pairwise_connectivity(v) for v in loaded] == [pairwise_connectivity(v) for v in views]
 
 
 # the module's cut-off, and one that never cuts: every slot runs, there is no tail
