@@ -17,8 +17,10 @@ backward. Leaves keep accumulating into ``.grad`` until it is zeroed.
 Graph attention runs over a residual graph's closed-neighbourhood CSR, a
 ``graph.SparsePattern``: one value per stored entry of a structurally
 symmetric n x n matrix in CSR order, one column per attention head (E x H).
-``gather_rows``, ``segment_softmax`` and ``spmm`` work on those per-entry
-values. Every sum or max over a row's entries, forward or backward, is one
+A layer is two primitives: ``attention`` turns node rows into those
+per-entry values, and ``aggregate`` sums them back into node rows; each
+rule keeps only what its backward pass reads. Every sum or max over a
+row's entries, forward or backward, is one
 of the pattern's slot kernels (``SparsePattern.row_sums`` and its
 siblings), which walk the entries slot by slot, a slice of rows at a time;
 column-indexed entries are read through the pattern's transpose
@@ -109,6 +111,8 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError("backward() starts from a scalar output")
+        if not np.isfinite(self.data).all():
+            raise ValueError(f"backward() from a non-finite value {self.item()}; the forward pass diverged")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -241,28 +245,6 @@ def dense_elu(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return _make(out, (product, bias), backward)
 
 
-def head_dots(x: Tensor, a: Tensor) -> Tensor:
-    """Block h of ``x``'s columns dotted with row h of ``a``, for each of H heads: n x H.
-
-    ``x`` is n x H*d, H blocks of d columns, and ``a`` is H x d. The result
-    is ``x`` times the H*d x H block-diagonal matrix whose block h is row h
-    of ``a`` as a column, and runs as that one product, so it is bit-equal
-    to forming that matrix from per-head d x 1 tensors.
-    """
-    heads, d = a.shape
-    if x.data.ndim != 2 or x.shape[1] != heads * d:
-        raise ValueError(f"head_dots shape mismatch: {x.shape} against {heads} heads of width {d}")
-    diagonal = (np.arange(heads * d), np.repeat(np.arange(heads), d))
-    blocks = np.zeros((heads * d, heads))
-    blocks[diagonal] = a.data.reshape(-1)
-
-    def backward(g):
-        x._adopt(g @ blocks.T)
-        a._adopt((x.data.T @ g)[diagonal].reshape(heads, d))
-
-    return _make(x.data @ blocks, (x, a), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         a._adopt(g * c)
@@ -286,17 +268,6 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
         grad = g * slope
         np.copyto(grad, g, where=out > 0)
         a._adopt(grad)
-
-    return _make(out, (a,), backward)
-
-
-def elu(a: Tensor) -> Tensor:
-    out = np.minimum(a.data, 0.0)
-    np.expm1(out, out=out)
-    np.maximum(a.data, out, out=out)  # a > 0 keeps a; a <= 0 gives expm1(a), which is >= a
-
-    def backward(g):
-        a._adopt(g * _elu_slope(out))
 
     return _make(out, (a,), backward)
 
@@ -333,28 +304,33 @@ def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     return _make(p, (logits,), backward)
 
 
-def gather_rows(a: Tensor, pattern: SparsePattern, columns: bool = False) -> Tensor:
-    """Row ``rows[e]`` of ``a`` (``cols[e]`` with ``columns``) for every entry ``e``."""
-    if a.shape[0] != pattern.n:
-        raise ValueError(f"gather from {a.shape[0]} rows over a {pattern.n}-row pattern")
-    index = pattern.cols if columns else pattern.rows
+def attention(hw: Tensor, a_src: Tensor, a_dst: Tensor, pattern: SparsePattern, slope: float) -> Tensor:
+    """Attention of H heads over the entries of each row of ``pattern``: E x H.
 
-    def backward(g):
-        a._adopt(pattern.row_sums(np.take(g, pattern.transpose, axis=0) if columns else g))
-
-    return _make(np.take(a.data, index, axis=0), (a,), backward)
-
-
-def segment_softmax(logits: Tensor, pattern: SparsePattern) -> Tensor:
-    """Softmax of per-entry logits (E x H) over the entries of each row, per column.
-
-    Shifted by each row's max, then exponentiated and normalised in place: one E x H result.
+    ``hw`` is n x H*d, H blocks of d columns, and ``a_src`` and ``a_dst``
+    are H x d. Head h's source and destination logits are block h of ``hw``
+    dotted with row h of ``a_src`` and ``a_dst``, as one product with an
+    H*d x H block-diagonal matrix each. Entry e's score is
+    ``leaky_relu(src[rows[e]] + dst[cols[e]], slope)``, and each row's
+    scores are softmaxed per head. The rule keeps the result, a boolean
+    "score > 0" mask, ``hw`` and the two block-diagonal matrices, and no
+    E x H logit. Each step is the numpy op of the chain of separate
+    primitives it replaced, in that order, so every value is bit-equal.
     """
-    if logits.data.ndim != 2 or logits.shape[0] != len(pattern.rows):
-        raise ValueError(f"logits shape {logits.shape} != ({len(pattern.rows)}, H)")
-    x = logits.data
-    p = np.take(pattern.row_max(x), pattern.rows, axis=0)
-    np.subtract(x, p, out=p)
+    heads, d = a_src.shape
+    if hw.data.ndim != 2 or hw.shape != (pattern.n, heads * d) or a_dst.shape != a_src.shape:
+        shapes = f"hw {hw.shape}, a_src {a_src.shape}, a_dst {a_dst.shape}, pattern of {pattern.n} rows"
+        raise ValueError(f"attention shape mismatch: {shapes}")
+    if not 0.0 < slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
+    diagonal = (np.arange(heads * d), np.repeat(np.arange(heads), d))
+    b_src, b_dst = np.zeros((2, heads * d, heads))
+    b_src[diagonal], b_dst[diagonal] = a_src.data.reshape(-1), a_dst.data.reshape(-1)
+    p = np.take(hw.data @ b_src, pattern.rows, axis=0)
+    p += np.take(hw.data @ b_dst, pattern.cols, axis=0)
+    np.maximum(p, p * slope, out=p)  # for a slope in (0, 1], positive exactly where the sum is
+    positive = p > 0
+    np.subtract(p, np.take(pattern.row_max(p), pattern.rows, axis=0), out=p)
     np.exp(p, out=p)
     p /= np.take(pattern.row_sums(p), pattern.rows, axis=0)
 
@@ -362,32 +338,43 @@ def segment_softmax(logits: Tensor, pattern: SparsePattern) -> Tensor:
         gp = np.take(pattern.row_sums(g * p), pattern.rows, axis=0)
         np.subtract(g, gp, out=gp)
         gp *= p
-        logits._adopt(gp)
+        g = gp * slope
+        np.copyto(g, gp, where=positive)
+        # one pass for both ends: entry transpose[e] carries the gradient of dst[cols[e]]
+        sums = pattern.row_sums(np.concatenate((g, np.take(g, pattern.transpose, axis=0)), axis=1))
+        for a, blocks, part in ((a_src, b_src, sums[:, :heads]), (a_dst, b_dst, sums[:, heads:])):
+            part = np.ascontiguousarray(part)  # with one head, a strided column would take another BLAS kernel
+            hw._adopt(part @ blocks.T)
+            a._adopt((hw.data.T @ part)[diagonal].reshape(heads, d))
 
-    return _make(p, (logits,), backward)
+    return _make(p, (hw, a_src, a_dst), backward)
 
 
-def spmm(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
-    """H sparse n x n matrices, one per column of ``values`` (E x H), times dense column blocks.
+def aggregate(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
+    """ELU of H sparse n x n matrices, one per column of ``values`` (E x H), times dense column blocks.
 
     ``x`` (n x H*d) is split into H blocks of d columns, and block h of the
-    n x H*d result is sparse matrix h times block h of ``x``; H = 1 is a
-    plain sparse-dense product. The pattern's slot kernels do the work, so
-    neither pass forms an E x H*d array.
+    n x H*d result is the ELU of sparse matrix h times block h of ``x``.
+    The pattern's slot kernels do the work, so neither pass forms an
+    E x H*d array, and the ELU overwrites the product: the rule keeps the
+    output, ``values`` and ``x``.
     """
     if values.data.ndim != 2 or values.shape[0] != len(pattern.rows) or x.shape[0] != pattern.n:
-        raise ValueError(f"spmm shape mismatch: values {values.shape}, x {x.shape}, pattern of {pattern.n} rows")
+        raise ValueError(f"aggregate shape mismatch: values {values.shape}, x {x.shape}, pattern of {pattern.n} rows")
     heads = values.shape[1]
     if heads == 0 or x.shape[1] % heads:
-        raise ValueError(f"spmm: {x.shape[1]} columns of x do not split into {heads} heads")
-    w = values.data
+        raise ValueError(f"aggregate: {x.shape[1]} columns of x do not split into {heads} heads")
+    out = pattern.weighted_row_sums(values.data, x.data)
+    negative = np.minimum(out, 0.0)
+    np.maximum(out, np.expm1(negative, out=negative), out=out)  # out > 0 keeps out; else expm1(out) >= out
 
     def backward(g):
+        g = g * _elu_slope(out)
         values._adopt(pattern.entry_dots(g, x.data, heads))
         # entry transpose[e] sits at (cols[e], rows[e]): its weight times g's row cols[e]
-        x._adopt(pattern.weighted_row_sums(np.take(w, pattern.transpose, axis=0), g))
+        x._adopt(pattern.weighted_row_sums(np.take(values.data, pattern.transpose, axis=0), g))
 
-    return _make(pattern.weighted_row_sums(w, x.data), (values, x), backward)
+    return _make(out, (values, x), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -401,12 +388,12 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = (rng.random(a.shape[::-1]).T >= rate) / (1.0 - rate)
+    keep, scale = rng.random(a.shape[::-1]).T >= rate, 1.0 / (1.0 - rate)
 
     def backward(g):
-        a._adopt(g * keep)
+        a._adopt(g * (keep * scale))  # the rule keeps a boolean mask, not the float one
 
-    return _make(a.data * keep, (a,), backward)
+    return _make(a.data * (keep * scale), (a,), backward)
 
 
 def mean_rows(a: Tensor, offsets=None) -> Tensor:

@@ -11,10 +11,11 @@ attention values, then the sparse attention-weighted sum. Head outputs are
 concatenated and passed through an ELU. Each layer keeps one tensor per
 role: ``w`` (in x H*d) holds the heads' transforms side by side, and
 ``a_src`` and ``a_dst`` (H x d) hold one attention vector per row. So
-``gat_layer`` runs all heads as one chain (one product with ``w``, then
-``head_dots`` to E x H logits and attention values), and no per-head
-tensor is concatenated on the tape. A seed draws the weights head after
-head, as separate per-head tensors would, so the layout changes no value.
+``gat_layer`` runs all heads at once (one product with ``w``, then
+``autodiff.attention`` to E x H attention values and ``autodiff.aggregate``
+back to node rows), and no per-head tensor is concatenated on the tape. A
+seed draws the weights head after head, as separate per-head tensors
+would, so the layout changes no value.
 ``encode`` runs once over all of a batch's states (a single graph is a
 batch of one), and no attention crosses from one state to another.
 
@@ -113,19 +114,17 @@ def gat_layer(
 ) -> ad.Tensor:
     """One multi-head attention layer; returns elu(concat of head outputs).
 
-    All H heads share one chain: ``hw`` holds every head's transform side
-    by side (n x H*d), ``head_dots`` with the attention vectors turns it
-    into n x H source and destination logits, and the attention values are
-    E x H. Dropout draws head after head, as H per-head layers would.
+    All H heads share one chain, ``matmul`` -> ``attention`` -> ``dropout``
+    -> ``aggregate``: ``hw`` holds every head's transform side by side
+    (n x H*d), ``attention`` scores it with the attention vectors into E x H
+    attention values, and ``aggregate`` takes the ELU of their weighted sums
+    of ``hw``'s rows. Dropout draws head after head, as H per-head layers would.
     """
     if mask.n != h.shape[0]:
         raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
     hw = ad.matmul(h, layer.w)
-    src = ad.gather_rows(ad.head_dots(hw, layer.a_src), mask)
-    dst = ad.gather_rows(ad.head_dots(hw, layer.a_dst), mask, columns=True)
-    att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
-    att = ad.dropout(att, dropout_rate, rng, training)
-    return ad.elu(ad.spmm(att, mask, hw))
+    att = ad.attention(hw, layer.a_src, layer.a_dst, mask, ATTENTION_SLOPE)
+    return ad.aggregate(ad.dropout(att, dropout_rate, rng, training), mask, hw)
 
 
 def encode(

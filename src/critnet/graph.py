@@ -123,7 +123,8 @@ class SparsePattern(_Csr):
     copied; ``residual`` filters it into the alive subgraph's pattern.
 
     The row kernels (``row_sums``, ``row_max``, ``weighted_row_sums``,
-    ``entry_dots``) read the pattern through its ``layout``, a
+    ``entry_dots``), which ``autodiff.attention`` and ``autodiff.aggregate``
+    run in both passes, read the pattern through its ``layout``, a
     ``SlotLayout``. The first kernel called on a pattern builds it, once,
     and the pattern keeps it: a state's ``residual`` pattern for as long as
     the state lives, a batch's union pattern for one forward.

@@ -266,7 +266,7 @@ def dense_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
         att = ad.row_softmax_masked(ad.leaky_relu(logits, ATTENTION_SLOPE), mask)
         att = ad.dropout(att, dropout_rate, rng, training)
         outputs.append(ad.matmul(att, hw))
-    return ad.elu(ad.concat(outputs, axis=1))
+    return elu(ad.concat(outputs, axis=1))
 
 
 @contextlib.contextmanager
@@ -278,6 +278,111 @@ def dense_encoder():
         encoder, "gat_layer", dense_gat_layer
     ):
         yield
+
+
+# --- the chain of separate GAT primitives ----------------------------------------
+#
+# The layer as it ran before ``autodiff.attention`` and ``autodiff.aggregate``
+# fused it: every stage its own tape op, so the tape also held the gathered
+# logits, their sum, the leaky-ReLU output and the sparse product.
+
+
+def head_dots(x, a):
+    """Block h of ``x``'s columns (n x H*d) dotted with row h of ``a`` (H x d): one product with a block-diagonal matrix."""
+    from critnet import autodiff as ad
+
+    heads, d = a.shape
+    diagonal = (np.arange(heads * d), np.repeat(np.arange(heads), d))
+    blocks = np.zeros((heads * d, heads))
+    blocks[diagonal] = a.data.reshape(-1)
+
+    def backward(g):
+        x._adopt(g @ blocks.T)
+        a._adopt((x.data.T @ g)[diagonal].reshape(heads, d))
+
+    return ad._make(x.data @ blocks, (x, a), backward)
+
+
+def gather_rows(a, pattern, columns=False):
+    """Row ``rows[e]`` of ``a`` (``cols[e]`` with ``columns``) for every entry ``e``."""
+    from critnet import autodiff as ad
+
+    index = pattern.cols if columns else pattern.rows
+
+    def backward(g):
+        a._adopt(pattern.row_sums(np.take(g, pattern.transpose, axis=0) if columns else g))
+
+    return ad._make(np.take(a.data, index, axis=0), (a,), backward)
+
+
+def segment_softmax(logits, pattern):
+    """Softmax of per-entry logits (E x H) over the entries of each row, per column."""
+    from critnet import autodiff as ad
+
+    x = logits.data
+    p = np.take(pattern.row_max(x), pattern.rows, axis=0)
+    np.subtract(x, p, out=p)
+    np.exp(p, out=p)
+    p /= np.take(pattern.row_sums(p), pattern.rows, axis=0)
+
+    def backward(g):
+        gp = np.take(pattern.row_sums(g * p), pattern.rows, axis=0)
+        np.subtract(g, gp, out=gp)
+        gp *= p
+        logits._adopt(gp)
+
+    return ad._make(p, (logits,), backward)
+
+
+def spmm(values, pattern, x):
+    """H sparse n x n matrices, one per column of ``values`` (E x H), times column blocks of ``x`` (n x H*d)."""
+    from critnet import autodiff as ad
+
+    heads, w = values.shape[1], values.data
+
+    def backward(g):
+        values._adopt(pattern.entry_dots(g, x.data, heads))
+        x._adopt(pattern.weighted_row_sums(np.take(w, pattern.transpose, axis=0), g))
+
+    return ad._make(pattern.weighted_row_sums(w, x.data), (values, x), backward)
+
+
+def elu(a):
+    """ELU as a tape op of its own, with the slope read from its output."""
+    from critnet import autodiff as ad
+
+    out = np.minimum(a.data, 0.0)
+    np.expm1(out, out=out)
+    np.maximum(a.data, out, out=out)
+
+    def backward(g):
+        a._adopt(g * ad._elu_slope(out))
+
+    return ad._make(out, (a,), backward)
+
+
+def chain_attention(hw, a_src, a_dst, pattern, slope):
+    """``autodiff.attention`` as the chain it replaced: dots, gathers, a sum, a leaky ReLU and a softmax."""
+    from critnet import autodiff as ad
+
+    src = gather_rows(head_dots(hw, a_src), pattern)
+    dst = gather_rows(head_dots(hw, a_dst), pattern, columns=True)
+    return segment_softmax(ad.leaky_relu(ad.add(src, dst), slope), pattern)
+
+
+def chain_aggregate(values, pattern, x):
+    """``autodiff.aggregate`` as the chain it replaced: a sparse product, then an ELU."""
+    return elu(spmm(values, pattern, x))
+
+
+def chain_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
+    """The encoder's attention layer on the chain of separate primitives."""
+    from critnet import autodiff as ad
+    from critnet.encoder import ATTENTION_SLOPE
+
+    hw = ad.matmul(h, layer.w)
+    att = chain_attention(hw, layer.a_src, layer.a_dst, mask, ATTENTION_SLOPE)
+    return chain_aggregate(ad.dropout(att, dropout_rate, rng, training), mask, hw)
 
 
 # --- row-segment kernel oracles ------------------------------------------------
@@ -301,7 +406,7 @@ def where_elu(a):
 
 
 def per_head_spmm(values, pattern, x):
-    """``autodiff.spmm`` as a tape op of E x d gathers and ``reduceat`` row sums, one head at a time."""
+    """``spmm`` as a tape op of E x d gathers and ``reduceat`` row sums, one head at a time."""
     from critnet import autodiff as ad
 
     heads = values.shape[1]
@@ -363,12 +468,12 @@ def per_head_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
     outputs = []
     for head in layer_heads(layer):
         hw = ad.matmul(h, head.w)
-        src = ad.gather_rows(ad.matmul(hw, head.a_src), mask)
-        dst = ad.gather_rows(ad.matmul(hw, head.a_dst), mask, columns=True)
-        att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
+        src = gather_rows(ad.matmul(hw, head.a_src), mask)
+        dst = gather_rows(ad.matmul(hw, head.a_dst), mask, columns=True)
+        att = segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
         att = ad.dropout(att, dropout_rate, rng, training)
         outputs.append(per_head_spmm(att, mask, hw))
-    return ad.elu(ad.concat(outputs, axis=1))
+    return elu(ad.concat(outputs, axis=1))
 
 
 def block_diag(parts):
@@ -412,11 +517,11 @@ def concat_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
     from critnet.encoder import ATTENTION_SLOPE
 
     hw = ad.matmul(h, ad.concat([head.w for head in heads], axis=1))
-    src = ad.gather_rows(ad.matmul(hw, block_diag([head.a_src for head in heads])), mask)
-    dst = ad.gather_rows(ad.matmul(hw, block_diag([head.a_dst for head in heads])), mask, columns=True)
-    att = ad.segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
+    src = gather_rows(ad.matmul(hw, block_diag([head.a_src for head in heads])), mask)
+    dst = gather_rows(ad.matmul(hw, block_diag([head.a_dst for head in heads])), mask, columns=True)
+    att = segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
     att = ad.dropout(att, dropout_rate, rng, training)
-    return ad.elu(ad.spmm(att, mask, hw))
+    return elu(spmm(att, mask, hw))
 
 
 @contextlib.contextmanager

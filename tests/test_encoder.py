@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    chain_gat_layer,
     concat_gat_layer,
     corpus_graphs,
     dense_encoder,
@@ -14,6 +15,7 @@ from conftest import (
 from critnet import autodiff as ad
 from critnet.decoder import Model, init_decoder_params, q_from_embeddings
 from critnet.encoder import (
+    DROPOUT_PROFILES,
     EMBEDDING_DIM,
     HIDDEN_DIM,
     HIDDEN_PER_HEAD,
@@ -26,7 +28,7 @@ from critnet.encoder import (
     init_encoder_params,
 )
 from critnet.features import aggregate_features
-from critnet.graph import GraphBatch, build_graph, gen_er, remove_nodes
+from critnet.graph import GraphBatch, build_graph, gen_er, gen_ws, remove_nodes
 
 
 def params(seed=0):
@@ -331,6 +333,40 @@ class TestPerLayerTensors:
             assert np.array_equal(p.layer2.w.grad[:, k * d : (k + 1) * d], head.w.grad)
             assert np.array_equal(p.layer2.a_src.grad[k], head.a_src.grad[:, 0])
             assert np.array_equal(p.layer2.a_dst.grad[k], head.a_dst.grad[:, 0])
+
+
+class TestChainOracle:
+    """``attention`` and ``aggregate`` against the chain of separate primitives they fused, kept in conftest."""
+
+    @staticmethod
+    def run(layer_fn, batch, profile, training, seed):
+        """Both layers as ``encode`` stacks them, with a leaf input: the output and every gradient."""
+        in1, att1, in2, att2 = DROPOUT_PROFILES[profile]
+        rng = np.random.default_rng(seed)
+        p = params(seed)
+        mask = attention_mask(batch)
+        x = ad.tensor(rng.standard_normal((mask.n, IN_FEATURES)), requires_grad=True)
+        h = layer_fn(ad.dropout(x, in1, rng, training), mask, p.layer1, att1, training, rng)
+        out = layer_fn(ad.dropout(h, in2, rng, training), mask, p.layer2, att2, training, rng)
+        ad.mse_loss(out, rng.standard_normal(out.shape)).backward()
+        return [out.data, x.grad] + [t.grad for t in p.parameters()]
+
+    def check(self, batch, seed):
+        for profile in DROPOUT_PROFILES:
+            for training in (False, True):
+                got = self.run(gat_layer, batch, profile, training, seed)
+                want = self.run(chain_gat_layer, batch, profile, training, seed)
+                assert len(got) == 8
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), (profile, training)
+
+    @given(g=corpus_graphs(max_n=60))
+    def test_a_graph_is_bit_equal(self, g):
+        self.check(GraphBatch.of([g]), g.n)
+
+    def test_a_batch_is_bit_equal(self):
+        states = [remove_nodes(gen_ba_like(150), [0, 7, 9]), gen_er(150, 4 / 149, 45), gen_ws(150, 4, 0.1, 46), path_graph(3)]
+        self.check(GraphBatch.of(states), 47)
 
 
 def gen_ba_like(n):
