@@ -36,7 +36,7 @@ import numpy as np
 from critnet import autodiff as ad
 from critnet.encoder import DROPOUT_PROFILES, EMBEDDING_DIM, EncoderParams, encode
 from critnet.features import aggregate_features, degree_only_features
-from critnet.graph import Graph, GraphBatch, remove_nodes
+from critnet.graph import Graph, GraphBatch, _size, remove_nodes
 
 Q_HIDDEN_DIM = 256
 
@@ -203,10 +203,8 @@ class ReplayBuffer:
     """Bounded FIFO with uniform without-replacement sampling."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items: deque[Transition] = deque(maxlen=capacity)
+        self.capacity = _size(capacity, "capacity", 1)
+        self._items: deque[Transition] = deque(maxlen=self.capacity)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -215,8 +213,7 @@ class ReplayBuffer:
         self._items.append(t)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {batch_size}")
+        batch_size = _size(batch_size, "batch size", 1)
         if batch_size > len(self._items):
             raise ValueError(f"buffer holds {len(self._items)} < batch size {batch_size}")
         idx = rng.choice(len(self._items), size=batch_size, replace=False)

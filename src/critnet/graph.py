@@ -2,8 +2,9 @@
 
 A graph stores one sparse structure: the CSR pattern of its closed
 neighbourhoods (every edge in both directions plus one self-loop per node).
-``build_graph`` is the only code that builds one; it freezes the arrays in
-place, and every residual view shares them without copying.
+``build_graph`` is the only code that builds one, and every residual view
+shares it without copying. A pattern holds private read-only copies of its
+arrays, so no pattern, stored, residual or batched, can change once built.
 The residual graph of a partially-dismantled network is that pattern plus a
 per-node ``alive`` mask. A view is immutable: its mask is read-only, and
 removing nodes builds a new view with bits cleared, so evaluation never
@@ -119,8 +120,10 @@ class SparsePattern(_Csr):
     ``(cols[e], rows[e])``: since the transposed matrix has the same pattern,
     ``values[transpose]`` lists its entries in the same CSR order.
 
-    ``build_graph`` builds each graph's stored pattern, read-only and never
-    copied; ``residual`` filters it into the alive subgraph's pattern.
+    The constructor keeps read-only copies of the four arrays it is given,
+    so a pattern never changes, and nothing the caller still holds can
+    change it. ``build_graph`` builds each graph's stored pattern, which its
+    views share; ``residual`` filters it into the alive subgraph's pattern.
 
     The row kernels (``row_sums``, ``row_max``, ``weighted_row_sums``,
     ``entry_dots``), which ``autodiff.attention`` and ``autodiff.aggregate``
@@ -136,12 +139,18 @@ class SparsePattern(_Csr):
     of its tail.
     """
 
+    def __new__(cls, indptr, rows, cols, transpose):
+        arrays = [np.array(a) for a in (indptr, rows, cols, transpose)]
+        for a in arrays:
+            a.flags.writeable = False
+        return super().__new__(cls, *arrays)
+
     @property
     def n(self) -> int:
         return len(self.indptr) - 1
 
     def __reduce__(self):
-        return _frozen_copy, tuple(self)
+        return SparsePattern, tuple(self)
 
     @cached_property
     def layout(self) -> SlotLayout:
@@ -232,8 +241,8 @@ class Graph:
     """Undirected simple graph with dense 0-based node ids: an immutable residual view.
 
     ``pattern`` is the closed-neighbourhood CSR of the whole graph, as
-    ``build_graph`` froze it; every residual view shares its arrays, and
-    ``n`` is read from it. ``alive`` is the view's own read-only copy of the
+    ``build_graph`` built it; every residual view shares it, and ``n`` is
+    read from it. ``alive`` is the view's own read-only copy of the
     mask it was built with, checked to hold one entry per node, so nothing
     can change a view after it exists; removing nodes builds a new view.
 
@@ -243,7 +252,7 @@ class Graph:
     pattern's ``memos`` table maps each alive mask, as bytes, weakly to its
     memo, so all live views of one pattern under one mask share one memo,
     and the entry goes with the last of them. A graph built on its own, or
-    a view given a writable pattern (frozen as a copy), has a table of its own.
+    a view of a copied pattern, has a table of its own.
     """
 
     pattern: SparsePattern = field(repr=False)
@@ -260,8 +269,6 @@ class Graph:
             raise ValueError(f"alive mask holds {given[bad[0]]} at node {bad[0]}; only 0 and 1 are allowed")
         alive.flags.writeable = False
         object.__setattr__(self, "alive", alive)
-        if any(a.flags.writeable for a in self.pattern):  # from outside: freeze a private copy
-            object.__setattr__(self, "pattern", _frozen_copy(*self.pattern))
         object.__setattr__(self, "memo", self.pattern.memos.setdefault(alive.tobytes(), _Memo()))
 
     @property
@@ -288,24 +295,12 @@ class Graph:
         return f"Graph(n={self.n})"
 
     def __deepcopy__(self, _memo) -> "Graph":
-        # immutable, like a tuple: a deep copy would differ only in having writable arrays
+        # immutable, like a tuple: a deep copy would only build a second pattern and memo table
         return self
 
     def __reduce__(self):
-        # rebuilt through the constructor, without the memo; views pickled together get one frozen pattern back
+        # rebuilt through the constructor, without the memo; views pickled together get one pattern back
         return Graph, (self.pattern, self.alive)
-
-
-def _freeze(pattern: SparsePattern) -> SparsePattern:
-    """``pattern`` with its arrays made read-only in place: for arrays nothing else owns."""
-    for a in pattern:
-        a.flags.writeable = False
-    return pattern
-
-
-def _frozen_copy(*arrays: np.ndarray) -> SparsePattern:
-    """A read-only pattern on private copies of ``arrays``: for arrays from outside, such as unpickled ones."""
-    return _freeze(SparsePattern(*map(np.array, arrays)))
 
 
 @dataclass
@@ -345,8 +340,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     other ndarray, non-integer ids, self-loops, ids outside ``0..n-1`` and
     duplicate edges (in either orientation) raise ``ValueError``, naming the
     first bad edge. Past that, every row holds its self-loop and no entry
-    repeats, so the CSR needs no check of its own; its arrays are frozen in
-    place, as nothing else holds them.
+    repeats, so the CSR needs no check of its own.
     """
     n = _size(n, "n")
     if isinstance(edges, np.ndarray):
@@ -385,14 +379,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     order = np.argsort(rows * n + cols)  # by row, then column: the keys of in-range entries do not collide
     rows, cols = rows[order], cols[order]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    pattern = SparsePattern(indptr, rows, cols, np.argsort(cols * n + rows))
-    return Graph(_freeze(pattern), np.ones(n, dtype=bool))
+    return Graph(SparsePattern(indptr, rows, cols, np.argsort(cols * n + rows)), np.ones(n, dtype=bool))
 
 
 def residual(g: Graph) -> SparsePattern:
     """Closed-neighbourhood CSR of the alive subgraph, rows in alive-id order.
 
-    Built once per state into its memo, frozen: the stored entries with both
+    Built once per state into its memo: the stored entries with both
     ends alive, renumbered to alive positions. They stay in CSR order and the
     kept set is symmetric, so nothing is sorted or validated again.
     """
@@ -403,7 +396,7 @@ def residual(g: Graph) -> SparsePattern:
         rows = position[p.rows[keep]]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=g.n_alive()))))
         transpose = (np.cumsum(keep) - 1)[p.transpose[keep]]
-        g.memo["residual"] = _freeze(SparsePattern(indptr, rows, position[p.cols[keep]], transpose))
+        g.memo["residual"] = SparsePattern(indptr, rows, position[p.cols[keep]], transpose)
     return g.memo["residual"]
 
 
@@ -675,8 +668,7 @@ def gen_ws(n: int, k_ring: int, p_rewire: float, seed: int) -> Graph:
     lattice = [(u, (u + j) % n) for u in range(n) for j in range(1, k_ring // 2 + 1)]
     present = {(u, v) if u < v else (v, u) for u, v in lattice}
     for u, v in lattice:
-        key = (u, v) if u < v else (v, u)
-        if key not in present or rng.random() >= p_rewire:
+        if rng.random() >= p_rewire:
             continue
         w = int(rng.integers(n))
         attempts = 0
@@ -687,7 +679,7 @@ def gen_ws(n: int, k_ring: int, p_rewire: float, seed: int) -> Graph:
                 w = -1
                 break
         if w >= 0:
-            present.discard(key)
+            present.discard((u, v) if u < v else (v, u))
             present.add((u, w) if u < w else (w, u))
     return build_graph(n, sorted(present))
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -184,6 +185,18 @@ class TestReplayBuffer:
         buf.push(self.make_transition(gen_er(6, 0.5, 1)))
         with pytest.raises(ValueError, match=f"batch size must be >= 1, got {size}"):
             buf.sample(size, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", [2.5, "3", 0, -1])
+    @pytest.mark.parametrize("argument", ["capacity", "batch size"])
+    def test_integer_arguments_are_checked(self, argument, value):
+        message = f"must be >= 1, got {value}" if isinstance(value, int) else f"must be an integer, got {value!r}"
+        buf = ReplayBuffer(capacity=5)
+        buf.push(self.make_transition(gen_er(6, 0.5, 1)))
+        with pytest.raises(ValueError, match=re.escape(f"{argument} {message}")):
+            if argument == "capacity":
+                ReplayBuffer(value)
+            else:
+                buf.sample(value, np.random.default_rng(0))
 
     def test_sampling_roughly_uniform(self):
         g = gen_er(40, 0.2, 2)

@@ -517,13 +517,25 @@ class TestImmutableViews:
         assert np.array_equal(aggregate_features(loaded), g.memo["aggregate"])
         assert remove_nodes(loaded, [loaded.alive_ids()[0]]).memo == {}
 
-    def test_a_writable_pattern_from_outside_is_copied_and_frozen(self):
+    def test_arrays_from_outside_are_copied_and_frozen(self):
         g = path_graph(4)
-        outside = type(g.pattern)(*(np.array(a) for a in g.pattern))
-        view = Graph(outside, g.alive)
+        outside = [np.array(a) for a in g.pattern]
+        view = Graph(SparsePattern(*outside), g.alive)
         assert all(a.flags.writeable for a in outside)
         assert all(not a.flags.writeable and not np.shares_memory(a, b) for a, b in zip(view.pattern, outside))
+        outside[2][:] = 0  # the caller's arrays stay its own
         assert view.edges == g.edges
+
+    def test_batched_unions_and_hand_built_patterns_are_read_only(self):
+        states = [gen_ba(30, 2, 1), remove_nodes(gen_er(20, 0.2, 2), [4])]
+        batch = GraphBatch.of(states).pattern
+        union = graph_module.disjoint_union([residual(s) for s in states])
+        hand_built = SparsePattern(*(np.array(a) for a in path_graph(4).pattern))
+        for p in (batch, union, hand_built):
+            p.row_sums(np.ones(len(p.rows)))  # with its layout cached, a write would reach only some readers
+            for a in p:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[:1] = 0
 
     def test_deep_copies_share_the_immutable_view(self):
         g = remove_nodes(path_graph(4), [1])
