@@ -15,6 +15,7 @@ from critnet.graph import (
     parse_edge_list,
     remove_nodes,
 )
+from critnet.solve import degree_scores, solve_greedy
 
 __version__ = "0.1.0"
 
@@ -25,6 +26,7 @@ __all__ = [
     "Solution",
     "build_graph",
     "connected_components",
+    "degree_scores",
     "format_edge_list",
     "gen_ba",
     "gen_er",
@@ -32,5 +34,6 @@ __all__ = [
     "pairwise_connectivity",
     "parse_edge_list",
     "remove_nodes",
+    "solve_greedy",
     "__version__",
 ]

@@ -36,7 +36,7 @@ import numpy as np
 from critnet import autodiff as ad
 from critnet.encoder import DROPOUT_PROFILES, EMBEDDING_DIM, EncoderParams, encode
 from critnet.features import aggregate_features, degree_only_features
-from critnet.graph import Graph, GraphBatch, _size, remove_nodes
+from critnet.graph import Graph, GraphBatch, _size, remove_nodes, scatter_alive
 
 Q_HIDDEN_DIM = 256
 
@@ -269,11 +269,7 @@ class Model:
         batch = g if isinstance(g, GraphBatch) else GraphBatch.of((g,))
         with ad.no_grad():
             q = self.q_output(batch).q.data[:, 0]
-        out = []
-        for s, lo, hi in zip(batch.graphs, batch.offsets, batch.offsets[1:]):
-            full = np.full(s.n, -np.inf)
-            full[s.alive_ids()] = q[lo:hi]
-            out.append(full)
+        out = [scatter_alive(s, q[lo:hi]) for s, lo, hi in zip(batch.graphs, batch.offsets, batch.offsets[1:])]
         return out if batch is g else out[0]
 
 

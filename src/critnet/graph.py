@@ -552,6 +552,13 @@ def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
     return Graph(g.pattern, alive)
 
 
+def scatter_alive(g: Graph, values: np.ndarray) -> np.ndarray:
+    """``values``, one per alive node in id order, spread over all ``g.n`` ids, with -inf on dead nodes."""
+    full = np.full(g.n, -np.inf)
+    full[g.alive] = values
+    return full
+
+
 # --- synthetic generators -------------------------------------------------
 #
 # All three are deterministic for a fixed seed. Conventions not pinned down

@@ -1,5 +1,8 @@
 import contextlib
+import functools
+import importlib.util
 import os
+import sys
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -36,6 +39,26 @@ def benchmark_file(name: str) -> Path:
             "(or set CRITNET_DATA_DIR) to run this check"
         )
     return path
+
+
+@functools.cache
+def perfbench_module(name: str):
+    """``perfbench/<name>.py`` loaded by path (perfbench is not a package), once per session.
+
+    The module sits in ``sys.modules`` only while its file runs, where a
+    dataclass looks it up. Left there, it would also join the local source
+    files whose literals Hypothesis mixes into the examples it draws, and
+    so change the examples of every property test in the session.
+    """
+    key = f"perfbench_{name}"
+    spec = importlib.util.spec_from_file_location(key, Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[key] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[key]
+    return module
 
 
 # --- shared graph builders and oracles -------------------------------------

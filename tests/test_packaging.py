@@ -1,11 +1,13 @@
 import ast
 import importlib
-import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+import critnet
+from conftest import perfbench_module
 
 
 def test_console_scripts_resolve():
@@ -16,15 +18,16 @@ def test_console_scripts_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
+def test_every_exported_name_resolves():
+    # a name in __all__ that the package does not define breaks `from critnet import *`
+    assert [name for name in critnet.__all__ if not hasattr(critnet, name)] == []
+
+
 def test_perfbench_trace_targets_resolve_in_src():
     # the tracer skips a target it cannot find and reads its metrics as 0, so a
     # renamed function would silently blank a benchmark metric; fail here instead
-    root = Path(__file__).parents[1]
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", root / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    src = (root / "src").resolve()
-    for module_name, path, _, _ in tracing.TARGETS:
+    src = (Path(__file__).parents[1] / "src").resolve()
+    for module_name, path, _, _ in perfbench_module("tracing").TARGETS:
         target = importlib.import_module(module_name)
         for part in path.split("."):
             assert hasattr(target, part), f"{module_name}.{path} does not resolve"
