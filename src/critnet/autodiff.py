@@ -20,11 +20,11 @@ symmetric n x n matrix in CSR order, one column per attention head (E x H).
 A layer is two primitives: ``attention`` turns node rows into those
 per-entry values, and ``aggregate`` sums them back into node rows; each
 rule keeps only what its backward pass reads. Every sum or max over a
-row's entries, forward or backward, is one
-of the pattern's slot kernels (``SparsePattern.row_sums`` and its
-siblings), which walk the entries slot by slot, a slice of rows at a time;
-column-indexed entries are read through the pattern's transpose
-permutation.
+row's entries, forward or backward, is one of the pattern's slot kernels
+(``SparsePattern.row_sums`` and its siblings), which walk the entries slot
+by slot, a slice of rows at a time, and those whose products are n x H*d
+one block of ranks at a time; column-indexed entries are read through the
+pattern's transpose permutation.
 
 Evaluation-time forwards should run inside ``no_grad()`` so no graph is
 recorded.
@@ -156,9 +156,14 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     return tensor(rng.uniform(-limit, limit, size=(rows, cols)), requires_grad=True)
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` records its rule: gradients are on, and one of them is trained or has a rule."""
+    return _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _records(parents):
         out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = parents
         out._backward = backward
@@ -220,25 +225,35 @@ def add_bias(a: Tensor, bias: Tensor, offsets=None) -> Tensor:
 DENSE_BLOCK_ROWS = 128
 
 
+def _elu_in_place(out: np.ndarray, bias: np.ndarray | None = None) -> None:
+    """Overwrite ``out`` with its ELU, after adding ``bias`` to each row, ``DENSE_BLOCK_ROWS`` rows at a time.
+
+    A block's temporaries stay in cache, and none grows with the row count.
+    """
+    for start in range(0, len(out), DENSE_BLOCK_ROWS):
+        block = out[start : start + DENSE_BLOCK_ROWS]
+        if bias is not None:
+            block += bias
+        np.maximum(block, np.expm1(np.minimum(block, 0.0)), out=block)  # block > 0 keeps block; else expm1 >= block
+
+
 def dense_elu(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """``elu(x @ w + bias)`` for a (1, d) ``bias`` row, in the product's own buffer.
 
     The product is a ``matmul`` node that only this op sees. The bias and
-    the ELU overwrite that node's buffer in place, ``DENSE_BLOCK_ROWS`` rows
-    at a time, which is safe because ``matmul``'s rule reads its inputs, not
-    its output. So the layer allocates one array of its output's size.
+    the ELU overwrite that node's buffer in place, block by block, which is
+    safe because ``matmul``'s rule reads its inputs, not its output. So the
+    layer allocates one array of its output's size, and its rule one more.
     """
     if bias.shape != (1, w.shape[1]):
         raise ValueError(f"bias shape {bias.shape} incompatible with {w.shape}")
     product = matmul(x, w)
     out = product.data
-    for start in range(0, len(out), DENSE_BLOCK_ROWS):
-        block = out[start : start + DENSE_BLOCK_ROWS]
-        block += bias.data
-        np.maximum(block, np.expm1(np.minimum(block, 0.0)), out=block)
+    _elu_in_place(out, bias.data)
 
     def backward(g):
-        g = g * _elu_slope(out)
+        slope = _elu_slope(out)
+        g = np.multiply(g, slope, out=slope)
         bias._adopt(g.sum(axis=0, keepdims=True))
         product._adopt(g)
 
@@ -314,8 +329,9 @@ def attention(hw: Tensor, a_src: Tensor, a_dst: Tensor, pattern: SparsePattern, 
     ``leaky_relu(src[rows[e]] + dst[cols[e]], slope)``, and each row's
     scores are softmaxed per head. The rule keeps the result, a boolean
     "score > 0" mask, ``hw`` and the two block-diagonal matrices, and no
-    E x H logit. Each step is the numpy op of the chain of separate
-    primitives it replaced, in that order, so every value is bit-equal.
+    E x H logit; the mask is formed only when the rule is recorded. Each
+    step is the numpy op of the chain of separate primitives it replaced,
+    in that order, so every value is bit-equal.
     """
     heads, d = a_src.shape
     if hw.data.ndim != 2 or hw.shape != (pattern.n, heads * d) or a_dst.shape != a_src.shape:
@@ -329,7 +345,7 @@ def attention(hw: Tensor, a_src: Tensor, a_dst: Tensor, pattern: SparsePattern, 
     p = np.take(hw.data @ b_src, pattern.rows, axis=0)
     p += np.take(hw.data @ b_dst, pattern.cols, axis=0)
     np.maximum(p, p * slope, out=p)  # for a slope in (0, 1], positive exactly where the sum is
-    positive = p > 0
+    positive = p > 0 if _records((hw, a_src, a_dst)) else None
     np.subtract(p, np.take(pattern.row_max(p), pattern.rows, axis=0), out=p)
     np.exp(p, out=p)
     p /= np.take(pattern.row_sums(p), pattern.rows, axis=0)
@@ -355,9 +371,12 @@ def aggregate(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
 
     ``x`` (n x H*d) is split into H blocks of d columns, and block h of the
     n x H*d result is the ELU of sparse matrix h times block h of ``x``.
-    The pattern's slot kernels do the work, so neither pass forms an
-    E x H*d array, and the ELU overwrites the product: the rule keeps the
-    output, ``values`` and ``x``.
+    The pattern's slot kernels do the work a block of ranks at a time, so
+    neither pass forms an E x H*d array, and the ELU overwrites the product
+    block by block: the forward forms one n x H*d array, the result, which
+    the rule keeps with ``values`` and ``x``. The backward multiplies the
+    incoming gradient into the ELU's slope in place, so its n x H*d arrays
+    are that one and the gradient of ``x``.
     """
     if values.data.ndim != 2 or values.shape[0] != len(pattern.rows) or x.shape[0] != pattern.n:
         raise ValueError(f"aggregate shape mismatch: values {values.shape}, x {x.shape}, pattern of {pattern.n} rows")
@@ -365,11 +384,11 @@ def aggregate(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
     if heads == 0 or x.shape[1] % heads:
         raise ValueError(f"aggregate: {x.shape[1]} columns of x do not split into {heads} heads")
     out = pattern.weighted_row_sums(values.data, x.data)
-    negative = np.minimum(out, 0.0)
-    np.maximum(out, np.expm1(negative, out=negative), out=out)  # out > 0 keeps out; else expm1(out) >= out
+    _elu_in_place(out)
 
     def backward(g):
-        g = g * _elu_slope(out)
+        slope = _elu_slope(out)
+        g = np.multiply(g, slope, out=slope)
         values._adopt(pattern.entry_dots(g, x.data, heads))
         # entry transpose[e] sits at (cols[e], rows[e]): its weight times g's row cols[e]
         x._adopt(pattern.weighted_row_sums(np.take(values.data, pattern.transpose, axis=0), g))

@@ -11,11 +11,11 @@ attention values, then the sparse attention-weighted sum. Head outputs are
 concatenated and passed through an ELU. Each layer keeps one tensor per
 role: ``w`` (in x H*d) holds the heads' transforms side by side, and
 ``a_src`` and ``a_dst`` (H x d) hold one attention vector per row. So
-``gat_layer`` runs all heads at once (one product with ``w``, then
-``autodiff.attention`` to E x H attention values and ``autodiff.aggregate``
-back to node rows), and no per-head tensor is concatenated on the tape. A
-seed draws the weights head after head, as separate per-head tensors
-would, so the layout changes no value.
+one product with ``w`` transforms the input for all heads, ``gat_layer``
+runs them at once (``autodiff.attention`` to E x H attention values and
+``autodiff.aggregate`` back to node rows), and no per-head tensor is
+concatenated on the tape. A seed draws the weights head after head, as
+separate per-head tensors would, so the layout changes no value.
 ``encode`` runs once over all of a batch's states (a single graph is a
 batch of one), and no attention crosses from one state to another.
 
@@ -105,24 +105,24 @@ def attention_mask(batch: GraphBatch) -> SparsePattern:
 
 
 def gat_layer(
-    h: ad.Tensor,
+    hw: ad.Tensor,
     mask: SparsePattern,
     layer: LayerParams,
     dropout_rate: float,
     training: bool,
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """One multi-head attention layer; returns elu(concat of head outputs).
+    """One multi-head attention layer on its transformed input; returns elu(concat of head outputs).
 
-    All H heads share one chain, ``matmul`` -> ``attention`` -> ``dropout``
-    -> ``aggregate``: ``hw`` holds every head's transform side by side
-    (n x H*d), ``attention`` scores it with the attention vectors into E x H
-    attention values, and ``aggregate`` takes the ELU of their weighted sums
-    of ``hw``'s rows. Dropout draws head after head, as H per-head layers would.
+    ``hw`` is the layer's input times ``layer.w``: every head's transform
+    side by side (n x H*d). All H heads share one chain, ``attention`` ->
+    ``dropout`` -> ``aggregate``: ``attention`` scores ``hw`` with the
+    attention vectors into E x H attention values, and ``aggregate`` takes
+    the ELU of their weighted sums of ``hw``'s rows. Dropout draws head
+    after head, as H per-head layers would.
     """
-    if mask.n != h.shape[0]:
-        raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
-    hw = ad.matmul(h, layer.w)
+    if mask.n != hw.shape[0]:
+        raise ValueError(f"attention pattern of {mask.n} rows does not match {hw.shape[0]} nodes")
     att = ad.attention(hw, layer.a_src, layer.a_dst, mask, ATTENTION_SLOPE)
     return ad.aggregate(ad.dropout(att, dropout_rate, rng, training), mask, hw)
 
@@ -139,12 +139,17 @@ def encode(
 
     The rows, like those of ``features``, are every state's alive nodes,
     state after state; attention never crosses from one state to another.
+    Each layer's input goes once the layer's transform exists: in
+    inference no tape holds it, so layer 1's n x 64 output is freed before
+    layer 2's attention runs.
     """
     if profile not in DROPOUT_PROFILES:
         raise ValueError(f"unknown dropout profile {profile!r}; known: {', '.join(DROPOUT_PROFILES)}")
     in1, att1, in2, att2 = DROPOUT_PROFILES[profile]
     mask = attention_mask(batch)
-    h = ad.dropout(ad.tensor(features), in1, rng, training)
-    h = gat_layer(h, mask, params.layer1, att1, training, rng)
-    h = ad.dropout(h, in2, rng, training)
-    return gat_layer(h, mask, params.layer2, att2, training, rng)
+    h = ad.tensor(features)
+    for layer, in_rate, att_rate in ((params.layer1, in1, att1), (params.layer2, in2, att2)):
+        hw = ad.matmul(ad.dropout(h, in_rate, rng, training), layer.w)
+        del h
+        h = gat_layer(hw, mask, layer, att_rate, training, rng)
+    return h

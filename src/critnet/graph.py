@@ -48,6 +48,35 @@ class GraphParseError(ValueError):
 # take 1.4x as long at BA n = 1000 and 13x on a 1000-node star.
 TAIL_ROWS = 32
 
+# Ranks per block of the kernels that form n x H*d rows, ``weighted_row_sums``
+# and ``entry_dots``: each walks the slot layout one block of ranks at a time,
+# so its scratch holds that many rows, not n. The two take per call, with
+# H = 8 heads of d = 12 and one BLAS thread (two runs): at BA n = 5000, 21 ms
+# on whole slots and with blocks of 32 ranks, 10-13 ms with 128 to 512; on a
+# training batch of 8 graphs of 150 nodes, 1.9-2.3 ms on whole slots, 2.2-2.8
+# with 128 ranks and 1.9-2.5 with 256; at BA n = 1000, 3.1-3.9 ms on whole
+# slots, 2.8-2.9 with 256 and 3.5-3.6 with 512. The values are those of
+# whole slots, bit for bit, at any block size for H = 8 (and 4), and at this
+# size for every H tried (1, 3, 4, 5, 8); with blocks of 1 to 8 ranks and an
+# odd H, OpenBLAS sums a few dots' d terms in another order.
+BLOCK_RANKS = 256
+
+
+class RankBlock(NamedTuple):
+    """Ranks ``lo:hi`` of a ``SlotLayout``, and where their entries sit in its ``perm``.
+
+    ``slots`` holds ``(o, k)`` for each slot that reaches the block: its
+    first ``k`` ranks have entries ``perm[o:o + k]``. ``tail`` is the
+    slice of ``perm`` with the tails of the block's open ranks, and
+    ``starts`` where each begins in it; both are empty when none is open.
+    """
+
+    lo: int
+    hi: int
+    slots: tuple[tuple[int, int], ...]
+    tail: slice
+    starts: np.ndarray
+
 
 class SlotLayout(NamedTuple):
     """A CSR pattern's entries in slot-major (jagged-diagonal) order (Saad, SIAM J. Sci. Stat. Comput. 1989).
@@ -61,8 +90,12 @@ class SlotLayout(NamedTuple):
     ``TAIL_ROWS`` rows. The ``len(tail_starts)`` rows still open then
     follow from ``head = sum(counts)``: the rest of each row, in CSR order,
     rank by rank, starting ``tail_starts[r]`` past ``head``. So every entry
-    is in exactly one slot or one tail. A state's ``residual`` pattern keeps
-    its layout, so each state's is built once.
+    is in exactly one slot or one tail. ``blocks`` cuts the ranks into
+    ``RankBlock``s of ``BLOCK_RANKS``, in rank order, each with its share of
+    every slot and tail, for the kernels that walk the layout a block at a
+    time; ``block_rows`` is the rank count of the first and largest. A
+    state's ``residual`` pattern keeps its layout, so each state's is built
+    once.
     """
 
     order: np.ndarray
@@ -74,6 +107,11 @@ class SlotLayout(NamedTuple):
     position: np.ndarray
     cols: np.ndarray
     tail_starts: np.ndarray
+    blocks: tuple[RankBlock, ...]
+
+    @property
+    def block_rows(self) -> int:
+        return self.blocks[0].hi if self.blocks else 0
 
 
 def _slot_layout(p: "SparsePattern") -> SlotLayout:
@@ -92,9 +130,17 @@ def _slot_layout(p: "SparsePattern") -> SlotLayout:
     tail_starts = np.concatenate(([0], np.cumsum(tails)))[:-1]
     tail = np.repeat(starts[: len(tails)] + slots - tail_starts, tails) + np.arange(tails.sum())
     perm = np.concatenate((entries, tail))
+    ends = np.append(tail_starts, len(tail)) + offsets[-1]
+    blocks = []
+    for lo in range(0, p.n, BLOCK_RANKS):
+        hi = min(lo + BLOCK_RANKS, p.n)
+        reach = int(np.count_nonzero(kept > lo))  # the slots holding rank lo
+        slot_parts = zip((offsets[:reach] + lo).tolist(), (np.minimum(kept[:reach], hi) - lo).tolist())
+        first, last = min(lo, len(tails)), min(hi, len(tails))
+        blocks.append(RankBlock(lo, hi, tuple(slot_parts), slice(ends[first], ends[last]), ends[first:last] - ends[first]))
     return SlotLayout(
         order, _inverse(order), tuple(kept.tolist()), tuple(offsets[:-1].tolist()), int(offsets[-1]),
-        perm, _inverse(perm), p.cols[perm], tail_starts,
+        perm, _inverse(perm), p.cols[perm], tail_starts, tuple(blocks),
     )
 
 
@@ -136,7 +182,10 @@ class SparsePattern(_Csr):
     derived data, not among the four arrays, so a copy or a pickle leaves
     them out. Each row is summed left to right in column order, one slot at
     a time; a row still open after the last slot adds the ``reduceat`` sum
-    of its tail.
+    of its tail. ``weighted_row_sums`` and ``entry_dots``, whose products
+    are n x H*d, walk the layout's rank blocks in turn and write each
+    block's rows into their result, so their scratch is ``BLOCK_RANKS``
+    rows; ``row_sums`` and ``row_max`` (H columns) run each slot whole.
     """
 
     def __new__(cls, indptr, rows, cols, transpose):
@@ -184,52 +233,64 @@ class SparsePattern(_Csr):
 
         ``x`` (n x H*d) is split into H blocks of d columns; block h of row
         ``i`` is the sum over its entries ``e`` of ``w[e, h]`` times block h
-        of row ``cols[e]`` of ``x``. The first slot, which holds every row,
-        writes the sums by rank and later slots add to their leading ranks;
-        the buffer each slot's products went to then takes the sums by row.
-        So nothing larger than n x H*d is formed, and only two of those.
+        of row ``cols[e]`` of ``x``. The layout's blocks go one at a time:
+        the first slot, which holds every row, writes a block's sums into
+        scratch of ``block_rows`` rows, later slots add to its leading ranks,
+        the block's open rows add their tails' ``reduceat`` sums, and the
+        block's rows go straight into the result. So the result is the one
+        n x H*d array formed; the products of the tails, fewer than
+        ``TAIL_ROWS`` rows, are the one array that grows with their degree.
         """
         lay, heads = self.layout, w.shape[1]
         x3 = x.reshape(self.n, heads, -1)
         w_slot = np.take(w, lay.perm, axis=0)[:, :, None]
-        acc, part = np.empty(x3.shape), np.empty(x3.shape)
-        for slot, (c, o) in enumerate(zip(lay.counts, lay.offsets)):
-            dst = part[:c] if slot else acc
-            np.take(x3, lay.cols[o : o + c], axis=0, out=dst, mode="clip")
-            dst *= w_slot[o : o + c]
-            if slot:
-                acc[:c] += dst
-        if len(lay.tail_starts):
-            tail = np.take(x3, lay.cols[lay.head :], axis=0)
-            tail *= w_slot[lay.head :]
-            sums = np.add.reduceat(tail, lay.tail_starts, axis=0)
-            if lay.counts:
-                acc[: len(sums)] += sums
-            else:
-                acc = sums
-        return np.take(acc, lay.rank, axis=0, out=part, mode="clip").reshape(x.shape)
+        out = np.empty(x3.shape)
+        acc, part = np.empty((2, lay.block_rows) + x3.shape[1:])
+        for lo, hi, slots, tail, starts in lay.blocks:
+            for slot, (o, k) in enumerate(slots):
+                dst = part[:k] if slot else acc[:k]
+                np.take(x3, lay.cols[o : o + k], axis=0, out=dst, mode="clip")
+                dst *= w_slot[o : o + k]
+                if slot:
+                    acc[:k] += dst
+            if len(starts):
+                products = np.take(x3, lay.cols[tail], axis=0)
+                products *= w_slot[tail]
+                sums = np.add.reduceat(products, starts, axis=0)
+                if slots:
+                    acc[: len(sums)] += sums
+                else:
+                    acc[: len(sums)] = sums
+            out[lay.order[lo:hi]] = acc[: hi - lo]
+        return out.reshape(x.shape)
 
     def entry_dots(self, a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
         """Per entry ``e`` and head h, block h of row ``rows[e]`` of ``a`` dotted with that of row ``cols[e]`` of ``b``.
 
         ``a`` and ``b`` are n x H*d, split into H blocks of d columns; the
-        result is E x H. Slot by slot, nothing larger than n x H*d is formed.
+        result is E x H. The layout's blocks go one at a time, and each
+        slot's dots go straight to their entries in the result, so the
+        scratch holds ``block_rows`` rows of ``a`` and of ``b``, besides the
+        products of the tails, as in ``weighted_row_sums``.
         """
         lay = self.layout
         a3, b3 = a.reshape(self.n, heads, -1), b.reshape(self.n, heads, -1)
         ones = np.ones(a3.shape[2])  # a product with it sums each head's d terms, several times faster than sum(axis=2)
-        by_rank = np.take(a3, lay.order, axis=0)
-        part = np.empty(a3.shape)
-        by_slot = np.empty((len(lay.perm), heads))
-        for c, o in zip(lay.counts, lay.offsets):
-            np.take(b3, lay.cols[o : o + c], axis=0, out=part[:c], mode="clip")
-            part[:c] *= by_rank[:c]
-            np.dot(part[:c].reshape(-1, len(ones)), ones, out=by_slot[o : o + c].reshape(-1))
-        if len(lay.tail_starts):
-            tail = np.take(b3, lay.cols[lay.head :], axis=0)
-            tail *= np.repeat(by_rank[: len(lay.tail_starts)], np.diff(lay.tail_starts, append=len(tail)), axis=0)
-            np.dot(tail.reshape(-1, len(ones)), ones, out=by_slot[lay.head :].reshape(-1))
-        return np.take(by_slot, lay.position, axis=0)
+        by_rank, part = np.empty((2, lay.block_rows) + a3.shape[1:])
+        dots = np.empty((len(by_rank), heads))
+        out = np.empty((len(lay.perm), heads))
+        for lo, hi, slots, tail, starts in lay.blocks:
+            np.take(a3, lay.order[lo:hi], axis=0, out=by_rank[: hi - lo], mode="clip")
+            for o, k in slots:
+                np.take(b3, lay.cols[o : o + k], axis=0, out=part[:k], mode="clip")
+                part[:k] *= by_rank[:k]
+                np.dot(part[:k].reshape(-1, len(ones)), ones, out=dots[:k].reshape(-1))
+                out[lay.perm[o : o + k]] = dots[:k]
+            if len(starts):
+                products = np.take(b3, lay.cols[tail], axis=0)
+                products *= np.repeat(by_rank[: len(starts)], np.diff(starts, append=len(products)), axis=0)
+                out[lay.perm[tail]] = np.dot(products.reshape(-1, len(ones)), ones).reshape(-1, heads)
+        return out
 
 
 class _Memo(dict):

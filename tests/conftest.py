@@ -259,12 +259,12 @@ class HeadParams(NamedTuple):
     a_dst: object
 
 
-def layer_heads(layer):
-    """Each head's tensors cut out of a layer's by tape ops: its in x d ``w`` and d x 1 attention vectors."""
+def layer_heads(hw, layer):
+    """Each head's tensors cut out of the layer's by tape ops: its n x d columns of ``hw`` and d x 1 attention vectors."""
     d = layer.a_src.shape[1]
     return [
-        HeadParams(
-            cut(layer.w, (slice(None), slice(h * d, (h + 1) * d))),
+        (
+            cut(hw, (slice(None), slice(h * d, (h + 1) * d))),
             transpose(cut(layer.a_src, (slice(h, h + 1), slice(None)))),
             transpose(cut(layer.a_dst, (slice(h, h + 1), slice(None)))),
         )
@@ -272,23 +272,22 @@ def layer_heads(layer):
     ]
 
 
-def dense_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
+def dense_gat_layer(hw, mask, layer, dropout_rate, training, rng=None):
     """The encoder's attention layer over dense n x n logits, masks and softmaxes."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
 
-    n = h.shape[0]
+    n = hw.shape[0]
     ones_row = ad.tensor(np.ones((1, n)))
     ones_col = ad.tensor(np.ones((n, 1)))
     outputs = []
-    for head in layer_heads(layer):
-        hw = ad.matmul(h, head.w)
-        src = ad.matmul(hw, head.a_src)
-        dst = ad.matmul(hw, head.a_dst)
+    for head_hw, a_src, a_dst in layer_heads(hw, layer):
+        src = ad.matmul(head_hw, a_src)
+        dst = ad.matmul(head_hw, a_dst)
         logits = ad.add(ad.matmul(src, ones_row), ad.matmul(ones_col, transpose(dst)))
         att = ad.row_softmax_masked(ad.leaky_relu(logits, ATTENTION_SLOPE), mask)
         att = ad.dropout(att, dropout_rate, rng, training)
-        outputs.append(ad.matmul(att, hw))
+        outputs.append(ad.matmul(att, head_hw))
     return elu(ad.concat(outputs, axis=1))
 
 
@@ -358,16 +357,19 @@ def segment_softmax(logits, pattern):
 
 
 def spmm(values, pattern, x):
-    """H sparse n x n matrices, one per column of ``values`` (E x H), times column blocks of ``x`` (n x H*d)."""
+    """H sparse n x n matrices, one per column of ``values`` (E x H), times column blocks of ``x`` (n x H*d).
+
+    It runs on the whole-slot kernels below, so the chain also checks the row-blocked ones.
+    """
     from critnet import autodiff as ad
 
     heads, w = values.shape[1], values.data
 
     def backward(g):
-        values._adopt(pattern.entry_dots(g, x.data, heads))
-        x._adopt(pattern.weighted_row_sums(np.take(w, pattern.transpose, axis=0), g))
+        values._adopt(slot_entry_dots(pattern, g, x.data, heads))
+        x._adopt(slot_weighted_row_sums(pattern, np.take(w, pattern.transpose, axis=0), g))
 
-    return ad._make(pattern.weighted_row_sums(w, x.data), (values, x), backward)
+    return ad._make(slot_weighted_row_sums(pattern, w, x.data), (values, x), backward)
 
 
 def elu(a):
@@ -398,14 +400,75 @@ def chain_aggregate(values, pattern, x):
     return elu(spmm(values, pattern, x))
 
 
-def chain_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
+def chain_gat_layer(hw, mask, layer, dropout_rate, training, rng=None):
     """The encoder's attention layer on the chain of separate primitives."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
 
-    hw = ad.matmul(h, layer.w)
     att = chain_attention(hw, layer.a_src, layer.a_dst, mask, ATTENTION_SLOPE)
     return chain_aggregate(ad.dropout(att, dropout_rate, rng, training), mask, hw)
+
+
+# --- whole-slot kernel oracles -------------------------------------------------
+#
+# ``SparsePattern.weighted_row_sums`` and ``entry_dots`` as they ran before
+# the row blocks: each slot in one pass over all its rows, through two
+# n x H*d buffers. Every value comes from the same numpy operations in the
+# same order as the blocked kernels, so the two agree bit for bit, except
+# that BLAS may sum a dot's d terms in another order when a block's row count
+# times H is not a multiple of 4 (an odd head count with a block of 1 or 7).
+
+
+def slot_weighted_row_sums(pattern, w, x):
+    lay, heads = pattern.layout, w.shape[1]
+    x3 = x.reshape(pattern.n, heads, -1)
+    w_slot = np.take(w, lay.perm, axis=0)[:, :, None]
+    acc, part = np.empty(x3.shape), np.empty(x3.shape)
+    for slot, (c, o) in enumerate(zip(lay.counts, lay.offsets)):
+        dst = part[:c] if slot else acc
+        np.take(x3, lay.cols[o : o + c], axis=0, out=dst, mode="clip")
+        dst *= w_slot[o : o + c]
+        if slot:
+            acc[:c] += dst
+    if len(lay.tail_starts):
+        tail = np.take(x3, lay.cols[lay.head :], axis=0)
+        tail *= w_slot[lay.head :]
+        sums = np.add.reduceat(tail, lay.tail_starts, axis=0)
+        if lay.counts:
+            acc[: len(sums)] += sums
+        else:
+            acc = sums
+    return np.take(acc, lay.rank, axis=0, out=part, mode="clip").reshape(x.shape)
+
+
+def slot_entry_dots(pattern, a, b, heads):
+    lay = pattern.layout
+    a3, b3 = a.reshape(pattern.n, heads, -1), b.reshape(pattern.n, heads, -1)
+    ones = np.ones(a3.shape[2])
+    by_rank = np.take(a3, lay.order, axis=0)
+    part = np.empty(a3.shape)
+    by_slot = np.empty((len(lay.perm), heads))
+    for c, o in zip(lay.counts, lay.offsets):
+        np.take(b3, lay.cols[o : o + c], axis=0, out=part[:c], mode="clip")
+        part[:c] *= by_rank[:c]
+        np.dot(part[:c].reshape(-1, len(ones)), ones, out=by_slot[o : o + c].reshape(-1))
+    if len(lay.tail_starts):
+        tail = np.take(b3, lay.cols[lay.head :], axis=0)
+        tail *= np.repeat(by_rank[: len(lay.tail_starts)], np.diff(lay.tail_starts, append=len(tail)), axis=0)
+        np.dot(tail.reshape(-1, len(ones)), ones, out=by_slot[lay.head :].reshape(-1))
+    return np.take(by_slot, lay.position, axis=0)
+
+
+def with_layout(pattern, cutoff=None, block=None):
+    """A fresh copy of ``pattern`` whose slot layout is built under a ``TAIL_ROWS`` of ``cutoff`` and a ``BLOCK_RANKS`` of ``block``."""
+    from critnet import graph
+
+    fresh = graph.SparsePattern(*pattern)
+    with mock.patch.object(graph, "TAIL_ROWS", cutoff or graph.TAIL_ROWS), mock.patch.object(
+        graph, "BLOCK_RANKS", block or graph.BLOCK_RANKS
+    ):
+        fresh.layout
+    return fresh
 
 
 # --- row-segment kernel oracles ------------------------------------------------
@@ -481,21 +544,20 @@ def sparse_patterns(draw):
 # --- per-head attention oracle ------------------------------------------------
 
 
-def per_head_gat_layer(h, mask, layer, dropout_rate, training, rng=None):
+def per_head_gat_layer(hw, mask, layer, dropout_rate, training, rng=None):
     """The encoder's attention layer run one head at a time, each with its own E x 1 chain and ``reduceat`` product."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
 
-    if mask.n != h.shape[0]:
-        raise ValueError(f"attention pattern of {mask.n} rows does not match {h.shape[0]} nodes")
+    if mask.n != hw.shape[0]:
+        raise ValueError(f"attention pattern of {mask.n} rows does not match {hw.shape[0]} nodes")
     outputs = []
-    for head in layer_heads(layer):
-        hw = ad.matmul(h, head.w)
-        src = gather_rows(ad.matmul(hw, head.a_src), mask)
-        dst = gather_rows(ad.matmul(hw, head.a_dst), mask, columns=True)
+    for head_hw, a_src, a_dst in layer_heads(hw, layer):
+        src = gather_rows(ad.matmul(head_hw, a_src), mask)
+        dst = gather_rows(ad.matmul(head_hw, a_dst), mask, columns=True)
         att = segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
         att = ad.dropout(att, dropout_rate, rng, training)
-        outputs.append(per_head_spmm(att, mask, hw))
+        outputs.append(per_head_spmm(att, mask, head_hw))
     return elu(ad.concat(outputs, axis=1))
 
 
@@ -625,13 +687,14 @@ def loop_td_targets(batch, online, target, gamma):
 # ``aggregate_features``.
 
 
-def grad_check(scalar_fn, params, eps=1e-5, sample=None, rng=None):
+def grad_check(scalar_fn, params, eps=1e-5, sample=None, rng=None, floor=1e-12):
     """Max relative error between tape gradients and central differences.
 
     ``scalar_fn`` must rebuild its forward pass from the current parameter
     values on every call. With ``sample`` set, only that many coordinates
     per parameter are perturbed (chosen by ``rng``), which keeps the check
-    affordable on large parameter sets.
+    affordable on large parameter sets. A gradient smaller than ``floor``
+    is compared as if it were ``floor``: the error becomes absolute there.
     """
     from critnet import autodiff as ad
 
@@ -657,7 +720,7 @@ def grad_check(scalar_fn, params, eps=1e-5, sample=None, rng=None):
             flat[i] = orig
             fd = (f_plus - f_minus) / (2.0 * eps)
             a = an_flat[i]
-            worst = max(worst, abs(fd - a) / max(abs(fd), abs(a), 1e-12))
+            worst = max(worst, abs(fd - a) / max(abs(fd), abs(a), floor))
     return worst
 
 

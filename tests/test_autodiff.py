@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     block_diag,
@@ -22,9 +22,10 @@ from conftest import (
     spmm,
     transpose,
     where_elu,
+    with_layout,
 )
 from critnet import autodiff as ad
-from critnet.graph import build_graph, gen_ba
+from critnet.graph import BLOCK_RANKS, build_graph, gen_ba, gen_ws, residual
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -572,9 +573,12 @@ class TestFusedPrimitives:
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("block", [BLOCK_RANKS, 1, 7])
     @pytest.mark.parametrize("d", [8, 12])
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
-    def test_aggregate_and_its_gradients_are_bit_equal_to_the_chain(self, d, p, seed):
+    def test_aggregate_and_its_gradients_are_bit_equal_to_the_chain(self, d, block, p, seed):
+        # the chain runs on the whole-slot kernels; ``aggregate`` walks blocks of ``block`` ranks
+        p = with_layout(p, block=block)
         runs = []
         for product in (ad.aggregate, chain_aggregate):
             rng = np.random.default_rng(seed)
@@ -598,20 +602,47 @@ class TestFusedPrimitives:
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def off_kink_step(hw, a_src, a_dst, p):
+        """The widest step, up to 1e-4, by which no one coordinate moves a logit across the leaky ReLU's kink at 0.
+
+        A step of eps in ``hw[i, h*d + k]`` moves a logit by at most eps * (|a_src[h, k]| + |a_dst[h, k]|)
+        (a self-loop reads both ends), and one in ``a_src`` or ``a_dst`` by at most eps * max |hw|.
+        """
+        heads, d = a_src.shape
+        hw3 = hw.data.reshape(p.n, heads, d)
+        logits = (hw3 * a_src.data).sum(axis=2)[p.rows] + (hw3 * a_dst.data).sum(axis=2)[p.cols]
+        reach = max(np.abs(hw.data).max(), (np.abs(a_src.data) + np.abs(a_dst.data)).max())
+        return min(1e-4, 0.5 * np.abs(logits).min() / reach)
+
+    # a logit 1.7e-4 from the kink, which a step of 1e-4 crossed: relative error 1.5e-3 on one a_src coordinate
+    KINK = {"p": residual(gen_ws(54, 4, 0.0, 0)), "seed": 27254968}
+
+    @example(**KINK)
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
     def test_attention_gradient_check(self, p, seed):
         rng = np.random.default_rng(seed)
         hw, a_src, a_dst = self.leaves(rng, p.n, 4, 3)
         target = rng.standard_normal((len(p.rows), 4))
+        # central differences across the kink average its two slopes, so the step stays on one side of it
+        eps = self.off_kink_step(hw, a_src, a_dst, p)
         err = grad_check(
             lambda: ad.mse_loss(ad.attention(hw, a_src, a_dst, p, 0.2), target),
             [hw, a_src, a_dst],
-            eps=1e-4,
+            eps=eps,
             sample=12,
             rng=rng,
+            # below this a gradient is compared absolutely, to 1e-15 / eps: ten rounding errors of the
+            # unit-sized loss over the step, which a gradient that is zero by symmetry still shows
+            floor=1e-11 / eps,
         )
         # as for the softmax alone: a long row spreads its weight thin (a wrong rule errs by order 1)
         assert err < 1e-4
+
+    def test_the_kink_case_reaches_the_kink(self):
+        rng = np.random.default_rng(self.KINK["seed"])
+        p = self.KINK["p"]
+        assert self.off_kink_step(*self.leaves(rng, p.n, 4, 3), p) < 0.5e-4  # a step of 1e-4 could cross it
 
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
     def test_aggregate_gradient_check(self, p, seed):
@@ -644,6 +675,23 @@ class TestFusedPrimitives:
             tracemalloc.stop()
         # the result and its one-byte mask; the chain also held four more E x H arrays
         assert held < 1.125 * out.data.nbytes + 16 * 1024
+
+    def test_inference_aggregate_forms_one_output_sized_array(self):
+        p = residual(gen_ws(3000, 4, 0.1, 65))  # a WS lattice: its open rows' tails are a few entries
+        p.layout
+        rng = np.random.default_rng(66)
+        values, x = ad.tensor(rng.random((len(p.rows), 8))), ad.tensor(rng.standard_normal((p.n, 96)))
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                out = ad.aggregate(values, p, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the output, the values in slot order, two blocks of kernel scratch, two of ELU temporaries and numpy's
+        # 64 KB ufunc buffer: one more n x 96 array would exceed it
+        blocks = 2 * (BLOCK_RANKS + ad.DENSE_BLOCK_ROWS) * 96 * 8
+        assert peak < out.data.nbytes + values.data.nbytes + blocks + 128 * 1024
 
     def test_training_dropout_keeps_a_boolean_mask(self):
         a = rand_tensor(np.random.default_rng(62), (4000, 8))

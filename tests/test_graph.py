@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,8 +24,11 @@ from conftest import (
     random_graph,
     reduceat_row_max,
     reduceat_row_sums,
+    slot_entry_dots,
+    slot_weighted_row_sums,
     sparse_patterns,
     star_graph,
+    with_layout,
 )
 from critnet import autodiff as ad
 from critnet import graph as graph_module
@@ -32,6 +36,7 @@ from critnet.decoder import Model, init_decoder_params
 from critnet.encoder import attention_mask, init_encoder_params
 from critnet.features import aggregate_features, degree_vector
 from critnet.graph import (
+    BLOCK_RANKS,
     TAIL_ROWS,
     Graph,
     GraphBatch,
@@ -581,21 +586,17 @@ class TestMemoTable:
 
 # the module's cut-off, and one that never cuts: every slot runs, there is no tail
 CUTOFFS = {"module-cutoff": TAIL_ROWS, "no-tail": 1}
-
-
-def with_cutoff(pattern, cutoff):
-    """A fresh copy of ``pattern`` with its slot layout built under ``cutoff``."""
-    fresh = SparsePattern(*pattern)
-    with mock.patch.object(graph_module, "TAIL_ROWS", cutoff):
-        fresh.layout
-    return fresh
+# sparse_patterns() stops at 4 * TAIL_ROWS rows, one module block: 1 and 7 reach later blocks,
+# blocks that end inside a slot or a tail, and (with 7) blocks whose rank count is not a multiple of 4
+BLOCKS = {"module-block": BLOCK_RANKS, "one-row": 1, "seven-rows": 7}
 
 
 class TestSlotLayout:
+    @pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS.keys())
     @pytest.mark.parametrize("cutoff", CUTOFFS.values(), ids=CUTOFFS.keys())
     @given(p=sparse_patterns())
-    def test_every_entry_is_visited_exactly_once(self, cutoff, p):
-        lay = with_cutoff(p, cutoff).layout
+    def test_every_entry_is_visited_exactly_once(self, cutoff, block, p):
+        lay = with_layout(p, cutoff, block).layout
         assert np.array_equal(np.sort(lay.perm), np.arange(len(p.rows)))
         assert np.array_equal(lay.perm[lay.position], np.arange(len(p.rows)))
         degree = np.diff(p.indptr)
@@ -616,6 +617,36 @@ class TestSlotLayout:
             assert len(lay.tail_starts) == np.count_nonzero(degree > len(lay.counts)) < cutoff
         else:
             assert len(lay.tail_starts) == p.n
+        # the blocks cut the ranks in order, and each slot and tail in pieces, so they too visit every entry once
+        assert [b.lo for b in lay.blocks] == list(range(0, p.n, block))
+        assert all(b.hi == min(b.lo + block, p.n) for b in lay.blocks)
+        pieces = [lay.perm[o : o + k] for b in lay.blocks for o, k in b.slots] + [lay.perm[b.tail] for b in lay.blocks]
+        assert np.array_equal(np.sort(np.concatenate(pieces + [[]]).astype(int)), np.arange(len(p.rows)))
+        for b in lay.blocks:
+            assert [o for o, _ in b.slots] == [o + b.lo for c, o in zip(lay.counts, lay.offsets) if c > b.lo]
+            assert all(0 < k <= b.hi - b.lo and b.lo + k <= c for (_, k), c in zip(b.slots, lay.counts))
+            open_ranks = range(b.lo, min(b.hi, len(lay.tail_starts)))
+            assert np.array_equal(b.starts + b.tail.start, bounds[open_ranks.start : open_ranks.stop])
+
+    def test_the_blocked_kernels_form_no_n_by_hd_scratch(self):
+        # a WS lattice: almost every row ends in the slots, so the tails are a few entries
+        p = residual(gen_ws(3000, 4, 0.1, 11))
+        rng = np.random.default_rng(12)
+        w, (x, y) = rng.standard_normal((len(p.rows), 8)), rng.standard_normal((2, p.n, 96))
+        p.layout
+        block = 2 * BLOCK_RANKS * 96 * 8
+        for kernel, result, scratch in (
+            (lambda: p.weighted_row_sums(w, x), x.nbytes, w.nbytes + block),  # w in slot order, acc and part
+            (lambda: p.entry_dots(y, x, 8), w.nbytes, block + BLOCK_RANKS * 8 * 8),  # by_rank, part and dots
+        ):
+            tracemalloc.start()
+            try:
+                kernel()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # and numpy's 64 KB ufunc buffer for the broadcast weights: one more n x 96 array would exceed it
+            assert peak < result + scratch + 128 * 1024
 
     def test_a_star_hub_finishes_in_the_tail(self):
         lay = residual(star_graph(3 * TAIL_ROWS)).layout
@@ -625,24 +656,27 @@ class TestSlotLayout:
     @pytest.mark.parametrize("cutoff", CUTOFFS.values(), ids=CUTOFFS.keys())
     @given(p=sparse_patterns(), heads=st.sampled_from([1, 8]), seed=st.integers(0, 2**31 - 1))
     def test_row_sums_and_row_max_match_reduceat(self, cutoff, p, heads, seed):
-        p = with_cutoff(p, cutoff)
+        p = with_layout(p, cutoff)
         values = np.random.default_rng(seed).standard_normal((len(p.rows), heads))
         np.testing.assert_allclose(p.row_sums(values), reduceat_row_sums(p, values), rtol=0, atol=1e-12)
         assert np.array_equal(p.row_max(values), reduceat_row_max(p, values))
         assert np.array_equal(p.row_sums(values[:, 0]), p.row_sums(values)[:, 0])
 
+    @pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS.keys())
     @pytest.mark.parametrize("cutoff", CUTOFFS.values(), ids=CUTOFFS.keys())
     @pytest.mark.parametrize("d", [8, 12])
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
-    def test_weighted_row_sums_and_entry_dots_match_per_head_products(self, cutoff, d, p, seed):
-        p = with_cutoff(p, cutoff)
+    def test_weighted_row_sums_and_entry_dots_match_per_head_products(self, cutoff, block, d, p, seed):
+        p = with_layout(p, cutoff, block)
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((len(p.rows), 8))
         x, y = rng.standard_normal((2, p.n, 8 * d))
+        sums, dots = p.weighted_row_sums(w, x), p.entry_dots(y, x, 8)
+        assert np.array_equal(sums, slot_weighted_row_sums(p, w, x))
+        assert np.array_equal(dots, slot_entry_dots(p, y, x, 8))
         want = per_head_spmm(ad.tensor(w), p, ad.tensor(x)).data
-        np.testing.assert_allclose(p.weighted_row_sums(w, x), want, rtol=0, atol=1e-12)
-        dots = (y[p.rows] * x[p.cols]).reshape(len(p.rows), 8, d).sum(axis=2)
-        np.testing.assert_allclose(p.entry_dots(y, x, 8), dots, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dots, (y[p.rows] * x[p.cols]).reshape(len(p.rows), 8, d).sum(axis=2), rtol=0, atol=1e-12)
 
     def test_layout_is_built_once_by_the_first_kernel_call(self):
         spy = mock.Mock(wraps=graph_module._slot_layout)
