@@ -17,14 +17,18 @@ backward. Leaves keep accumulating into ``.grad`` until it is zeroed.
 Graph attention runs over a residual graph's closed-neighbourhood CSR, a
 ``graph.SparsePattern``: one value per stored entry of a structurally
 symmetric n x n matrix in CSR order, one column per attention head (E x H).
-A layer is two primitives: ``attention`` turns node rows into those
-per-entry values, and ``aggregate`` sums them back into node rows; each
-rule keeps only what its backward pass reads. Every sum or max over a
-row's entries, forward or backward, is one of the pattern's slot kernels
-(``SparsePattern.row_sums`` and its siblings), which walk the entries slot
-by slot, a slice of rows at a time, and those whose products are n x H*d
-one block of ranks at a time; column-indexed entries are read through the
-pattern's transpose permutation.
+A layer is one primitive, ``attention_layer``: it scores the layer's
+transformed node rows into those per-entry values, drops some while
+training, and sums them back into node rows. Its rule keeps the layer's
+input, weights, attention values, masks and output, and forms the
+n x H*d transform and the dropped values again in backward, trading two
+cheap recomputations for the tape's two largest arrays (Chen et al.,
+"Training Deep Nets with Sublinear Memory Cost", 2016). Every sum or max
+over a row's entries, forward or backward, is one of the pattern's slot
+kernels (``SparsePattern.row_sums`` and its siblings), which walk the
+entries slot by slot, a slice of rows at a time, and those whose products
+are n x H*d one block of ranks at a time; column-indexed entries are read
+through the pattern's transpose permutation.
 
 Evaluation-time forwards should run inside ``no_grad()`` so no graph is
 recorded.
@@ -319,81 +323,104 @@ def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     return _make(p, (logits,), backward)
 
 
-def attention(hw: Tensor, a_src: Tensor, a_dst: Tensor, pattern: SparsePattern, slope: float) -> Tensor:
-    """Attention of H heads over the entries of each row of ``pattern``: E x H.
+def attention_layer(
+    x: Tensor | None,
+    w: Tensor,
+    hw: np.ndarray,
+    a_src: Tensor,
+    a_dst: Tensor,
+    pattern: SparsePattern,
+    slope: float,
+    rate: float,
+    rng: np.random.Generator | None,
+    training: bool,
+) -> Tensor:
+    """One H-head graph attention layer over ``pattern`` on its transform ``hw = x.data @ w.data``: n x H*d.
 
     ``hw`` is n x H*d, H blocks of d columns, and ``a_src`` and ``a_dst``
     are H x d. Head h's source and destination logits are block h of ``hw``
     dotted with row h of ``a_src`` and ``a_dst``, as one product with an
     H*d x H block-diagonal matrix each. Entry e's score is
     ``leaky_relu(src[rows[e]] + dst[cols[e]], slope)``, and each row's
-    scores are softmaxed per head. The rule keeps the result, a boolean
-    "score > 0" mask, ``hw`` and the two block-diagonal matrices, and no
-    E x H logit; the mask is formed only when the rule is recorded. Each
-    step is the numpy op of the chain of separate primitives it replaced,
-    in that order, so every value is bit-equal.
+    scores are softmaxed per head into E x H attention values. Training
+    drops them at ``rate`` (inverted dropout, uniforms drawn column after
+    column, as H dropouts of E x 1 would). Block h of the output is the ELU
+    of sparse matrix h, the kept values, times block h of ``hw``. The
+    pattern's slot kernels do the row work, a block of ranks at a time,
+    and the ELU overwrites the product block by block.
+
+    The rule keeps ``x``, ``w``, ``a_src``, ``a_dst``, the attention
+    values, a boolean "score > 0" mask, the boolean dropout mask and the
+    output; it does not keep ``hw`` or the dropped values. Backward forms
+    both again with the forward's own expressions, then runs the steps of
+    the chain this layer fuses (``matmul``, attention, dropout, aggregate)
+    in reverse, so every value and gradient is bit-equal to that chain's.
+    ``x`` is needed only for a recorded rule: pass ``None`` under
+    ``no_grad()``, so the caller can free the input before the attention
+    runs. An ``x`` outside the recorded graph gets no gradient product.
     """
     heads, d = a_src.shape
-    if hw.data.ndim != 2 or hw.shape != (pattern.n, heads * d) or a_dst.shape != a_src.shape:
+    if hw.ndim != 2 or hw.shape != (pattern.n, heads * d) or a_dst.shape != a_src.shape or heads == 0:
         shapes = f"hw {hw.shape}, a_src {a_src.shape}, a_dst {a_dst.shape}, pattern of {pattern.n} rows"
         raise ValueError(f"attention shape mismatch: {shapes}")
     if not 0.0 < slope <= 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    dropping = training and rate > 0.0
+    if dropping and rng is None:
+        raise ValueError("training-mode dropout needs an rng")
+    parents = (w, a_src, a_dst) if x is None else (x, w, a_src, a_dst)
+    records = _records(parents)
+    if records and x is None:
+        raise ValueError("a recorded attention layer needs its input x")
     diagonal = (np.arange(heads * d), np.repeat(np.arange(heads), d))
     b_src, b_dst = np.zeros((2, heads * d, heads))
     b_src[diagonal], b_dst[diagonal] = a_src.data.reshape(-1), a_dst.data.reshape(-1)
-    p = np.take(hw.data @ b_src, pattern.rows, axis=0)
-    p += np.take(hw.data @ b_dst, pattern.cols, axis=0)
+    p = np.take(hw @ b_src, pattern.rows, axis=0)
+    p += np.take(hw @ b_dst, pattern.cols, axis=0)
     np.maximum(p, p * slope, out=p)  # for a slope in (0, 1], positive exactly where the sum is
-    positive = p > 0 if _records((hw, a_src, a_dst)) else None
+    positive = p > 0 if records else None
     np.subtract(p, np.take(pattern.row_max(p), pattern.rows, axis=0), out=p)
     np.exp(p, out=p)
     p /= np.take(pattern.row_sums(p), pattern.rows, axis=0)
+    keep, scale = (rng.random(p.shape[::-1]).T >= rate, 1.0 / (1.0 - rate)) if dropping else (None, 1.0)
+    out = pattern.weighted_row_sums(p if keep is None else p * (keep * scale), hw)
+    _elu_in_place(out)
+    x_in_graph = records and (x.requires_grad or bool(x._parents))
 
     def backward(g):
-        gp = np.take(pattern.row_sums(g * p), pattern.rows, axis=0)
-        np.subtract(g, gp, out=gp)
+        hw = x.data @ w.data
+        dropped = p if keep is None else p * (keep * scale)
+        # aggregate's step: the incoming gradient times the ELU's slope, in the slope's buffer
+        slope_out = _elu_slope(out)
+        g = np.multiply(g, slope_out, out=slope_out)
+        g_att = pattern.entry_dots(g, hw, heads)
+        # entry transpose[e] sits at (cols[e], rows[e]): its weight times g's row cols[e]
+        g_hw = pattern.weighted_row_sums(np.take(dropped, pattern.transpose, axis=0), g)
+        del g, dropped
+        if keep is not None:
+            g_att = g_att * (keep * scale)
+        # the softmax's and the leaky ReLU's steps
+        gp = np.take(pattern.row_sums(g_att * p), pattern.rows, axis=0)
+        np.subtract(g_att, gp, out=gp)
         gp *= p
-        g = gp * slope
-        np.copyto(g, gp, where=positive)
+        g_att = gp * slope
+        np.copyto(g_att, gp, where=positive)
+        del gp
         # one pass for both ends: entry transpose[e] carries the gradient of dst[cols[e]]
-        sums = pattern.row_sums(np.concatenate((g, np.take(g, pattern.transpose, axis=0)), axis=1))
+        sums = pattern.row_sums(np.concatenate((g_att, np.take(g_att, pattern.transpose, axis=0)), axis=1))
         for a, blocks, part in ((a_src, b_src, sums[:, :heads]), (a_dst, b_dst, sums[:, heads:])):
             part = np.ascontiguousarray(part)  # with one head, a strided column would take another BLAS kernel
-            hw._adopt(part @ blocks.T)
-            a._adopt((hw.data.T @ part)[diagonal].reshape(heads, d))
+            g_hw += part @ blocks.T
+            a._adopt((hw.T @ part)[diagonal].reshape(heads, d))
+        del hw
+        # the transform's step
+        if x_in_graph:
+            x._adopt(g_hw @ w.data.T)
+        w._adopt(x.data.T @ g_hw)
 
-    return _make(p, (hw, a_src, a_dst), backward)
-
-
-def aggregate(values: Tensor, pattern: SparsePattern, x: Tensor) -> Tensor:
-    """ELU of H sparse n x n matrices, one per column of ``values`` (E x H), times dense column blocks.
-
-    ``x`` (n x H*d) is split into H blocks of d columns, and block h of the
-    n x H*d result is the ELU of sparse matrix h times block h of ``x``.
-    The pattern's slot kernels do the work a block of ranks at a time, so
-    neither pass forms an E x H*d array, and the ELU overwrites the product
-    block by block: the forward forms one n x H*d array, the result, which
-    the rule keeps with ``values`` and ``x``. The backward multiplies the
-    incoming gradient into the ELU's slope in place, so its n x H*d arrays
-    are that one and the gradient of ``x``.
-    """
-    if values.data.ndim != 2 or values.shape[0] != len(pattern.rows) or x.shape[0] != pattern.n:
-        raise ValueError(f"aggregate shape mismatch: values {values.shape}, x {x.shape}, pattern of {pattern.n} rows")
-    heads = values.shape[1]
-    if heads == 0 or x.shape[1] % heads:
-        raise ValueError(f"aggregate: {x.shape[1]} columns of x do not split into {heads} heads")
-    out = pattern.weighted_row_sums(values.data, x.data)
-    _elu_in_place(out)
-
-    def backward(g):
-        slope = _elu_slope(out)
-        g = np.multiply(g, slope, out=slope)
-        values._adopt(pattern.entry_dots(g, x.data, heads))
-        # entry transpose[e] sits at (cols[e], rows[e]): its weight times g's row cols[e]
-        x._adopt(pattern.weighted_row_sums(np.take(values.data, pattern.transpose, axis=0), g))
-
-    return _make(out, (values, x), backward)
+    return _make(out, parents, backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

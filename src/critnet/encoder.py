@@ -11,11 +11,13 @@ attention values, then the sparse attention-weighted sum. Head outputs are
 concatenated and passed through an ELU. Each layer keeps one tensor per
 role: ``w`` (in x H*d) holds the heads' transforms side by side, and
 ``a_src`` and ``a_dst`` (H x d) hold one attention vector per row. So
-one product with ``w`` transforms the input for all heads, ``gat_layer``
-runs them at once (``autodiff.attention`` to E x H attention values and
-``autodiff.aggregate`` back to node rows), and no per-head tensor is
-concatenated on the tape. A seed draws the weights head after head, as
-separate per-head tensors would, so the layout changes no value.
+``encode`` transforms a layer's input for all heads with one product, and
+``gat_layer`` runs the heads at once as one recorded primitive,
+``autodiff.attention_layer``. Its rule keeps the layer's input, weights,
+E x H attention values, masks and output; backward forms the transform
+and the dropped attention values again, so no n x H*d transform and no
+per-head tensor sits on the tape. A seed draws the weights head after
+head, as separate per-head tensors would, so the layout changes no value.
 ``encode`` runs once over all of a batch's states (a single graph is a
 batch of one), and no attention crosses from one state to another.
 
@@ -105,26 +107,29 @@ def attention_mask(batch: GraphBatch) -> SparsePattern:
 
 
 def gat_layer(
-    hw: ad.Tensor,
+    x: ad.Tensor | None,
+    hw: np.ndarray,
     mask: SparsePattern,
     layer: LayerParams,
     dropout_rate: float,
     training: bool,
     rng: np.random.Generator | None = None,
 ) -> ad.Tensor:
-    """One multi-head attention layer on its transformed input; returns elu(concat of head outputs).
+    """One multi-head attention layer on its input ``x`` and transform ``hw``; returns elu(concat of head outputs).
 
-    ``hw`` is the layer's input times ``layer.w``: every head's transform
-    side by side (n x H*d). All H heads share one chain, ``attention`` ->
-    ``dropout`` -> ``aggregate``: ``attention`` scores ``hw`` with the
-    attention vectors into E x H attention values, and ``aggregate`` takes
-    the ELU of their weighted sums of ``hw``'s rows. Dropout draws head
-    after head, as H per-head layers would.
+    ``hw`` is ``x.data @ layer.w.data``: every head's transform side by side
+    (n x H*d). ``autodiff.attention_layer`` scores it with the attention
+    vectors into E x H attention values, drops them at ``dropout_rate``
+    while training (head after head, as H per-head layers would), and takes
+    the ELU of their weighted sums of ``hw``'s rows. Its rule keeps ``x``,
+    not ``hw``, and forms ``hw`` and the dropped values again in backward.
+    ``x`` may be ``None`` under ``no_grad()``, where no rule reads it.
     """
     if mask.n != hw.shape[0]:
         raise ValueError(f"attention pattern of {mask.n} rows does not match {hw.shape[0]} nodes")
-    att = ad.attention(hw, layer.a_src, layer.a_dst, mask, ATTENTION_SLOPE)
-    return ad.aggregate(ad.dropout(att, dropout_rate, rng, training), mask, hw)
+    return ad.attention_layer(
+        x, layer.w, hw, layer.a_src, layer.a_dst, mask, ATTENTION_SLOPE, dropout_rate, rng, training
+    )
 
 
 def encode(
@@ -139,9 +144,11 @@ def encode(
 
     The rows, like those of ``features``, are every state's alive nodes,
     state after state; attention never crosses from one state to another.
-    Each layer's input goes once the layer's transform exists: in
-    inference no tape holds it, so layer 1's n x 64 output is freed before
-    layer 2's attention runs.
+    Each layer's transform is formed here, and the layer gets its input
+    only while gradients are on, since only a recorded rule reads it. So in
+    inference layer 1's n x 64 output is freed before layer 2's attention
+    runs, and in training the tape keeps each layer's input and output but
+    neither transform.
     """
     if profile not in DROPOUT_PROFILES:
         raise ValueError(f"unknown dropout profile {profile!r}; known: {', '.join(DROPOUT_PROFILES)}")
@@ -149,7 +156,11 @@ def encode(
     mask = attention_mask(batch)
     h = ad.tensor(features)
     for layer, in_rate, att_rate in ((params.layer1, in1, att1), (params.layer2, in2, att2)):
-        hw = ad.matmul(ad.dropout(h, in_rate, rng, training), layer.w)
+        x = ad.dropout(h, in_rate, rng, training)
         del h
-        h = gat_layer(hw, mask, layer, att_rate, training, rng)
+        hw = x.data @ layer.w.data
+        if not ad.grad_enabled():
+            x = None
+        h = gat_layer(x, hw, mask, layer, att_rate, training, rng)
+        del x, hw
     return h

@@ -82,10 +82,10 @@ class SlotLayout(NamedTuple):
     """A CSR pattern's entries in slot-major (jagged-diagonal) order (Saad, SIAM J. Sci. Stat. Comput. 1989).
 
     Rows are ranked by degree, descending and stable: ``order[r]`` is the
-    row of rank ``r`` and ``rank`` its inverse. Slot ``j`` holds entry ``j``
-    of every row with more than ``j`` entries, which are the ``counts[j]``
-    rows of lowest rank. ``perm`` lists the CSR entries slot by slot, each
-    slot by rank from ``offsets[j]``, and ``position`` is its inverse;
+    row of rank ``r``, and the kernels write each rank's result to that row.
+    Slot ``j`` holds entry ``j`` of every row with more than ``j`` entries,
+    which are the ``counts[j]`` rows of lowest rank. ``perm`` lists the CSR
+    entries slot by slot, each slot by rank from ``offsets[j]``, and
     ``cols`` are their columns. Slots end at the first one with fewer than
     ``TAIL_ROWS`` rows. The ``len(tail_starts)`` rows still open then
     follow from ``head = sum(counts)``: the rest of each row, in CSR order,
@@ -99,12 +99,10 @@ class SlotLayout(NamedTuple):
     """
 
     order: np.ndarray
-    rank: np.ndarray
     counts: tuple[int, ...]
     offsets: tuple[int, ...]
     head: int
     perm: np.ndarray
-    position: np.ndarray
     cols: np.ndarray
     tail_starts: np.ndarray
     blocks: tuple[RankBlock, ...]
@@ -139,15 +137,9 @@ def _slot_layout(p: "SparsePattern") -> SlotLayout:
         first, last = min(lo, len(tails)), min(hi, len(tails))
         blocks.append(RankBlock(lo, hi, tuple(slot_parts), slice(ends[first], ends[last]), ends[first:last] - ends[first]))
     return SlotLayout(
-        order, _inverse(order), tuple(kept.tolist()), tuple(offsets[:-1].tolist()), int(offsets[-1]),
-        perm, _inverse(perm), p.cols[perm], tail_starts, tuple(blocks),
+        order, tuple(kept.tolist()), tuple(offsets[:-1].tolist()), int(offsets[-1]),
+        perm, p.cols[perm], tail_starts, tuple(blocks),
     )
-
-
-def _inverse(perm: np.ndarray) -> np.ndarray:
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(len(perm))
-    return inverse
 
 
 class _Csr(NamedTuple):
@@ -172,8 +164,8 @@ class SparsePattern(_Csr):
     views share; ``residual`` filters it into the alive subgraph's pattern.
 
     The row kernels (``row_sums``, ``row_max``, ``weighted_row_sums``,
-    ``entry_dots``), which ``autodiff.attention`` and ``autodiff.aggregate``
-    run in both passes, read the pattern through its ``layout``, a
+    ``entry_dots``), which ``autodiff.attention_layer`` runs in both
+    passes, read the pattern through its ``layout``, a
     ``SlotLayout``. The first kernel called on a pattern builds it, once,
     and the pattern keeps it: a state's ``residual`` pattern for as long as
     the state lives, a batch's union pattern for one forward.
@@ -218,7 +210,9 @@ class SparsePattern(_Csr):
         if len(lay.tail_starts):
             tails = acc[: len(lay.tail_starts)]
             ufunc(tails, ufunc.reduceat(by_slot[lay.head :], lay.tail_starts, axis=0), out=tails)
-        return np.take(acc, lay.rank, axis=0)
+        out = np.empty_like(acc)
+        out[lay.order] = acc
+        return out
 
     def row_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of per-entry ``values`` (one leading row per entry) over each row."""

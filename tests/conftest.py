@@ -272,11 +272,19 @@ def layer_heads(hw, layer):
     ]
 
 
-def dense_gat_layer(hw, mask, layer, dropout_rate, training, rng=None):
+def layer_transform(x, hw, layer):
+    """The transform ``encode`` formed for a layer, as a tape op: ``matmul`` on a recorded input, else ``hw`` itself."""
+    from critnet import autodiff as ad
+
+    return ad.tensor(hw) if x is None else ad.matmul(x, layer.w)
+
+
+def dense_gat_layer(x, hw, mask, layer, dropout_rate, training, rng=None):
     """The encoder's attention layer over dense n x n logits, masks and softmaxes."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
 
+    hw = layer_transform(x, hw, layer)
     n = hw.shape[0]
     ones_row = ad.tensor(np.ones((1, n)))
     ones_col = ad.tensor(np.ones((n, 1)))
@@ -304,8 +312,8 @@ def dense_encoder():
 
 # --- the chain of separate GAT primitives ----------------------------------------
 #
-# The layer as it ran before ``autodiff.attention`` and ``autodiff.aggregate``
-# fused it: every stage its own tape op, so the tape also held the gathered
+# The layer as it ran before ``attention`` and ``aggregate`` (below) fused
+# it: every stage its own tape op, so the tape also held the gathered
 # logits, their sum, the leaky-ReLU output and the sparse product.
 
 
@@ -387,7 +395,7 @@ def elu(a):
 
 
 def chain_attention(hw, a_src, a_dst, pattern, slope):
-    """``autodiff.attention`` as the chain it replaced: dots, gathers, a sum, a leaky ReLU and a softmax."""
+    """``attention`` as the chain it replaced: dots, gathers, a sum, a leaky ReLU and a softmax."""
     from critnet import autodiff as ad
 
     src = gather_rows(head_dots(hw, a_src), pattern)
@@ -396,17 +404,79 @@ def chain_attention(hw, a_src, a_dst, pattern, slope):
 
 
 def chain_aggregate(values, pattern, x):
-    """``autodiff.aggregate`` as the chain it replaced: a sparse product, then an ELU."""
+    """``aggregate`` as the chain it replaced: a sparse product, then an ELU."""
     return elu(spmm(values, pattern, x))
 
 
-def chain_gat_layer(hw, mask, layer, dropout_rate, training, rng=None):
+def chain_gat_layer(x, hw, mask, layer, dropout_rate, training, rng=None):
     """The encoder's attention layer on the chain of separate primitives."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
 
+    hw = layer_transform(x, hw, layer)
     att = chain_attention(hw, layer.a_src, layer.a_dst, mask, ATTENTION_SLOPE)
     return chain_aggregate(ad.dropout(att, dropout_rate, rng, training), mask, hw)
+
+
+# --- the two fused GAT primitives ------------------------------------------------
+#
+# ``autodiff.attention_layer`` as it ran before it became one primitive: a
+# ``matmul`` for the transform, then ``attention`` -> ``dropout`` ->
+# ``aggregate``, so the tape also held the transform and the dropped values.
+
+
+def attention(hw, a_src, a_dst, pattern, slope):
+    """Attention of H heads over the entries of each row of ``pattern``: E x H, from ``hw`` (n x H*d).
+
+    Its rule keeps the result, a boolean "score > 0" mask, ``hw`` and the two block-diagonal matrices.
+    """
+    from critnet import autodiff as ad
+
+    heads, d = a_src.shape
+    diagonal = (np.arange(heads * d), np.repeat(np.arange(heads), d))
+    b_src, b_dst = np.zeros((2, heads * d, heads))
+    b_src[diagonal], b_dst[diagonal] = a_src.data.reshape(-1), a_dst.data.reshape(-1)
+    p = np.take(hw.data @ b_src, pattern.rows, axis=0)
+    p += np.take(hw.data @ b_dst, pattern.cols, axis=0)
+    np.maximum(p, p * slope, out=p)
+    positive = p > 0 if ad._records((hw, a_src, a_dst)) else None
+    np.subtract(p, np.take(pattern.row_max(p), pattern.rows, axis=0), out=p)
+    np.exp(p, out=p)
+    p /= np.take(pattern.row_sums(p), pattern.rows, axis=0)
+
+    def backward(g):
+        gp = np.take(pattern.row_sums(g * p), pattern.rows, axis=0)
+        np.subtract(g, gp, out=gp)
+        gp *= p
+        g = gp * slope
+        np.copyto(g, gp, where=positive)
+        sums = pattern.row_sums(np.concatenate((g, np.take(g, pattern.transpose, axis=0)), axis=1))
+        for a, blocks, part in ((a_src, b_src, sums[:, :heads]), (a_dst, b_dst, sums[:, heads:])):
+            part = np.ascontiguousarray(part)
+            hw._adopt(part @ blocks.T)
+            a._adopt((hw.data.T @ part)[diagonal].reshape(heads, d))
+
+    return ad._make(p, (hw, a_src, a_dst), backward)
+
+
+def aggregate(values, pattern, x):
+    """ELU of H sparse n x n matrices, one per column of ``values`` (E x H), times column blocks of ``x`` (n x H*d).
+
+    Its rule keeps the result, ``values`` and ``x``.
+    """
+    from critnet import autodiff as ad
+
+    heads = values.shape[1]
+    out = pattern.weighted_row_sums(values.data, x.data)
+    ad._elu_in_place(out)
+
+    def backward(g):
+        slope = ad._elu_slope(out)
+        g = np.multiply(g, slope, out=slope)
+        values._adopt(pattern.entry_dots(g, x.data, heads))
+        x._adopt(pattern.weighted_row_sums(np.take(values.data, pattern.transpose, axis=0), g))
+
+    return ad._make(out, (values, x), backward)
 
 
 # --- whole-slot kernel oracles -------------------------------------------------
@@ -417,6 +487,13 @@ def chain_gat_layer(hw, mask, layer, dropout_rate, training, rng=None):
 # same order as the blocked kernels, so the two agree bit for bit, except
 # that BLAS may sum a dot's d terms in another order when a block's row count
 # times H is not a multiple of 4 (an odd head count with a block of 1 or 7).
+
+
+def inverse(perm):
+    """The inverse of a permutation: ``inverse(perm)[perm[i]] == i``."""
+    out = np.empty_like(perm)
+    out[perm] = np.arange(len(perm))
+    return out
 
 
 def slot_weighted_row_sums(pattern, w, x):
@@ -438,7 +515,7 @@ def slot_weighted_row_sums(pattern, w, x):
             acc[: len(sums)] += sums
         else:
             acc = sums
-    return np.take(acc, lay.rank, axis=0, out=part, mode="clip").reshape(x.shape)
+    return np.take(acc, inverse(lay.order), axis=0, out=part, mode="clip").reshape(x.shape)
 
 
 def slot_entry_dots(pattern, a, b, heads):
@@ -456,7 +533,7 @@ def slot_entry_dots(pattern, a, b, heads):
         tail = np.take(b3, lay.cols[lay.head :], axis=0)
         tail *= np.repeat(by_rank[: len(lay.tail_starts)], np.diff(lay.tail_starts, append=len(tail)), axis=0)
         np.dot(tail.reshape(-1, len(ones)), ones, out=by_slot[lay.head :].reshape(-1))
-    return np.take(by_slot, lay.position, axis=0)
+    return np.take(by_slot, inverse(lay.perm), axis=0)
 
 
 def with_layout(pattern, cutoff=None, block=None):
@@ -544,13 +621,14 @@ def sparse_patterns(draw):
 # --- per-head attention oracle ------------------------------------------------
 
 
-def per_head_gat_layer(hw, mask, layer, dropout_rate, training, rng=None):
+def per_head_gat_layer(x, hw, mask, layer, dropout_rate, training, rng=None):
     """The encoder's attention layer run one head at a time, each with its own E x 1 chain and ``reduceat`` product."""
     from critnet import autodiff as ad
     from critnet.encoder import ATTENTION_SLOPE
 
     if mask.n != hw.shape[0]:
         raise ValueError(f"attention pattern of {mask.n} rows does not match {hw.shape[0]} nodes")
+    hw = layer_transform(x, hw, layer)
     outputs = []
     for head_hw, a_src, a_dst in layer_heads(hw, layer):
         src = gather_rows(ad.matmul(head_hw, a_src), mask)

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import pickle
 import re
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import (
+    aggregate,
+    attention,
     block_diag,
     chain_aggregate,
     chain_attention,
@@ -24,12 +27,19 @@ from conftest import (
     where_elu,
     with_layout,
 )
+from critnet import encoder
 from critnet import autodiff as ad
 from critnet.graph import BLOCK_RANKS, build_graph, gen_ba, gen_ws, residual
 
 
 def rand_tensor(rng, shape, requires_grad=True):
     return ad.tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+
+
+def layer(x, w, a_src, a_dst, pattern, slope=0.2, rate=0.0, rng=None, training=False):
+    """``attention_layer`` as ``encode`` calls it: on ``x``'s transform, with ``x`` only while gradients are on."""
+    x_in = x if ad.grad_enabled() else None
+    return ad.attention_layer(x_in, w, x.data @ w.data, a_src, a_dst, pattern, slope, rate, rng, training)
 
 
 class TestPrimitives:
@@ -341,31 +351,28 @@ class TestSparsePrimitives:
         assert np.array_equal(pattern.rows[pattern.transpose], pattern.cols)
         assert np.array_equal(pattern.cols[pattern.transpose], pattern.rows)
 
+    @staticmethod
+    def inference_layer(hw_shape, src_shape, dst_shape=None):
+        """``attention_layer`` under ``no_grad`` on a zero transform and unit attention vectors of these shapes."""
+        a_src, a_dst = ad.tensor(np.ones(src_shape)), ad.tensor(np.ones(dst_shape or src_shape))
+        p, w = closed_pattern(3, [(0, 1)]), ad.tensor(np.ones((4, 6)))
+        with ad.no_grad():
+            return ad.attention_layer(None, w, np.zeros(hw_shape), a_src, a_dst, p, 0.2, 0.0, None, False)
+
     def test_shape_mismatch_raises(self):
-        p = closed_pattern(3, [(0, 1)])
-        a = ad.tensor(np.ones((2, 3)))
         with pytest.raises(ValueError, match=r"attention shape mismatch: hw \(4, 6\).*pattern of 3 rows"):
-            ad.attention(ad.tensor(np.zeros((4, 6))), a, a, p, 0.2)
+            self.inference_layer((4, 6), (2, 3))
         with pytest.raises(ValueError, match=r"attention shape mismatch: hw \(3, 6\), a_src \(2, 3\), a_dst \(3, 2\)"):
-            ad.attention(ad.tensor(np.zeros((3, 6))), a, ad.tensor(np.ones((3, 2))), p, 0.2)
-        with pytest.raises(ValueError, match=r"aggregate shape mismatch: values \(6, 1\), x \(2, 2\), pattern of 3 rows"):
-            ad.aggregate(ad.tensor(np.zeros((len(p.rows) + 1, 1))), p, ad.tensor(np.zeros((2, 2))))
+            self.inference_layer((3, 6), (2, 3), (3, 2))
 
     def test_multi_head_shape_mismatch_raises(self):
-        p = closed_pattern(3, [(0, 1)])
-        e = len(p.rows)
         with pytest.raises(ValueError, match=r"attention shape mismatch: hw \(5,\)"):
-            ad.attention(ad.tensor(np.zeros(5)), ad.tensor(np.ones((1, 5))), ad.tensor(np.ones((1, 5))), p, 0.2)
+            self.inference_layer(5, (1, 5))
         with pytest.raises(ValueError, match=r"hw \(3, 6\), a_src \(4, 2\)"):
-            ad.attention(ad.tensor(np.zeros((3, 6))), ad.tensor(np.ones((4, 2))), ad.tensor(np.ones((4, 2))), p, 0.2)
-        with pytest.raises(ValueError, match="do not split into 4 heads"):
-            ad.aggregate(ad.tensor(np.zeros((e, 4))), p, ad.tensor(np.zeros((3, 6))))
-        with pytest.raises(ValueError, match="do not split into 0 heads"):
-            ad.aggregate(ad.tensor(np.zeros((e, 0))), p, ad.tensor(np.zeros((3, 6))))
-        with pytest.raises(ValueError, match="aggregate shape mismatch"):
-            ad.aggregate(ad.tensor(np.zeros(e)), p, ad.tensor(np.zeros((3, 6))))
-        with pytest.raises(ValueError, match="aggregate shape mismatch"):
-            ad.aggregate(ad.tensor(np.zeros((e + 1, 2))), p, ad.tensor(np.zeros((3, 6))))
+            self.inference_layer((3, 6), (4, 2))
+        with pytest.raises(ValueError, match=r"hw \(3, 0\), a_src \(0, 2\)"):
+            self.inference_layer((3, 0), (0, 2))
+        assert self.inference_layer((3, 6), (2, 3)).shape == (3, 6)
 
 
 class TestSingleUseGraph:
@@ -400,21 +407,18 @@ class TestSingleUseGraph:
         with pytest.raises(ValueError, match=r"an earlier backward\(\) freed"):
             clone(loss).backward()
 
-    def test_spmm_keeps_only_its_output_on_the_tape(self):
-        # the sparse product inside ``aggregate``, whose ELU overwrites it
+    def test_a_layer_frees_its_tape_on_backward(self):
         p = gen_ba(200, 2, 42).pattern
         rng = np.random.default_rng(43)
-        values, x = rand_tensor(rng, (len(p.rows), 8)), rand_tensor(rng, (p.n, 96))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = ad.aggregate(values, p, x)
-            held = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        # the E x 96 gather of x is 5x the output here, and the product before its ELU
-        # another 1x: backward gathers the one again and reads its slope from the output
-        assert held < 1.5 * out.data.nbytes
+        x, w = rand_tensor(rng, (p.n, 64)), rand_tensor(rng, (64, 96))
+        a_src, a_dst = TestAttentionLayer.vectors(rng, 8, 12)
+        out = layer(x, w, a_src, a_dst, p, rate=0.3, rng=rng, training=True)
+        loss = ad.mse_loss(out, np.zeros(out.shape))
+        loss.backward()
+        assert out._parents == () and out._backward is ad._spent
+        assert all(t.grad is not None for t in (x, w, a_src, a_dst))
+        with pytest.raises(ValueError, match=r"an earlier backward\(\) freed"):
+            loss.backward()
 
 
 class TestSlotKernelOracles:
@@ -460,20 +464,23 @@ class TestSlotKernelOracles:
 
     def test_elu_equals_the_where_form(self):
         special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 709.0, 710.0, 1e308, -745.0, -1e308]
-        a = np.concatenate((special, np.random.default_rng(45).standard_normal(200) * 30.0)).reshape(-1, 1)
-        p = closed_pattern(len(a), [])
+        a = np.concatenate((special, np.random.default_rng(45).standard_normal(300) * 30.0)).reshape(-1, 1)
+        out = a.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # expm1 must not be evaluated past 709
-            out = ad.aggregate(ad.tensor(np.ones((len(a), 1))), p, ad.tensor(a)).data
+            ad._elu_in_place(out)  # more rows than one block of DENSE_BLOCK_ROWS
             assert np.array_equal(elu(ad.tensor(a)).data, out, equal_nan=True)
         assert np.array_equal(out, where_elu(a), equal_nan=True)
 
     def test_elu_gradient_uses_the_output_sign(self):
-        a = ad.tensor(np.array([[-2.0], [-1e-3], [0.0], [1e-3], [3.0]]), requires_grad=True)
-        out = ad.aggregate(ad.tensor(np.ones((5, 1))), closed_pattern(5, []), a)
+        # over an edgeless pattern every row attends to itself alone, with weight 1, so one head of
+        # width 1 and a unit transform make the layer the ELU of its input
+        x = ad.tensor(np.array([[-2.0], [-1e-3], [0.0], [1e-3], [3.0]]), requires_grad=True)
+        w, a = ad.tensor(np.ones((1, 1)), requires_grad=True), ad.tensor(np.ones((1, 1)), requires_grad=True)
+        out = layer(x, w, a, a, closed_pattern(5, []))
         ad.mse_loss(out, np.zeros((5, 1))).backward()
-        slope = np.where(a.data > 0, 1.0, np.exp(a.data))
-        np.testing.assert_allclose(a.grad, 2.0 / 5 * out.data * slope, rtol=1e-15, atol=0)
+        slope = np.where(x.data > 0, 1.0, np.exp(x.data))
+        np.testing.assert_allclose(x.grad, 2.0 / 5 * out.data * slope, rtol=1e-15, atol=0)
 
 
     def test_elu_slope_equals_the_where_form(self):
@@ -546,15 +553,15 @@ class TestHeadDots:
         assert grad_check(lambda: ad.mse_loss(head_dots(x, a), target), [x, a]) < 1e-6
 
     def test_shape_mismatch_raises(self):
-        # ``attention`` takes the head dots: 10 columns are not 3 heads of width 4
+        # ``attention_layer`` takes the head dots: 10 columns are not 3 heads of width 4
         p = closed_pattern(4, [(0, 1)])
         a = ad.tensor(np.ones((3, 4)))
         with pytest.raises(ValueError, match=r"attention shape mismatch: hw \(4, 10\), a_src \(3, 4\)"):
-            ad.attention(ad.tensor(np.ones((4, 10))), a, a, p, 0.2)
+            layer(ad.tensor(np.ones((4, 2))), ad.tensor(np.ones((2, 10))), a, a, p)
 
 
-class TestFusedPrimitives:
-    """``attention`` and ``aggregate`` against the chain of separate primitives in conftest."""
+class TestFusedOracles:
+    """The conftest ``attention`` and ``aggregate``, ``attention_layer``'s oracle, against the chain they fused."""
 
     @staticmethod
     def leaves(rng, n, heads, d):
@@ -564,7 +571,7 @@ class TestFusedPrimitives:
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
     def test_attention_and_its_gradients_are_bit_equal_to_the_chain(self, heads, d, p, seed):
         runs = []
-        for attend in (ad.attention, chain_attention):
+        for attend in (attention, chain_attention):
             rng = np.random.default_rng(seed)
             hw, a_src, a_dst = self.leaves(rng, p.n, heads, d)
             out = attend(hw, a_src, a_dst, p, 0.2)
@@ -580,7 +587,7 @@ class TestFusedPrimitives:
         # the chain runs on the whole-slot kernels; ``aggregate`` walks blocks of ``block`` ranks
         p = with_layout(p, block=block)
         runs = []
-        for product in (ad.aggregate, chain_aggregate):
+        for product in (aggregate, chain_aggregate):
             rng = np.random.default_rng(seed)
             values, x = ad.tensor(rng.random((len(p.rows), 8)), True), rand_tensor(rng, (p.n, 8 * d))
             out = product(values, p, x)
@@ -593,7 +600,7 @@ class TestFusedPrimitives:
         # one hw feeds both primitives: its gradient sums aggregate's part, then the source and destination parts
         p = closed_pattern(*PATTERNS["isolated-node"])
         runs = []
-        for attend, product in ((ad.attention, ad.aggregate), (chain_attention, chain_aggregate)):
+        for attend, product in ((attention, aggregate), (chain_attention, chain_aggregate)):
             rng = np.random.default_rng(59)
             hw, a_src, a_dst = self.leaves(rng, p.n, 4, 3)
             out = product(ad.dropout(attend(hw, a_src, a_dst, p, 0.2), 0.5, rng, True), p, hw)
@@ -609,11 +616,8 @@ class TestFusedPrimitives:
         A step of eps in ``hw[i, h*d + k]`` moves a logit by at most eps * (|a_src[h, k]| + |a_dst[h, k]|)
         (a self-loop reads both ends), and one in ``a_src`` or ``a_dst`` by at most eps * max |hw|.
         """
-        heads, d = a_src.shape
-        hw3 = hw.data.reshape(p.n, heads, d)
-        logits = (hw3 * a_src.data).sum(axis=2)[p.rows] + (hw3 * a_dst.data).sum(axis=2)[p.cols]
         reach = max(np.abs(hw.data).max(), (np.abs(a_src.data) + np.abs(a_dst.data)).max())
-        return min(1e-4, 0.5 * np.abs(logits).min() / reach)
+        return min(1e-4, 0.5 * np.abs(logits(hw.data, a_src, a_dst, p)).min() / reach)
 
     # a logit 1.7e-4 from the kink, which a step of 1e-4 crossed: relative error 1.5e-3 on one a_src coordinate
     KINK = {"p": residual(gen_ws(54, 4, 0.0, 0)), "seed": 27254968}
@@ -627,7 +631,7 @@ class TestFusedPrimitives:
         # central differences across the kink average its two slopes, so the step stays on one side of it
         eps = self.off_kink_step(hw, a_src, a_dst, p)
         err = grad_check(
-            lambda: ad.mse_loss(ad.attention(hw, a_src, a_dst, p, 0.2), target),
+            lambda: ad.mse_loss(attention(hw, a_src, a_dst, p, 0.2), target),
             [hw, a_src, a_dst],
             eps=eps,
             sample=12,
@@ -649,49 +653,178 @@ class TestFusedPrimitives:
         rng = np.random.default_rng(seed)
         values, x = rand_tensor(rng, (len(p.rows), 4)), rand_tensor(rng, (p.n, 12))
         target = rng.standard_normal((p.n, 12))
-        err = grad_check(lambda: ad.mse_loss(ad.aggregate(values, p, x), target), [values, x], sample=12, rng=rng)
+        err = grad_check(lambda: ad.mse_loss(aggregate(values, p, x), target), [values, x], sample=12, rng=rng)
         # through the ELU the loss is not quadratic, so no wide step is exact; some gradients are
         # near 1e-6 (a 50-entry hub row), which central differences resolve to about 1e-5 of their size
         assert err < 1e-4
 
-    @pytest.mark.parametrize("slope", [0.0, 1.5, float("nan")])
-    def test_attention_rejects_a_slope_outside_0_1(self, slope):
-        p = closed_pattern(3, [(0, 1)])
-        a = ad.tensor(np.ones((2, 2)))
-        with pytest.raises(ValueError, match=re.escape(f"slope must be in (0, 1], got {slope}")):
-            ad.attention(ad.tensor(np.ones((3, 4))), a, a, p, slope)
 
-    def test_attention_keeps_no_e_by_h_logit(self):
+def logits(hw, a_src, a_dst, p):
+    """Each entry's per-head score before the leaky ReLU: ``src[rows[e]] + dst[cols[e]]`` (E x H)."""
+    heads, d = a_src.shape
+    hw3 = hw.reshape(p.n, heads, d)
+    return (hw3 * a_src.data).sum(axis=2)[p.rows] + (hw3 * a_dst.data).sum(axis=2)[p.cols]
+
+
+def fused_chain(x, w, a_src, a_dst, p, slope=0.2, rate=0.0, rng=None, training=False):
+    """``matmul`` -> ``attention`` -> ``dropout`` -> ``aggregate``: the chain ``attention_layer`` fuses."""
+    hw = ad.matmul(x, w)
+    return aggregate(ad.dropout(attention(hw, a_src, a_dst, p, slope), rate, rng, training), p, hw)
+
+
+class TestAttentionLayer:
+    """``attention_layer`` against the chain of the conftest oracles it fuses, and what its rule keeps."""
+
+    @staticmethod
+    def vectors(rng, heads, d):
+        return rand_tensor(rng, (heads, d)), rand_tensor(rng, (heads, d))
+
+    @staticmethod
+    def run(layer_fn, p, profile, recorded, seed):
+        """Two training-mode layers at the encoder's widths, stacked as ``encode`` stacks them on a leaf input.
+
+        Returns the output and the gradients of the input and of every parameter (``None`` under ``no_grad``).
+        """
+        in1, att1, in2, att2 = encoder.DROPOUT_PROFILES[profile]
+        rng = np.random.default_rng(seed)
+        params = encoder.init_encoder_params(rng)
+        x = h = rand_tensor(rng, (p.n, encoder.IN_FEATURES))
+        with contextlib.nullcontext() if recorded else ad.no_grad():
+            for lp, in_rate, att_rate in ((params.layer1, in1, att1), (params.layer2, in2, att2)):
+                h = ad.dropout(h, in_rate, rng, True)
+                h = layer_fn(h, lp.w, lp.a_src, lp.a_dst, p, encoder.ATTENTION_SLOPE, att_rate, rng, True)
+        if recorded:
+            ad.mse_loss(h, rng.standard_normal(h.shape)).backward()
+        return [h.data, x.grad] + [t.grad for t in params.parameters()]
+
+    @pytest.mark.parametrize("block", [BLOCK_RANKS, 1, 7])
+    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "no_grad"])
+    @pytest.mark.parametrize("profile", list(encoder.DROPOUT_PROFILES))
+    @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
+    def test_output_and_gradients_are_bit_equal_to_the_chain(self, profile, recorded, block, p, seed):
+        p = with_layout(p, block=block)
+        got = self.run(layer, p, profile, recorded, seed)
+        want = self.run(fused_chain, p, profile, recorded, seed)
+        assert len(got) == len(want) == 8 and np.array_equal(got[0], want[0])
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b) if recorded else a is b is None
+
+    def test_a_constant_input_gets_no_gradient_product(self):
+        # layer 1's input is the feature matrix: the rule forms no gradient for it
+        p = gen_ba(60, 2, 70).pattern
+        rng = np.random.default_rng(71)
+        x, w = rand_tensor(rng, (p.n, 4), requires_grad=False), rand_tensor(rng, (4, 64))
+        a_src, a_dst = self.vectors(rng, 8, 8)
+        ad.mse_loss(layer(x, w, a_src, a_dst, p), np.zeros((p.n, 64))).backward()
+        assert x.grad is None
+        assert all(t.grad is not None for t in (w, a_src, a_dst))
+
+    @staticmethod
+    def off_kink_step(x, w, a_src, a_dst, p):
+        """The widest step, up to 1e-4, by which no one coordinate moves a logit across the leaky ReLU's kink at 0.
+
+        A step of eps in ``x[i, j]`` moves block h of ``hw``'s row i by eps times block h of ``w``'s row j, so
+        a logit by at most eps * sum_k |w[j, h*d + k]| (|a_src[h, k]| + |a_dst[h, k]|) (a self-loop reads both
+        ends); one in ``w[j, h*d + k]`` by at most eps * max |x| * (|a_src[h, k]| + |a_dst[h, k]|); and one in
+        ``a_src`` or ``a_dst`` by at most eps * max |hw|.
+        """
+        heads, d = a_src.shape
+        both = np.abs(a_src.data) + np.abs(a_dst.data)
+        hw = x.data @ w.data
+        reach = max(
+            (np.abs(w.data).reshape(-1, heads, d) * both).sum(axis=2).max(),
+            np.abs(x.data).max() * both.max(),
+            np.abs(hw).max(),
+        )
+        return min(1e-4, 0.5 * np.abs(logits(hw, a_src, a_dst, p)).min() / reach)
+
+    @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
+    def test_gradient_check(self, p, seed):
+        rng = np.random.default_rng(seed)
+        x, w, (a_src, a_dst) = rand_tensor(rng, (p.n, 3)), rand_tensor(rng, (3, 4 * 3)), self.vectors(rng, 4, 3)
+        target = rng.standard_normal((p.n, 12))
+        eps = self.off_kink_step(x, w, a_src, a_dst, p)
+
+        def loss():
+            rng_once = np.random.default_rng(seed)  # every call draws the same dropout mask
+            return ad.mse_loss(layer(x, w, a_src, a_dst, p, rate=0.5, rng=rng_once, training=True), target)
+
+        err = grad_check(loss, [x, w, a_src, a_dst], eps=eps, sample=12, rng=rng, floor=1e-11 / eps)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "no_grad"])
+    def test_training_without_an_rng_raises(self, recorded):
+        p = closed_pattern(*PATTERNS["isolated-node"])
+        rng = np.random.default_rng(72)
+        x, w, (a_src, a_dst) = rand_tensor(rng, (p.n, 2)), rand_tensor(rng, (2, 6)), self.vectors(rng, 2, 3)
+        with contextlib.nullcontext() if recorded else ad.no_grad():
+            with pytest.raises(ValueError, match="training-mode dropout needs an rng"):
+                layer(x, w, a_src, a_dst, p, rate=0.3, training=True)
+            layer(x, w, a_src, a_dst, p, rate=0.3, training=False)  # no dropout, no draws
+            layer(x, w, a_src, a_dst, p, rate=0.0, training=True)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, float("nan")])
+    def test_rejects_a_dropout_rate_outside_0_1(self, rate):
+        p = closed_pattern(3, [(0, 1)])
+        x, w, a = ad.tensor(np.ones((3, 2))), ad.tensor(np.ones((2, 4))), ad.tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=re.escape(f"dropout rate must be in [0, 1), got {rate}")):
+            layer(x, w, a, a, p, rate=rate, rng=np.random.default_rng(0), training=True)
+
+    @pytest.mark.parametrize("slope", [0.0, 1.5, float("nan")])
+    def test_rejects_a_slope_outside_0_1(self, slope):
+        p = closed_pattern(3, [(0, 1)])
+        x, w, a = ad.tensor(np.ones((3, 2))), ad.tensor(np.ones((2, 4))), ad.tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=re.escape(f"slope must be in (0, 1], got {slope}")):
+            layer(x, w, a, a, p, slope=slope)
+
+    def test_a_recorded_layer_needs_its_input(self):
+        p = closed_pattern(3, [(0, 1)])
+        w, a = ad.tensor(np.ones((2, 4)), requires_grad=True), ad.tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="a recorded attention layer needs its input x"):
+            ad.attention_layer(None, w, np.ones((3, 4)), a, a, p, 0.2, 0.0, None, False)
+        with ad.no_grad():
+            assert ad.attention_layer(None, w, np.ones((3, 4)), a, a, p, 0.2, 0.0, None, False).shape == (3, 4)
+
+    def test_the_rule_keeps_no_transform_and_no_dropped_values(self):
         p = gen_ba(300, 2, 60).pattern
         p.layout  # the pattern keeps the slot layout its first kernel call builds
         rng = np.random.default_rng(61)
-        hw, a_src, a_dst = self.leaves(rng, p.n, 8, 12)
+        x, w, (a_src, a_dst) = rand_tensor(rng, (p.n, 64)), rand_tensor(rng, (64, 96)), self.vectors(rng, 8, 12)
+        hw = x.data @ w.data
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = ad.attention(hw, a_src, a_dst, p, 0.2)
+            out = ad.attention_layer(x, w, hw, a_src, a_dst, p, 0.2, 0.3, rng, True)
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        # the result and its one-byte mask; the chain also held four more E x H arrays
-        assert held < 1.125 * out.data.nbytes + 16 * 1024
+        # the output, the E x H attention values and their two one-byte masks, besides two H*d x H
+        # block-diagonal matrices (12 KB); the transform (n x H*d, as large as the output) or the
+        # dropped values (E x H) would add at least 96 KB here
+        values = len(p.rows) * 8 * 8
+        assert held < out.data.nbytes + 1.25 * values + 32 * 1024
+        assert out._parents == (x, w, a_src, a_dst)
 
-    def test_inference_aggregate_forms_one_output_sized_array(self):
+    @pytest.mark.parametrize("heads", [2, 8])
+    def test_inference_forms_one_output_sized_array(self, heads):
         p = residual(gen_ws(3000, 4, 0.1, 65))  # a WS lattice: its open rows' tails are a few entries
         p.layout
         rng = np.random.default_rng(66)
-        values, x = ad.tensor(rng.random((len(p.rows), 8))), ad.tensor(rng.standard_normal((p.n, 96)))
+        w, (a_src, a_dst) = rand_tensor(rng, (16, 96)), self.vectors(rng, heads, 96 // heads)
+        hw = rng.standard_normal((p.n, 16)) @ w.data
         with ad.no_grad():
             tracemalloc.start()
             try:
-                out = ad.aggregate(values, p, x)
+                out = ad.attention_layer(None, w, hw, a_src, a_dst, p, 0.2, 0.0, None, False)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # the output, the values in slot order, two blocks of kernel scratch, two of ELU temporaries and numpy's
-        # 64 KB ufunc buffer: one more n x 96 array would exceed it
+        # the output, the attention values and the kernel's copy of them in slot order, two blocks of kernel
+        # scratch, two of ELU temporaries and numpy's 64 KB ufunc buffer; with two heads, one more n x 96
+        # array would exceed it
+        values = len(p.rows) * heads * 8
         blocks = 2 * (BLOCK_RANKS + ad.DENSE_BLOCK_ROWS) * 96 * 8
-        assert peak < out.data.nbytes + values.data.nbytes + blocks + 128 * 1024
+        assert peak < out.data.nbytes + 2 * values + blocks + 128 * 1024
 
     def test_training_dropout_keeps_a_boolean_mask(self):
         a = rand_tensor(np.random.default_rng(62), (4000, 8))

@@ -46,7 +46,7 @@ class TestGatLayer:
         g = build_graph(1, [])
         p = params()
         h = ad.tensor(np.array([[0.1, 0.4, 0.0, 0.9]]))
-        out = gat_layer(ad.matmul(h, p.layer1.w), attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False)
+        out = gat_layer(h, h.data @ p.layer1.w.data, attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False)
         expect = h.data @ p.layer1.w.data
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, expect)
@@ -54,11 +54,12 @@ class TestGatLayer:
     def test_zero_dropout_training_equals_eval(self):
         g = gen_er(12, 0.3, 1)
         p = params()
-        hw = ad.matmul(ad.tensor(np.random.default_rng(2).random((12, 4))), p.layer1.w)
+        h = ad.tensor(np.random.default_rng(2).random((12, 4)))
+        hw = h.data @ p.layer1.w.data
         mask = attention_mask(GraphBatch.of([g]))
         rng = np.random.default_rng(3)
-        out_train = gat_layer(hw, mask, p.layer1, 0.0, True, rng)
-        out_eval = gat_layer(hw, mask, p.layer1, 0.0, False)
+        out_train = gat_layer(h, hw, mask, p.layer1, 0.0, True, rng)
+        out_eval = gat_layer(h, hw, mask, p.layer1, 0.0, False)
         assert np.array_equal(out_train.data, out_eval.data)
 
     def test_attention_rows_sum_to_one_per_head(self):
@@ -68,8 +69,8 @@ class TestGatLayer:
         g = remove_nodes(gen_er(15, 0.25, 4), [2, 7])
         p = params()
         row = np.array([[0.3, -0.8, 0.5, 1.2]])
-        hw = ad.matmul(ad.tensor(np.repeat(row, 13, axis=0)), p.layer1.w)
-        out = gat_layer(hw, attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False)
+        h = ad.tensor(np.repeat(row, 13, axis=0))
+        out = gat_layer(h, h.data @ p.layer1.w.data, attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False)
         expect = row @ p.layer1.w.data
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, np.repeat(expect, 13, axis=0), rtol=0, atol=1e-14)
@@ -79,13 +80,15 @@ class TestGatLayer:
         g = gen_er(10, 0.3, 6)
         p = params()
         feats = rng.random((10, 4))
-        base = gat_layer(ad.tensor(feats @ p.layer1.w.data), attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False).data
+        mask = attention_mask(GraphBatch.of([g]))
+        base = gat_layer(ad.tensor(feats), feats @ p.layer1.w.data, mask, p.layer1, 0.0, False).data
         for _ in range(5):
             perm = rng.permutation(10)
             gp = build_graph(10, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
             fp = np.empty_like(feats)
             fp[perm] = feats
-            out = gat_layer(ad.tensor(fp @ p.layer1.w.data), attention_mask(GraphBatch.of([gp])), p.layer1, 0.0, False).data
+            mask = attention_mask(GraphBatch.of([gp]))
+            out = gat_layer(ad.tensor(fp), fp @ p.layer1.w.data, mask, p.layer1, 0.0, False).data
             assert np.allclose(out[perm], base, atol=1e-10)
 
 
@@ -105,9 +108,9 @@ class TestEncode:
         feats, p = aggregate_features(g), params()
         outputs, freed = [], []
 
-        def spy(hw, *args):
+        def spy(x, *args):
             freed.append([ref() is None for ref in outputs])
-            out = gat_layer(hw, *args)
+            out = gat_layer(x, *args)
             outputs.append(weakref.ref(out.data))
             return out
 
@@ -117,6 +120,23 @@ class TestEncode:
             out = encode(GraphBatch.of([g]), feats, p)
         assert freed == [[], [not recording]]
         assert np.array_equal(out.data, encode(GraphBatch.of([g]), feats, p).data)
+
+    def test_a_recorded_forward_keeps_no_transform(self):
+        # the tape keeps each layer's input and output; backward forms the transform again
+        g = gen_er(30, 0.2, 10)
+        feats, p = aggregate_features(g), params()
+        transforms = []
+
+        def spy(x, hw, *args):
+            transforms.append(weakref.ref(hw))
+            return gat_layer(x, hw, *args)
+
+        with mock.patch.object(encoder, "gat_layer", spy):
+            out = encode(GraphBatch.of([g]), feats, p, training=True, rng=np.random.default_rng(11))
+        assert len(transforms) == 2 and all(ref() is None for ref in transforms)
+        assert out._parents and out._backward is not None
+        ad.mse_loss(out, np.zeros(out.shape)).backward()
+        assert all(t.grad is not None for t in p.parameters())
 
     def test_training_mode_seeded_reproducible(self):
         g = gen_er(20, 0.2, 8)
@@ -223,12 +243,12 @@ class TestDropoutProfiles:
         mask = attention_mask(GraphBatch.of([g]))
         if profile == "original":
             h = ad.dropout(ad.tensor(feats), 0.6, rng, True)
-            h = gat_layer(ad.matmul(h, p.layer1.w), mask, p.layer1, 0.6, True, rng)
+            h = gat_layer(h, h.data @ p.layer1.w.data, mask, p.layer1, 0.6, True, rng)
             h = ad.dropout(h, 0.6, rng, True)
-            want = gat_layer(ad.matmul(h, p.layer2.w), mask, p.layer2, 0.6, True, rng).data
+            want = gat_layer(h, h.data @ p.layer2.w.data, mask, p.layer2, 0.6, True, rng).data
         else:
-            h = gat_layer(ad.matmul(ad.tensor(feats), p.layer1.w), mask, p.layer1, 0.0, True, rng)
-            want = gat_layer(ad.matmul(h, p.layer2.w), mask, p.layer2, 0.3, True, rng).data
+            h = gat_layer(ad.tensor(feats), feats @ p.layer1.w.data, mask, p.layer1, 0.0, True, rng)
+            want = gat_layer(h, h.data @ p.layer2.w.data, mask, p.layer2, 0.3, True, rng).data
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("profile", ["reduced", "original"])
@@ -320,7 +340,7 @@ class TestPerHeadOracle:
     def test_layer_rejects_a_mismatched_pattern(self):
         g = gen_er(6, 0.5, 42)
         with pytest.raises(ValueError, match="6 rows does not match 5 nodes"):
-            gat_layer(ad.tensor(np.zeros((5, HIDDEN_DIM))), attention_mask(GraphBatch.of([g])), params().layer1, 0.0, False)
+            gat_layer(None, np.zeros((5, HIDDEN_DIM)), attention_mask(GraphBatch.of([g])), params().layer1, 0.0, False)
 
 
 class TestPerLayerTensors:
@@ -345,7 +365,7 @@ class TestPerLayerTensors:
         mask = attention_mask(GraphBatch.of([g]))
         h = ad.tensor(rng.standard_normal((g.n_alive(), HIDDEN_PER_HEAD * N_HEADS)), requires_grad=True)
         target = rng.standard_normal((g.n_alive(), N_HEADS * OUT_PER_HEAD))
-        got = gat_layer(ad.matmul(h, p.layer2.w), mask, p.layer2, 0.6, training, np.random.default_rng(1))
+        got = gat_layer(h, h.data @ p.layer2.w.data, mask, p.layer2, 0.6, training, np.random.default_rng(1))
         ad.mse_loss(got, target).backward()
         got_h = h.grad
         h.zero_grad()
@@ -362,7 +382,7 @@ class TestPerLayerTensors:
 
 
 class TestChainOracle:
-    """``attention`` and ``aggregate`` against the chain of separate primitives they fused, kept in conftest."""
+    """``attention_layer`` against the chain of separate primitives it fuses, kept in conftest."""
 
     @staticmethod
     def run(layer_fn, batch, profile, training, seed):
@@ -371,9 +391,12 @@ class TestChainOracle:
         rng = np.random.default_rng(seed)
         p = params(seed)
         mask = attention_mask(batch)
-        x = ad.tensor(rng.standard_normal((mask.n, IN_FEATURES)), requires_grad=True)
-        h = layer_fn(ad.matmul(ad.dropout(x, in1, rng, training), p.layer1.w), mask, p.layer1, att1, training, rng)
-        out = layer_fn(ad.matmul(ad.dropout(h, in2, rng, training), p.layer2.w), mask, p.layer2, att2, training, rng)
+        h = ad.tensor(rng.standard_normal((mask.n, IN_FEATURES)), requires_grad=True)
+        x = h
+        for layer, in_rate, att_rate in ((p.layer1, in1, att1), (p.layer2, in2, att2)):
+            h = ad.dropout(h, in_rate, rng, training)
+            h = layer_fn(h, h.data @ layer.w.data, mask, layer, att_rate, training, rng)
+        out = h
         ad.mse_loss(out, rng.standard_normal(out.shape)).backward()
         return [out.data, x.grad] + [t.grad for t in p.parameters()]
 

@@ -597,11 +597,11 @@ class TestSlotLayout:
     @given(p=sparse_patterns())
     def test_every_entry_is_visited_exactly_once(self, cutoff, block, p):
         lay = with_layout(p, cutoff, block).layout
+        # perm and order are permutations: of the entries and of the rows
         assert np.array_equal(np.sort(lay.perm), np.arange(len(p.rows)))
-        assert np.array_equal(lay.perm[lay.position], np.arange(len(p.rows)))
+        assert np.array_equal(np.sort(lay.order), np.arange(p.n))
         degree = np.diff(p.indptr)
         assert np.array_equal(lay.order, np.argsort(-degree, kind="stable"))
-        assert np.array_equal(lay.order[lay.rank], np.arange(p.n))
         assert all(c >= cutoff for c in lay.counts) and list(lay.counts) == sorted(lay.counts, reverse=True)
         assert lay.head == sum(lay.counts) and np.array_equal(lay.cols, p.cols[lay.perm])
         for slot, (c, o) in enumerate(zip(lay.counts, lay.offsets)):
