@@ -4,7 +4,6 @@ from critnet.graph import (
     ComponentPartition,
     Graph,
     GraphParseError,
-    Solution,
     build_graph,
     connected_components,
     format_edge_list,
@@ -13,9 +12,10 @@ from critnet.graph import (
     gen_ws,
     pairwise_connectivity,
     parse_edge_list,
+    prefix_objectives,
     remove_nodes,
 )
-from critnet.solve import degree_scores, solve_greedy
+from critnet.solve import Solution, degree_scores, solve_greedy
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,7 @@ __all__ = [
     "gen_ws",
     "pairwise_connectivity",
     "parse_edge_list",
+    "prefix_objectives",
     "remove_nodes",
     "solve_greedy",
     "__version__",

@@ -365,15 +365,11 @@ def attention_layer(
         raise ValueError(f"attention shape mismatch: {shapes}")
     if not 0.0 < slope <= 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    dropping = training and rate > 0.0
-    if dropping and rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     parents = (w, a_src, a_dst) if x is None else (x, w, a_src, a_dst)
     records = _records(parents)
     if records and x is None:
         raise ValueError("a recorded attention layer needs its input x")
+    keep, scale = _keep_mask((len(pattern.rows), heads), rate, rng, training), 1.0 / (1.0 - rate)
     diagonal = (np.arange(heads * d), np.repeat(np.arange(heads), d))
     b_src, b_dst = np.zeros((2, heads * d, heads))
     b_src[diagonal], b_dst[diagonal] = a_src.data.reshape(-1), a_dst.data.reshape(-1)
@@ -384,7 +380,6 @@ def attention_layer(
     np.subtract(p, np.take(pattern.row_max(p), pattern.rows, axis=0), out=p)
     np.exp(p, out=p)
     p /= np.take(pattern.row_sums(p), pattern.rows, axis=0)
-    keep, scale = (rng.random(p.shape[::-1]).T >= rate, 1.0 / (1.0 - rate)) if dropping else (None, 1.0)
     out = pattern.weighted_row_sums(p if keep is None else p * (keep * scale), hw)
     _elu_in_place(out)
     x_in_graph = records and (x.requires_grad or bool(x._parents))
@@ -423,18 +418,26 @@ def attention_layer(
     return _make(out, parents, backward)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0.
+def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None, training: bool) -> np.ndarray | None:
+    """Inverted dropout's boolean keep mask of ``shape``, or ``None`` when nothing drops (not training, or rate 0).
 
-    The uniforms fill ``a`` column after column, as H dropouts of E x 1 would for an E x H ``a``.
+    The uniforms fill the mask column after column, as H dropouts of E x 1 would for an E x H mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return a
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep, scale = rng.random(a.shape[::-1]).T >= rate, 1.0 / (1.0 - rate)
+    return rng.random(shape[::-1]).T >= rate
+
+
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
+    """Inverted dropout; identity when not training or rate == 0."""
+    keep = _keep_mask(a.shape, rate, rng, training)
+    if keep is None:
+        return a
+    scale = 1.0 / (1.0 - rate)
 
     def backward(g):
         a._adopt(g * (keep * scale))  # the rule keeps a boolean mask, not the float one

@@ -20,9 +20,10 @@ layers run on it, over a slot-major layout the first kernel call builds and
 the pattern keeps. A ``GraphBatch`` lays several states' residual patterns
 side by side, so one forward scores them all; one state is a batch of one.
 One engine on that CSR, a numpy pointer-jumping fixpoint, finds the
-components behind ``connected_components`` and the exact
-pairwise-connectivity objective. The module also holds edge-list ingestion
-and the synthetic generators.
+components behind ``connected_components``, the exact pairwise-connectivity
+objective, and, with a union-find that adds a removal order back, the
+objective after every prefix of that order (``prefix_objectives``). The
+module also holds edge-list ingestion and the synthetic generators.
 """
 from __future__ import annotations
 
@@ -358,14 +359,6 @@ class Graph:
         return Graph, (self.pattern, self.alive)
 
 
-@dataclass
-class Solution:
-    """Ordered removal set plus the residual objective it achieves."""
-
-    removed: list[int]
-    objective: int
-
-
 class ComponentPartition(NamedTuple):
     """Component labels over alive nodes; ``sizes`` sorted descending.
 
@@ -605,6 +598,48 @@ def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
             raise ValueError(f"node {v} is already removed")
         alive[v] = False
     return Graph(g.pattern, alive)
+
+
+def prefix_objectives(g: Graph, order: Iterable[int]) -> list[int]:
+    """Pairwise connectivity of ``g`` after each prefix of ``order``: entry j has ``order[:j]`` removed.
+
+    ``remove_nodes`` builds the view with the whole order removed, and checks
+    every id. The component engine labels that view once; then a union-find
+    over component heads adds the removed nodes back in reverse order, each
+    merge of two components adding the product of their sizes (union by
+    size, path halving). It reads only the added nodes' rows of the stored
+    CSR, so the ``len(order) + 1`` values cost one labelling and one pass
+    over those rows.
+    """
+    order = list(order)
+    last = remove_nodes(g, order)
+    ids = last.alive_ids()
+    root = _component_roots(residual(last))
+    counts = np.bincount(root, minlength=len(root))
+    parent, size = np.arange(g.n), np.ones(g.n, dtype=np.int64)
+    parent[ids], size[ids] = ids[root], counts[root]  # alive nodes point at their component's head
+    parent, size, alive = parent.tolist(), size.tolist(), last.alive.tolist()
+    total = int(np.dot(counts, counts - 1)) // 2
+    indptr, cols = g.pattern.indptr, g.pattern.cols
+    curve = [total]
+    for v in reversed(order):
+        alive[v] = True
+        for u in cols[indptr[v] : indptr[v + 1]].tolist():
+            if not alive[u]:
+                continue
+            a, b = u, v
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                total += size[a] * size[b]
+                parent[b] = a
+                size[a] += size[b]
+        curve.append(total)
+    return curve[::-1]
 
 
 def scatter_alive(g: Graph, values: np.ndarray) -> np.ndarray:

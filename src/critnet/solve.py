@@ -14,14 +14,18 @@ makes a dead node the best, raises ``ValueError``.
 
 There is no early stop at objective 0: a solve always makes ``k``
 removals, so a budget gives one removal order whatever the graph. Once no
-edge is left, every later removal keeps the objective at 0. The objective
-is computed once, on the final residual graph.
+edge is left, every later removal keeps the objective at 0. A solution is
+the removal order and its curve, the objective after each prefix of it,
+so one solve answers every budget up to ``k``. ``graph.prefix_objectives``
+computes the curve once, after the last removal; no step computes an
+objective.
 
 Library calls go through their module (``graph.remove_nodes``), so a
 tracer that patches a module attribute sees every call a solve makes.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,20 +33,36 @@ import numpy as np
 from critnet import decoder, features, graph
 
 
+@dataclass
+class Solution:
+    """A removal order and its curve: ``curve[j]`` is the pairwise connectivity with ``removed[:j]`` removed.
+
+    ``curve[0]`` is the input's own connectivity, before any removal, and
+    ``objective``, the value at the whole budget, is ``curve[-1]``.
+    """
+
+    removed: list[int]
+    curve: list[int]
+
+    @property
+    def objective(self) -> int:
+        return self.curve[-1]
+
+
 def degree_scores(g: graph.Graph) -> np.ndarray:
     """Each alive node's degree in the residual graph; -inf on dead nodes."""
     return graph.scatter_alive(g, features.degree_vector(g))
 
 
-def solve_greedy(g: graph.Graph, k: int, score: Callable[[graph.Graph], np.ndarray]) -> graph.Solution:
-    """Remove the best node under ``score`` ``k`` times; the solution is the removal order and its objective.
+def solve_greedy(g: graph.Graph, k: int, score: Callable[[graph.Graph], np.ndarray]) -> Solution:
+    """Remove the best node under ``score`` ``k`` times; the solution is the removal order and its curve.
 
     ``k`` must be an integer in 1..n_alive-1, so that some node is left.
     """
     k = graph._size(k, "budget k", 1)
     if k >= g.n_alive():
         raise ValueError(f"budget k={k} must be below the {g.n_alive()} alive nodes")
-    removed = []
+    g0, removed = g, []
     for _ in range(k):
         q = np.asarray(score(g))
         if q.shape != (g.n,):
@@ -50,4 +70,4 @@ def solve_greedy(g: graph.Graph, k: int, score: Callable[[graph.Graph], np.ndarr
         a = decoder.select_action(q, 0.0, None)
         g = graph.remove_nodes(g, [a])
         removed.append(a)
-    return graph.Solution(removed, graph.pairwise_connectivity(g))
+    return Solution(removed, graph.prefix_objectives(g0, removed))

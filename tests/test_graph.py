@@ -50,6 +50,7 @@ from critnet.graph import (
     gen_ws,
     pairwise_connectivity,
     parse_edge_list,
+    prefix_objectives,
     remove_nodes,
     residual,
 )
@@ -438,6 +439,40 @@ class TestRemoveNodes:
             batch = remove_nodes(g, nodes)
             assert np.array_equal(seq.alive, batch.alive)
             assert pairwise_connectivity(seq) == pairwise_connectivity(batch)
+
+
+class TestPrefixObjectives:
+    @given(corpus_graphs(), st.data())
+    def test_every_prefix_matches_brute_force(self, g, data):
+        order = data.draw(st.permutations(g.alive_ids().tolist()))  # every alive node of a residual view
+        curve = prefix_objectives(g, order)
+        assert curve == [brute_pairwise(g, order[:j]) for j in range(len(order) + 1)]
+        assert curve[-1] == 0 and all(type(c) is int for c in curve)
+        j = data.draw(st.integers(0, len(order)))
+        assert prefix_objectives(g, order[:j]) == curve[: j + 1]
+        assert prefix_objectives(g, []) == curve[:1]
+
+    def test_takes_any_iterable_and_leaves_the_graph_alone(self):
+        g = path_graph(5)
+        assert prefix_objectives(g, iter(np.array([2, 0]))) == [10, 2, 1]
+        assert g.alive.all()
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([3, 1, 3], "node 3 is already removed"),
+            ([1, 0], "node 0 is already removed"),
+            ([5], "node id 5 outside id range 0..4"),
+            ([-1], "node id -1 outside id range 0..4"),
+            ([1.0], "node id 1.0 is not an integer"),
+            (["2"], "node id '2' is not an integer"),
+        ],
+        ids=["duplicate", "dead", "equals-n", "negative", "float", "string"],
+    )
+    def test_a_bad_id_raises_remove_nodes_error(self, order, message):
+        view = remove_nodes(path_graph(5), [0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prefix_objectives(view, order)
 
 
 CONSTRUCTORS = {
