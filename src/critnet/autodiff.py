@@ -25,9 +25,9 @@ n x H*d transform and the dropped values again in backward, trading two
 cheap recomputations for the tape's two largest arrays (Chen et al.,
 "Training Deep Nets with Sublinear Memory Cost", 2016). Every sum or max
 over a row's entries, forward or backward, is one of the pattern's slot
-kernels (``SparsePattern.row_sums`` and its siblings), which walk the
-entries slot by slot, a slice of rows at a time, and those whose products
-are n x H*d one block of ranks at a time; column-indexed entries are read
+kernels (``SparsePattern.row_sums`` and its siblings); the attention
+gradient, one dot per entry and head, is ``SparsePattern.entry_dots``,
+which walks the entries in CSR order. Column-indexed entries are read
 through the pattern's transpose permutation.
 
 Evaluation-time forwards should run inside ``no_grad()`` so no graph is

@@ -15,10 +15,10 @@ mask share one memo, which lives as long as the last of them.
 ``residual`` is the only filter, the one place that applies the mask: it
 renumbers the stored pattern's alive entries into the alive subgraph's CSR
 once per state, into its memo, and features, the encoder and the objective
-all read that object. A pattern also owns the row kernels the attention
-layers run on it, over a slot-major layout the first kernel call builds and
-the pattern keeps. A ``GraphBatch`` lays several states' residual patterns
-side by side, so one forward scores them all; one state is a batch of one.
+all read that object. A pattern also owns the attention kernels: row
+reductions over a slot-major layout the first of them builds and keeps,
+and per-entry dots in CSR order. A ``GraphBatch`` lays states' residual
+patterns side by side for one forward; one state is a batch of one.
 One engine on that CSR, a numpy pointer-jumping fixpoint, finds the
 components behind ``connected_components``, the exact pairwise-connectivity
 objective, and, with a union-find that adds a removal order back, the
@@ -49,17 +49,17 @@ class GraphParseError(ValueError):
 # take 1.4x as long at BA n = 1000 and 13x on a 1000-node star.
 TAIL_ROWS = 32
 
-# Ranks per block of the kernels that form n x H*d rows, ``weighted_row_sums``
-# and ``entry_dots``: each walks the slot layout one block of ranks at a time,
-# so its scratch holds that many rows, not n. The two take per call, with
-# H = 8 heads of d = 12 and one BLAS thread (two runs): at BA n = 5000, 21 ms
-# on whole slots and with blocks of 32 ranks, 10-13 ms with 128 to 512; on a
-# training batch of 8 graphs of 150 nodes, 1.9-2.3 ms on whole slots, 2.2-2.8
-# with 128 ranks and 1.9-2.5 with 256; at BA n = 1000, 3.1-3.9 ms on whole
-# slots, 2.8-2.9 with 256 and 3.5-3.6 with 512. The values are those of
-# whole slots, bit for bit, at any block size for H = 8 (and 4), and at this
-# size for every H tried (1, 3, 4, 5, 8); with blocks of 1 to 8 ranks and an
-# odd H, OpenBLAS sums a few dots' d terms in another order.
+# Rows per block of the kernels with n x H*d products: ``weighted_row_sums``
+# walks the slot layout a block of ranks at a time, ``entry_dots`` the CSR
+# entries a block at a time, so each one's scratch is that many rows at any
+# degree. Per call in ms for the two, H = 8 heads of d = 12, one BLAS thread,
+# best of 7 in two runs: BA n = 5000, 8.8 and 9.7-10.7 with blocks of 32,
+# 5.1-5.8 and 3.7-3.8 with 256, 5.0-5.4 and 3.6-3.8 with 512, 5.8 and 6.7-7.1
+# unblocked; 8 graphs of 150 nodes, 1.2 and 0.74-0.79 with 256, 1.2 and 0.66
+# with 512, 1.3-1.6 and 1.2-1.4 unblocked. ``weighted_row_sums`` matches whole
+# slots bit for bit at any block size and H, ``entry_dots`` one product over
+# all entries at any block size for H = 4 and 8; for an odd H, OpenBLAS may
+# sum a few dots' d terms in another order.
 BLOCK_RANKS = 256
 
 
@@ -93,7 +93,7 @@ class SlotLayout(NamedTuple):
     rank by rank, starting ``tail_starts[r]`` past ``head``. So every entry
     is in exactly one slot or one tail. ``blocks`` cuts the ranks into
     ``RankBlock``s of ``BLOCK_RANKS``, in rank order, each with its share of
-    every slot and tail, for the kernels that walk the layout a block at a
+    every slot and tail, for ``weighted_row_sums`` to walk a block at a
     time; ``block_rows`` is the rank count of the first and largest. A
     state's ``residual`` pattern keeps its layout, so each state's is built
     once.
@@ -164,21 +164,20 @@ class SparsePattern(_Csr):
     change it. ``build_graph`` builds each graph's stored pattern, which its
     views share; ``residual`` filters it into the alive subgraph's pattern.
 
-    The row kernels (``row_sums``, ``row_max``, ``weighted_row_sums``,
-    ``entry_dots``), which ``autodiff.attention_layer`` runs in both
-    passes, read the pattern through its ``layout``, a
-    ``SlotLayout``. The first kernel called on a pattern builds it, once,
-    and the pattern keeps it: a state's ``residual`` pattern for as long as
-    the state lives, a batch's union pattern for one forward.
-    ``build_graph``, ``residual`` and the component engine never build one.
-    It and ``memos``, the weak memo table of the views (see ``Graph``), are
-    derived data, not among the four arrays, so a copy or a pickle leaves
-    them out. Each row is summed left to right in column order, one slot at
-    a time; a row still open after the last slot adds the ``reduceat`` sum
-    of its tail. ``weighted_row_sums`` and ``entry_dots``, whose products
-    are n x H*d, walk the layout's rank blocks in turn and write each
-    block's rows into their result, so their scratch is ``BLOCK_RANKS``
+    ``autodiff.attention_layer`` runs the pattern's kernels in both passes.
+    The row reductions (``row_sums``, ``row_max``, ``weighted_row_sums``)
+    read it through its ``layout``, a ``SlotLayout``, which the first of
+    them builds, once, and the pattern keeps: a state's ``residual`` pattern
+    for as long as the state lives, a batch's union pattern for one forward.
+    Nothing else builds one. It and ``memos``, the weak memo table of the
+    views (see ``Graph``), are derived data, not among the four arrays, so a
+    copy or a pickle leaves them out. Each row is summed left to right in
+    column order, one slot at a time; a row still open after the last slot
+    adds the ``reduceat`` sum of its tail. ``weighted_row_sums``, whose
+    products are n x H*d, walks the layout's rank blocks in turn, writing
+    each block's rows into its result, so its scratch is ``BLOCK_RANKS``
     rows; ``row_sums`` and ``row_max`` (H columns) run each slot whole.
+    ``entry_dots``, one dot per entry, walks the CSR entries in blocks.
     """
 
     def __new__(cls, indptr, rows, cols, transpose):
@@ -263,28 +262,21 @@ class SparsePattern(_Csr):
         """Per entry ``e`` and head h, block h of row ``rows[e]`` of ``a`` dotted with that of row ``cols[e]`` of ``b``.
 
         ``a`` and ``b`` are n x H*d, split into H blocks of d columns; the
-        result is E x H. The layout's blocks go one at a time, and each
-        slot's dots go straight to their entries in the result, so the
-        scratch holds ``block_rows`` rows of ``a`` and of ``b``, besides the
-        products of the tails, as in ``weighted_row_sums``.
+        result is E x H. Each entry's dots depend on no other entry, so the
+        entries go in CSR order, ``BLOCK_RANKS`` at a time, and a block's
+        dots go straight into the result: the scratch holds that many rows
+        of ``a`` and of ``b`` at any degree, and no layout is read.
         """
-        lay = self.layout
         a3, b3 = a.reshape(self.n, heads, -1), b.reshape(self.n, heads, -1)
         ones = np.ones(a3.shape[2])  # a product with it sums each head's d terms, several times faster than sum(axis=2)
-        by_rank, part = np.empty((2, lay.block_rows) + a3.shape[1:])
-        dots = np.empty((len(by_rank), heads))
-        out = np.empty((len(lay.perm), heads))
-        for lo, hi, slots, tail, starts in lay.blocks:
-            np.take(a3, lay.order[lo:hi], axis=0, out=by_rank[: hi - lo], mode="clip")
-            for o, k in slots:
-                np.take(b3, lay.cols[o : o + k], axis=0, out=part[:k], mode="clip")
-                part[:k] *= by_rank[:k]
-                np.dot(part[:k].reshape(-1, len(ones)), ones, out=dots[:k].reshape(-1))
-                out[lay.perm[o : o + k]] = dots[:k]
-            if len(starts):
-                products = np.take(b3, lay.cols[tail], axis=0)
-                products *= np.repeat(by_rank[: len(starts)], np.diff(starts, append=len(products)), axis=0)
-                out[lay.perm[tail]] = np.dot(products.reshape(-1, len(ones)), ones).reshape(-1, heads)
+        out = np.empty((len(self.rows), heads))
+        by_row, part = np.empty((2, min(BLOCK_RANKS, len(out))) + a3.shape[1:])
+        for lo in range(0, len(out), BLOCK_RANKS):
+            k = min(BLOCK_RANKS, len(out) - lo)
+            np.take(a3, self.rows[lo : lo + k], axis=0, out=by_row[:k], mode="clip")
+            np.take(b3, self.cols[lo : lo + k], axis=0, out=part[:k], mode="clip")
+            part[:k] *= by_row[:k]
+            np.dot(part[:k].reshape(-1, len(ones)), ones, out=out[lo : lo + k].reshape(-1))
         return out
 
 
@@ -370,9 +362,15 @@ class ComponentPartition(NamedTuple):
     sizes: list[int]
 
 
+def _index(value) -> int:
+    if isinstance(value, (bool, np.bool_)):  # operator.index takes True as 1, but it is no node id or size
+        raise TypeError(value)
+    return operator.index(value)
+
+
 def _size(value, name: str, least: int = 0) -> int:
     try:
-        size = operator.index(value)
+        size = _index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if size < least:
@@ -400,7 +398,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
         pairs = []
         for u, v in edges:
             try:
-                pairs.append((operator.index(u), operator.index(v)))
+                pairs.append((_index(u), _index(v)))
             except TypeError:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer node id") from None
         count = 2 * len(pairs)
@@ -589,7 +587,7 @@ def remove_nodes(g: Graph, nodes: Iterable[int]) -> Graph:
     alive = g.alive.copy()
     for v in nodes:
         try:
-            v = operator.index(v)
+            v = _index(v)
         except TypeError:
             raise ValueError(f"node id {v!r} is not an integer") from None
         if not (0 <= v < g.n):

@@ -367,14 +367,14 @@ def segment_softmax(logits, pattern):
 def spmm(values, pattern, x):
     """H sparse n x n matrices, one per column of ``values`` (E x H), times column blocks of ``x`` (n x H*d).
 
-    It runs on the whole-slot kernels below, so the chain also checks the row-blocked ones.
+    It runs on the whole-slot product below and on one-shot entry dots, so the chain also checks the blocked kernels.
     """
     from critnet import autodiff as ad
 
     heads, w = values.shape[1], values.data
 
     def backward(g):
-        values._adopt(slot_entry_dots(pattern, g, x.data, heads))
+        values._adopt(entry_dots_at_once(pattern, g, x.data, heads))
         x._adopt(slot_weighted_row_sums(pattern, np.take(w, pattern.transpose, axis=0), g))
 
     return ad._make(slot_weighted_row_sums(pattern, w, x.data), (values, x), backward)
@@ -479,14 +479,15 @@ def aggregate(values, pattern, x):
     return ad._make(out, (values, x), backward)
 
 
-# --- whole-slot kernel oracles -------------------------------------------------
+# --- whole-slot and one-shot kernel oracles ------------------------------------
 #
-# ``SparsePattern.weighted_row_sums`` and ``entry_dots`` as they ran before
-# the row blocks: each slot in one pass over all its rows, through two
-# n x H*d buffers. Every value comes from the same numpy operations in the
-# same order as the blocked kernels, so the two agree bit for bit, except
-# that BLAS may sum a dot's d terms in another order when a block's row count
-# times H is not a multiple of 4 (an odd head count with a block of 1 or 7).
+# ``SparsePattern.weighted_row_sums`` as it ran before the row blocks: each
+# slot in one pass over all its rows, through two n x H*d buffers. Every value
+# comes from the same numpy operations in the same order as the blocked
+# kernel, so the two agree bit for bit. ``SparsePattern.entry_dots`` against
+# one product over all E entries: BLAS sums each dot's d terms in one order
+# for every block size when H is 4 or 8, and may sum a few in another order
+# for an odd H.
 
 
 def inverse(perm):
@@ -518,22 +519,9 @@ def slot_weighted_row_sums(pattern, w, x):
     return np.take(acc, inverse(lay.order), axis=0, out=part, mode="clip").reshape(x.shape)
 
 
-def slot_entry_dots(pattern, a, b, heads):
-    lay = pattern.layout
-    a3, b3 = a.reshape(pattern.n, heads, -1), b.reshape(pattern.n, heads, -1)
-    ones = np.ones(a3.shape[2])
-    by_rank = np.take(a3, lay.order, axis=0)
-    part = np.empty(a3.shape)
-    by_slot = np.empty((len(lay.perm), heads))
-    for c, o in zip(lay.counts, lay.offsets):
-        np.take(b3, lay.cols[o : o + c], axis=0, out=part[:c], mode="clip")
-        part[:c] *= by_rank[:c]
-        np.dot(part[:c].reshape(-1, len(ones)), ones, out=by_slot[o : o + c].reshape(-1))
-    if len(lay.tail_starts):
-        tail = np.take(b3, lay.cols[lay.head :], axis=0)
-        tail *= np.repeat(by_rank[: len(lay.tail_starts)], np.diff(lay.tail_starts, append=len(tail)), axis=0)
-        np.dot(tail.reshape(-1, len(ones)), ones, out=by_slot[lay.head :].reshape(-1))
-    return np.take(by_slot, inverse(lay.perm), axis=0)
+def entry_dots_at_once(pattern, a, b, heads):
+    e, d = len(pattern.rows), a.shape[1] // heads
+    return (a[pattern.rows] * b[pattern.cols]).reshape(e, heads, d) @ np.ones(d)
 
 
 def with_layout(pattern, cutoff=None, block=None):

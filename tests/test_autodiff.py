@@ -584,7 +584,7 @@ class TestFusedOracles:
     @pytest.mark.parametrize("d", [8, 12])
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
     def test_aggregate_and_its_gradients_are_bit_equal_to_the_chain(self, d, block, p, seed):
-        # the chain runs on the whole-slot kernels; ``aggregate`` walks blocks of ``block`` ranks
+        # the chain runs on the whole-slot product and one-shot entry dots; ``aggregate``'s product walks blocks of ``block`` ranks
         p = with_layout(p, block=block)
         runs = []
         for product in (aggregate, chain_aggregate):

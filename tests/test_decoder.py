@@ -186,10 +186,10 @@ class TestReplayBuffer:
         with pytest.raises(ValueError, match=f"batch size must be >= 1, got {size}"):
             buf.sample(size, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("value", [2.5, "3", 0, -1])
+    @pytest.mark.parametrize("value", [2.5, "3", True, np.True_, 0, -1])
     @pytest.mark.parametrize("argument", ["capacity", "batch size"])
     def test_integer_arguments_are_checked(self, argument, value):
-        message = f"must be >= 1, got {value}" if isinstance(value, int) else f"must be an integer, got {value!r}"
+        message = f"must be >= 1, got {value}" if type(value) is int else f"must be an integer, got {value!r}"
         buf = ReplayBuffer(capacity=5)
         buf.push(self.make_transition(gen_er(6, 0.5, 1)))
         with pytest.raises(ValueError, match=re.escape(f"{argument} {message}")):

@@ -16,6 +16,7 @@ from conftest import (
     corpus_graphs,
     cycle_graph,
     dense_attention_mask,
+    entry_dots_at_once,
     loop_gen_ba,
     neighbor_lists,
     pairwise_gen_er,
@@ -24,7 +25,6 @@ from conftest import (
     random_graph,
     reduceat_row_max,
     reduceat_row_sums,
-    slot_entry_dots,
     slot_weighted_row_sums,
     sparse_patterns,
     star_graph,
@@ -277,6 +277,7 @@ class TestBuildGraph:
             (3, [(0, 2**70)], f"edge (0, {2**70}) outside id range 0..2"),
             (3, [(0.5, 1)], "edge (0.5, 1) has a non-integer node id"),
             (3, [(0, 1), (1, "2")], "edge (1, '2') has a non-integer node id"),
+            (3, [(True, 2)], "edge (True, 2) has a non-integer node id"),
             (-1, [], "n must be >= 0, got -1"),
             (3.0, [(0, 1)], "n must be an integer, got 3.0"),
             (-2, [(0, 1)], "n must be >= 0, got -2"),
@@ -293,6 +294,7 @@ class TestBuildGraph:
             "id-beyond-int64",
             "float-id",
             "string-id",
+            "bool-id",
             "negative-n",
             "float-n",
             "negative-n-with-an-edge",
@@ -415,10 +417,12 @@ class TestRemoveNodes:
             (1.5, "node id 1.5 is not an integer"),
             (1.0, "node id 1.0 is not an integer"),
             ("1", "node id '1' is not an integer"),
+            (True, "node id True is not an integer"),
+            (np.True_, "node id np.True_ is not an integer"),
             (-1, "node id -1 outside id range 0..3"),
             (4, "node id 4 outside id range 0..3"),
         ],
-        ids=["float", "integral-float", "string", "negative", "equals-n"],
+        ids=["float", "integral-float", "string", "bool", "numpy-bool", "negative", "equals-n"],
     )
     def test_rejects_a_bad_node_id(self, node, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -466,8 +470,10 @@ class TestPrefixObjectives:
             ([-1], "node id -1 outside id range 0..4"),
             ([1.0], "node id 1.0 is not an integer"),
             (["2"], "node id '2' is not an integer"),
+            ([True], "node id True is not an integer"),
+            ([np.True_], "node id np.True_ is not an integer"),
         ],
-        ids=["duplicate", "dead", "equals-n", "negative", "float", "string"],
+        ids=["duplicate", "dead", "equals-n", "negative", "float", "string", "bool", "numpy-bool"],
     )
     def test_a_bad_id_raises_remove_nodes_error(self, order, message):
         view = remove_nodes(path_graph(5), [0])
@@ -672,7 +678,7 @@ class TestSlotLayout:
         block = 2 * BLOCK_RANKS * 96 * 8
         for kernel, result, scratch in (
             (lambda: p.weighted_row_sums(w, x), x.nbytes, w.nbytes + block),  # w in slot order, acc and part
-            (lambda: p.entry_dots(y, x, 8), w.nbytes, block + BLOCK_RANKS * 8 * 8),  # by_rank, part and dots
+            (lambda: p.entry_dots(y, x, 8), w.nbytes, block),  # by_row and part
         ):
             tracemalloc.start()
             try:
@@ -708,7 +714,7 @@ class TestSlotLayout:
         x, y = rng.standard_normal((2, p.n, 8 * d))
         sums, dots = p.weighted_row_sums(w, x), p.entry_dots(y, x, 8)
         assert np.array_equal(sums, slot_weighted_row_sums(p, w, x))
-        assert np.array_equal(dots, slot_entry_dots(p, y, x, 8))
+        assert np.array_equal(dots, entry_dots_at_once(p, y, x, 8))
         want = per_head_spmm(ad.tensor(w), p, ad.tensor(x)).data
         np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dots, (y[p.rows] * x[p.cols]).reshape(len(p.rows), 8, d).sum(axis=2), rtol=0, atol=1e-12)
@@ -720,6 +726,7 @@ class TestSlotLayout:
             p = residual(g)
             pairwise_connectivity(g)
             aggregate_features(g)
+            p.entry_dots(*np.ones((2, p.n, 8)), 8)  # a per-entry kernel: it walks the CSR entries
             assert spy.call_count == 0
             p.row_sums(np.ones(len(p.rows)))
             p.row_max(np.ones(len(p.rows)))
@@ -737,6 +744,37 @@ class TestSlotLayout:
         assert "layout" not in vars(copied) and len(copied) == 4
         assert all(np.array_equal(a, b) for a, b in zip(copied, g.pattern))
         assert "layout" not in vars(pickle.loads(pickle.dumps(g)).pattern)
+
+
+class TestEntryDots:
+    """``entry_dots`` walks the CSR entries ``BLOCK_RANKS`` at a time and reads no slot layout."""
+
+    @pytest.mark.parametrize("block", [1, 7, BLOCK_RANKS])
+    @pytest.mark.parametrize("heads", [1, 3, 4, 5, 8])
+    @given(p=sparse_patterns(), d=st.sampled_from([8, 12]), seed=st.integers(0, 2**31 - 1))
+    def test_any_block_matches_one_product_over_all_entries(self, block, heads, p, d, seed):
+        p = SparsePattern(*p)  # a fresh pattern, with no layout yet
+        a, b = np.random.default_rng(seed).standard_normal((2, p.n, heads * d))
+        with mock.patch.object(graph_module, "BLOCK_RANKS", block):
+            dots = p.entry_dots(a, b, heads)
+        want = entry_dots_at_once(p, a, b, heads)
+        if heads % 4:  # OpenBLAS may sum a few dots' d terms in another order
+            np.testing.assert_allclose(dots, want, rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(dots, want)
+        assert "layout" not in vars(p)
+
+    def test_a_hub_adds_no_scratch(self):
+        p = residual(star_graph(3001))  # one row of 3001 entries
+        a, b = np.random.default_rng(13).standard_normal((2, p.n, 96))
+        tracemalloc.start()
+        try:
+            dots = p.entry_dots(a, b, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result and two blocks of rows, by_row and part; the hub's 3001 rows of b alone would exceed it
+        assert peak < dots.nbytes + 2 * BLOCK_RANKS * 96 * 8 + 128 * 1024
 
 
 class TestGenerators:
@@ -841,8 +879,10 @@ class TestGenerators:
             (lambda: gen_er(10.0, 0.3, 0), "n must be an integer, got 10.0"),
             (lambda: gen_ws(10, 4.0, 0.1, 0), "k_ring must be an integer, got 4.0"),
             (lambda: gen_ws(10.5, 4, 0.1, 0), "n must be an integer, got 10.5"),
+            (lambda: gen_ba(10, True, 0), "m_attach must be an integer, got True"),
+            (lambda: gen_er(np.True_, 0.3, 0), "n must be an integer, got np.True_"),
         ],
-        ids=["ba-m_attach", "ba-n", "er-n", "ws-k_ring", "ws-n"],
+        ids=["ba-m_attach", "ba-n", "er-n", "ws-k_ring", "ws-n", "ba-bool-m_attach", "er-numpy-bool-n"],
     )
     def test_a_non_integer_size_is_named(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -142,7 +142,7 @@ def test_a_solve_makes_all_k_removals_after_the_objective_reaches_zero():
 class TestBadInput:
     residual = remove_nodes(gen_ba(10, 2, 0), [0, 1, 2])  # 7 alive nodes
 
-    @pytest.mark.parametrize("k", [2.5, "3", None])
+    @pytest.mark.parametrize("k", [2.5, "3", None, True, np.True_])
     def test_a_budget_that_is_not_an_integer_raises(self, k):
         with pytest.raises(ValueError, match="budget k must be an integer"):
             solve_greedy(self.residual, k, degree_scores)
