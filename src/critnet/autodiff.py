@@ -346,8 +346,8 @@ def attention_layer(
     drops them at ``rate`` (inverted dropout, uniforms drawn column after
     column, as H dropouts of E x 1 would). Block h of the output is the ELU
     of sparse matrix h, the kept values, times block h of ``hw``. The
-    pattern's slot kernels do the row work, a block of ranks at a time,
-    and the ELU overwrites the product block by block.
+    pattern's kernels do the row work, the products ``graph.BLOCK_RANKS``
+    rows at a time, and the ELU overwrites the product block by block.
 
     The rule keeps ``x``, ``w``, ``a_src``, ``a_dst``, the attention
     values, a boolean "score > 0" mask, the boolean dropout mask and the

@@ -49,10 +49,10 @@ class GraphParseError(ValueError):
 # take 1.4x as long at BA n = 1000 and 13x on a 1000-node star.
 TAIL_ROWS = 32
 
-# Rows per block of the kernels with n x H*d products: ``weighted_row_sums``
-# walks the slot layout a block of ranks at a time, ``entry_dots`` the CSR
-# entries a block at a time, so each one's scratch is that many rows at any
-# degree. Per call in ms for the two, H = 8 heads of d = 12, one BLAS thread,
+# Rows per block of the kernels with n x H*d products, read at call time:
+# ``weighted_row_sums`` walks the slot layout's ranks a block at a time,
+# ``entry_dots`` the CSR entries, so each one's scratch is that many rows at
+# any degree. Per call in ms for the two, H = 8 heads of d = 12, one BLAS thread,
 # best of 7 in two runs: BA n = 5000, 8.8 and 9.7-10.7 with blocks of 32,
 # 5.1-5.8 and 3.7-3.8 with 256, 5.0-5.4 and 3.6-3.8 with 512, 5.8 and 6.7-7.1
 # unblocked; 8 graphs of 150 nodes, 1.2 and 0.74-0.79 with 256, 1.2 and 0.66
@@ -61,22 +61,6 @@ TAIL_ROWS = 32
 # all entries at any block size for H = 4 and 8; for an odd H, OpenBLAS may
 # sum a few dots' d terms in another order.
 BLOCK_RANKS = 256
-
-
-class RankBlock(NamedTuple):
-    """Ranks ``lo:hi`` of a ``SlotLayout``, and where their entries sit in its ``perm``.
-
-    ``slots`` holds ``(o, k)`` for each slot that reaches the block: its
-    first ``k`` ranks have entries ``perm[o:o + k]``. ``tail`` is the
-    slice of ``perm`` with the tails of the block's open ranks, and
-    ``starts`` where each begins in it; both are empty when none is open.
-    """
-
-    lo: int
-    hi: int
-    slots: tuple[tuple[int, int], ...]
-    tail: slice
-    starts: np.ndarray
 
 
 class SlotLayout(NamedTuple):
@@ -91,10 +75,8 @@ class SlotLayout(NamedTuple):
     ``TAIL_ROWS`` rows. The ``len(tail_starts)`` rows still open then
     follow from ``head = sum(counts)``: the rest of each row, in CSR order,
     rank by rank, starting ``tail_starts[r]`` past ``head``. So every entry
-    is in exactly one slot or one tail. ``blocks`` cuts the ranks into
-    ``RankBlock``s of ``BLOCK_RANKS``, in rank order, each with its share of
-    every slot and tail, for ``weighted_row_sums`` to walk a block at a
-    time; ``block_rows`` is the rank count of the first and largest. A
+    is in exactly one slot or one tail. The layout holds the pattern's
+    structure only: how a kernel cuts its loop is the kernel's own. A
     state's ``residual`` pattern keeps its layout, so each state's is built
     once.
     """
@@ -106,11 +88,6 @@ class SlotLayout(NamedTuple):
     perm: np.ndarray
     cols: np.ndarray
     tail_starts: np.ndarray
-    blocks: tuple[RankBlock, ...]
-
-    @property
-    def block_rows(self) -> int:
-        return self.blocks[0].hi if self.blocks else 0
 
 
 def _slot_layout(p: "SparsePattern") -> SlotLayout:
@@ -129,17 +106,8 @@ def _slot_layout(p: "SparsePattern") -> SlotLayout:
     tail_starts = np.concatenate(([0], np.cumsum(tails)))[:-1]
     tail = np.repeat(starts[: len(tails)] + slots - tail_starts, tails) + np.arange(tails.sum())
     perm = np.concatenate((entries, tail))
-    ends = np.append(tail_starts, len(tail)) + offsets[-1]
-    blocks = []
-    for lo in range(0, p.n, BLOCK_RANKS):
-        hi = min(lo + BLOCK_RANKS, p.n)
-        reach = int(np.count_nonzero(kept > lo))  # the slots holding rank lo
-        slot_parts = zip((offsets[:reach] + lo).tolist(), (np.minimum(kept[:reach], hi) - lo).tolist())
-        first, last = min(lo, len(tails)), min(hi, len(tails))
-        blocks.append(RankBlock(lo, hi, tuple(slot_parts), slice(ends[first], ends[last]), ends[first:last] - ends[first]))
     return SlotLayout(
-        order, tuple(kept.tolist()), tuple(offsets[:-1].tolist()), int(offsets[-1]),
-        perm, p.cols[perm], tail_starts, tuple(blocks),
+        order, tuple(kept.tolist()), tuple(offsets[:-1].tolist()), int(offsets[-1]), perm, p.cols[perm], tail_starts
     )
 
 
@@ -173,11 +141,13 @@ class SparsePattern(_Csr):
     views (see ``Graph``), are derived data, not among the four arrays, so a
     copy or a pickle leaves them out. Each row is summed left to right in
     column order, one slot at a time; a row still open after the last slot
-    adds the ``reduceat`` sum of its tail. ``weighted_row_sums``, whose
-    products are n x H*d, walks the layout's rank blocks in turn, writing
-    each block's rows into its result, so its scratch is ``BLOCK_RANKS``
-    rows; ``row_sums`` and ``row_max`` (H columns) run each slot whole.
-    ``entry_dots``, one dot per entry, walks the CSR entries in blocks.
+    adds the ``reduceat`` sum of its tail, in one step, ``_fold_tails``,
+    shared by all three.
+    ``weighted_row_sums``, whose products are n x H*d, walks the ranks
+    ``BLOCK_RANKS`` at a time, writing each block's rows into its result,
+    so its scratch is that many rows; ``row_sums`` and ``row_max`` (H
+    columns) run each slot whole. ``entry_dots``, one dot per entry, walks
+    the CSR entries in blocks.
     """
 
     def __new__(cls, indptr, rows, cols, transpose):
@@ -201,17 +171,27 @@ class SparsePattern(_Csr):
     def memos(self) -> WeakValueDictionary:
         return WeakValueDictionary()
 
+    def _fold_tails(self, ufunc, tail_values: np.ndarray, out: np.ndarray) -> None:
+        """Fold each open row's tail, the ``ufunc.reduceat`` of its run of ``tail_values``, into its row of ``out``.
+
+        ``tail_values`` are the kernel's values for the layout's entries past
+        ``head``, and each open row of ``out`` holds its slots' result.
+        """
+        lay = self.layout
+        if len(lay.tail_starts):
+            rows = lay.order[: len(lay.tail_starts)]
+            sums = ufunc.reduceat(tail_values, lay.tail_starts, axis=0)
+            out[rows] = ufunc(out[rows], sums, out=sums)
+
     def _reduce(self, ufunc, values: np.ndarray, identity: float) -> np.ndarray:
         lay = self.layout
         by_slot = np.take(values, lay.perm, axis=0)
         acc = np.full((self.n,) + values.shape[1:], identity)
         for c, o in zip(lay.counts, lay.offsets):
             ufunc(acc[:c], by_slot[o : o + c], out=acc[:c])
-        if len(lay.tail_starts):
-            tails = acc[: len(lay.tail_starts)]
-            ufunc(tails, ufunc.reduceat(by_slot[lay.head :], lay.tail_starts, axis=0), out=tails)
         out = np.empty_like(acc)
         out[lay.order] = acc
+        self._fold_tails(ufunc, by_slot[lay.head :], out)
         return out
 
     def row_sums(self, values: np.ndarray) -> np.ndarray:
@@ -227,35 +207,36 @@ class SparsePattern(_Csr):
 
         ``x`` (n x H*d) is split into H blocks of d columns; block h of row
         ``i`` is the sum over its entries ``e`` of ``w[e, h]`` times block h
-        of row ``cols[e]`` of ``x``. The layout's blocks go one at a time:
-        the first slot, which holds every row, writes a block's sums into
-        scratch of ``block_rows`` rows, later slots add to its leading ranks,
-        the block's open rows add their tails' ``reduceat`` sums, and the
-        block's rows go straight into the result. So the result is the one
-        n x H*d array formed; the products of the tails, fewer than
-        ``TAIL_ROWS`` rows, are the one array that grows with their degree.
+        of row ``cols[e]`` of ``x``. The ranks go ``BLOCK_RANKS`` at a time:
+        the first slot, which holds every rank, writes a block's sums into
+        scratch of that many rows, each later slot that reaches the block
+        adds its piece to the leading ranks, and the block's rows go straight
+        into the result. The open rows then add their tails' ``reduceat``
+        sums, once. So the result is the one n x H*d array formed; the
+        products of the tails, fewer than ``TAIL_ROWS`` rows, are the one
+        array that grows with their degree.
         """
         lay, heads = self.layout, w.shape[1]
         x3 = x.reshape(self.n, heads, -1)
         w_slot = np.take(w, lay.perm, axis=0)[:, :, None]
-        out = np.empty(x3.shape)
-        acc, part = np.empty((2, lay.block_rows) + x3.shape[1:])
-        for lo, hi, slots, tail, starts in lay.blocks:
-            for slot, (o, k) in enumerate(slots):
+        # with no slots every row is a tail, folded into -0.0: -0.0 + s is s, bit for bit
+        out = np.empty(x3.shape) if lay.counts else np.full(x3.shape, -0.0)
+        acc, part = np.empty((2, min(BLOCK_RANKS, self.n)) + x3.shape[1:])
+        for lo in range(0, self.n if lay.counts else 0, BLOCK_RANKS):  # the first slot holds all n ranks
+            hi = lo + BLOCK_RANKS
+            for slot, (c, o) in enumerate(zip(lay.counts, lay.offsets)):
+                if c <= lo:  # counts descend: no later slot reaches the block
+                    break
+                k = min(c, hi) - lo
                 dst = part[:k] if slot else acc[:k]
-                np.take(x3, lay.cols[o : o + k], axis=0, out=dst, mode="clip")
-                dst *= w_slot[o : o + k]
+                np.take(x3, lay.cols[o + lo : o + lo + k], axis=0, out=dst, mode="clip")
+                dst *= w_slot[o + lo : o + lo + k]
                 if slot:
                     acc[:k] += dst
-            if len(starts):
-                products = np.take(x3, lay.cols[tail], axis=0)
-                products *= w_slot[tail]
-                sums = np.add.reduceat(products, starts, axis=0)
-                if slots:
-                    acc[: len(sums)] += sums
-                else:
-                    acc[: len(sums)] = sums
-            out[lay.order[lo:hi]] = acc[: hi - lo]
+            out[lay.order[lo:hi]] = acc[: min(hi, self.n) - lo]
+        tails = np.take(x3, lay.cols[lay.head :], axis=0)
+        tails *= w_slot[lay.head :]
+        self._fold_tails(np.add, tails, out)
         return out.reshape(x.shape)
 
     def entry_dots(self, a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
@@ -533,7 +514,13 @@ def parse_edge_list(text: str) -> ParseResult:
 
 
 def format_edge_list(g: Graph) -> str:
-    """Serialize to the one-edge-per-line text format parse_edge_list reads."""
+    """Serialize to the one-edge-per-line text format parse_edge_list reads.
+
+    The text holds the stored graph, so a residual view, whose dead nodes'
+    edges are still stored, raises ``ValueError``.
+    """
+    if removed := g.n - g.n_alive():
+        raise ValueError(f"cannot format a residual view: {removed} removed node(s) would come back")
     return "\n".join(f"{u} {v}" for u, v in g.edges) + "\n"
 
 

@@ -524,14 +524,12 @@ def entry_dots_at_once(pattern, a, b, heads):
     return (a[pattern.rows] * b[pattern.cols]).reshape(e, heads, d) @ np.ones(d)
 
 
-def with_layout(pattern, cutoff=None, block=None):
-    """A fresh copy of ``pattern`` whose slot layout is built under a ``TAIL_ROWS`` of ``cutoff`` and a ``BLOCK_RANKS`` of ``block``."""
+def with_layout(pattern, cutoff):
+    """A fresh copy of ``pattern`` whose slot layout is built under a ``TAIL_ROWS`` of ``cutoff``."""
     from critnet import graph
 
     fresh = graph.SparsePattern(*pattern)
-    with mock.patch.object(graph, "TAIL_ROWS", cutoff or graph.TAIL_ROWS), mock.patch.object(
-        graph, "BLOCK_RANKS", block or graph.BLOCK_RANKS
-    ):
+    with mock.patch.object(graph, "TAIL_ROWS", cutoff):
         fresh.layout
     return fresh
 

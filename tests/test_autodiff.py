@@ -4,6 +4,7 @@ import pickle
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ from conftest import (
     spmm,
     transpose,
     where_elu,
-    with_layout,
 )
 from critnet import encoder
 from critnet import autodiff as ad
+from critnet import graph as graph_module
 from critnet.graph import BLOCK_RANKS, build_graph, gen_ba, gen_ws, residual
 
 
@@ -584,14 +585,15 @@ class TestFusedOracles:
     @pytest.mark.parametrize("d", [8, 12])
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
     def test_aggregate_and_its_gradients_are_bit_equal_to_the_chain(self, d, block, p, seed):
-        # the chain runs on the whole-slot product and one-shot entry dots; ``aggregate``'s product walks blocks of ``block`` ranks
-        p = with_layout(p, block=block)
+        # the chain runs on the whole-slot product and one-shot entry dots; ``aggregate``'s kernels walk blocks of
+        # ``block`` rows, read when they run, so the patch also covers backward
         runs = []
         for product in (aggregate, chain_aggregate):
             rng = np.random.default_rng(seed)
             values, x = ad.tensor(rng.random((len(p.rows), 8)), True), rand_tensor(rng, (p.n, 8 * d))
-            out = product(values, p, x)
-            ad.mse_loss(out, rng.standard_normal(out.shape)).backward()
+            with mock.patch.object(graph_module, "BLOCK_RANKS", block):
+                out = product(values, p, x)
+                ad.mse_loss(out, rng.standard_normal(out.shape)).backward()
             runs.append((out.data, values.grad, x.grad))
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
@@ -702,8 +704,8 @@ class TestAttentionLayer:
     @pytest.mark.parametrize("profile", list(encoder.DROPOUT_PROFILES))
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
     def test_output_and_gradients_are_bit_equal_to_the_chain(self, profile, recorded, block, p, seed):
-        p = with_layout(p, block=block)
-        got = self.run(layer, p, profile, recorded, seed)
+        with mock.patch.object(graph_module, "BLOCK_RANKS", block):  # the forward's and backward's kernels
+            got = self.run(layer, p, profile, recorded, seed)
         want = self.run(fused_chain, p, profile, recorded, seed)
         assert len(got) == len(want) == 8 and np.array_equal(got[0], want[0])
         for a, b in zip(got[1:], want[1:]):

@@ -101,6 +101,15 @@ class TestParse:
             assert (g2.n, g2.m) == (g1.n, g1.m)
             assert sorted(map(len, neighbor_lists(g1))) == sorted(map(len, neighbor_lists(g2)))
 
+    def test_a_residual_view_is_not_formatted(self):
+        # the stored graph holds dead nodes' edges: read back, it would have connectivity 15, not the view's 6
+        g = remove_nodes(gen_ba(6, 2, 1), [0])
+        assert pairwise_connectivity(g) == 6
+        with pytest.raises(ValueError, match="1 removed node"):
+            format_edge_list(g)
+        with pytest.raises(ValueError, match="3 removed node"):
+            format_edge_list(remove_nodes(g, [2, 4]))
+
 
 class TestComponents:
     def test_path_all_alive(self):
@@ -628,16 +637,15 @@ class TestMemoTable:
 # the module's cut-off, and one that never cuts: every slot runs, there is no tail
 CUTOFFS = {"module-cutoff": TAIL_ROWS, "no-tail": 1}
 # sparse_patterns() stops at 4 * TAIL_ROWS rows, one module block: 1 and 7 reach later blocks,
-# blocks that end inside a slot or a tail, and (with 7) blocks whose rank count is not a multiple of 4
+# blocks that end inside a slot, and (with 7) blocks whose rank count is not a multiple of 4
 BLOCKS = {"module-block": BLOCK_RANKS, "one-row": 1, "seven-rows": 7}
 
 
 class TestSlotLayout:
-    @pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS.keys())
     @pytest.mark.parametrize("cutoff", CUTOFFS.values(), ids=CUTOFFS.keys())
     @given(p=sparse_patterns())
-    def test_every_entry_is_visited_exactly_once(self, cutoff, block, p):
-        lay = with_layout(p, cutoff, block).layout
+    def test_every_entry_is_visited_exactly_once(self, cutoff, p):
+        lay = with_layout(p, cutoff).layout
         # perm and order are permutations: of the entries and of the rows
         assert np.array_equal(np.sort(lay.perm), np.arange(len(p.rows)))
         assert np.array_equal(np.sort(lay.order), np.arange(p.n))
@@ -658,16 +666,6 @@ class TestSlotLayout:
             assert len(lay.tail_starts) == np.count_nonzero(degree > len(lay.counts)) < cutoff
         else:
             assert len(lay.tail_starts) == p.n
-        # the blocks cut the ranks in order, and each slot and tail in pieces, so they too visit every entry once
-        assert [b.lo for b in lay.blocks] == list(range(0, p.n, block))
-        assert all(b.hi == min(b.lo + block, p.n) for b in lay.blocks)
-        pieces = [lay.perm[o : o + k] for b in lay.blocks for o, k in b.slots] + [lay.perm[b.tail] for b in lay.blocks]
-        assert np.array_equal(np.sort(np.concatenate(pieces + [[]]).astype(int)), np.arange(len(p.rows)))
-        for b in lay.blocks:
-            assert [o for o, _ in b.slots] == [o + b.lo for c, o in zip(lay.counts, lay.offsets) if c > b.lo]
-            assert all(0 < k <= b.hi - b.lo and b.lo + k <= c for (_, k), c in zip(b.slots, lay.counts))
-            open_ranks = range(b.lo, min(b.hi, len(lay.tail_starts)))
-            assert np.array_equal(b.starts + b.tail.start, bounds[open_ranks.start : open_ranks.stop])
 
     def test_the_blocked_kernels_form_no_n_by_hd_scratch(self):
         # a WS lattice: almost every row ends in the slots, so the tails are a few entries
@@ -689,6 +687,33 @@ class TestSlotLayout:
             # and numpy's 64 KB ufunc buffer for the broadcast weights: one more n x 96 array would exceed it
             assert peak < result + scratch + 128 * 1024
 
+    def test_the_block_size_is_read_when_the_kernel_runs(self):
+        # a layout built under the module's block size: a smaller one patched in later must bound the scratch
+        p = residual(gen_ws(3000, 4, 0.1, 11))
+        rng = np.random.default_rng(14)
+        w, x = rng.standard_normal((len(p.rows), 8)), rng.standard_normal((p.n, 96))
+        p.layout
+        with mock.patch.object(graph_module, "BLOCK_RANKS", 16):
+            tracemalloc.start()
+            try:
+                sums = p.weighted_row_sums(w, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(sums, slot_weighted_row_sums(p, w, x))
+        # w in slot order, acc and part of 16 rows each: blocks of BLOCK_RANKS rows would exceed it
+        assert peak < sums.nbytes + w.nbytes + 2 * 16 * 96 * 8 + 128 * 1024
+
+    @pytest.mark.parametrize("g", [path_graph(5), gen_ba(100, 2, 15)], ids=["no-slot", "slots"])
+    def test_the_kernels_keep_their_sign_of_zero_on_every_path(self, g):
+        # rows of -0.0: a weighted sum starts from its first product, a reduction from its identity +0.0
+        p = residual(g)
+        zeros = np.full((len(p.rows), 8), -0.0)
+        assert bool(p.layout.counts) == (p.n >= TAIL_ROWS) and len(p.layout.tail_starts)
+        assert np.signbit(p.weighted_row_sums(zeros, np.ones((p.n, 16)))).all()
+        assert not np.signbit(p.row_sums(zeros)).any()
+        assert np.signbit(p.row_max(zeros)).all()
+
     def test_a_star_hub_finishes_in_the_tail(self):
         lay = residual(star_graph(3 * TAIL_ROWS)).layout
         assert lay.counts == (3 * TAIL_ROWS, 3 * TAIL_ROWS)  # every leaf holds the hub and itself
@@ -708,11 +733,12 @@ class TestSlotLayout:
     @pytest.mark.parametrize("d", [8, 12])
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
     def test_weighted_row_sums_and_entry_dots_match_per_head_products(self, cutoff, block, d, p, seed):
-        p = with_layout(p, cutoff, block)
+        p = with_layout(p, cutoff)
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((len(p.rows), 8))
         x, y = rng.standard_normal((2, p.n, 8 * d))
-        sums, dots = p.weighted_row_sums(w, x), p.entry_dots(y, x, 8)
+        with mock.patch.object(graph_module, "BLOCK_RANKS", block):  # read at call time
+            sums, dots = p.weighted_row_sums(w, x), p.entry_dots(y, x, 8)
         assert np.array_equal(sums, slot_weighted_row_sums(p, w, x))
         assert np.array_equal(dots, entry_dots_at_once(p, y, x, 8))
         want = per_head_spmm(ad.tensor(w), p, ad.tensor(x)).data

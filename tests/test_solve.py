@@ -61,6 +61,13 @@ class TestPerfbenchLoops:
         # the seed-1 digest and objective the benchmark has reported since its first run
         assert (workloads._sha(solution.removed), solution.objective) == ("dc760efe9920745c", 3275533)
 
+    def test_one_train_mix_cycle_gives_the_seed_1_removals(self):
+        # training runs both passes of every kernel; only removals are pinned, as loss bits may move with the BLAS build
+        w = workloads.TrainMix(1)
+        w.setup()
+        assert w.check(w.op()) == []
+        assert w.digest()["removals"] == "8ca6c10f9523dcba"
+
 
 # One seeded library solve per case, as source a fresh process runs on its own
 SEEDED_SOLVES = {
