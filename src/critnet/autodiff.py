@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from critnet import graph
 from critnet.graph import SparsePattern
 
 _grad_enabled = True
@@ -225,17 +226,13 @@ def add_bias(a: Tensor, bias: Tensor, offsets=None) -> Tensor:
     return _make(a.data + rows, (a, bias), backward)
 
 
-# rows of a dense layer's output that take their bias and ELU together: a block stays in cache
-DENSE_BLOCK_ROWS = 128
-
-
 def _elu_in_place(out: np.ndarray, bias: np.ndarray | None = None) -> None:
-    """Overwrite ``out`` with its ELU, after adding ``bias`` to each row, ``DENSE_BLOCK_ROWS`` rows at a time.
+    """Overwrite ``out`` with its ELU, after adding ``bias`` to each row, ``graph.BLOCK_ROWS`` rows at a time.
 
     A block's temporaries stay in cache, and none grows with the row count.
     """
-    for start in range(0, len(out), DENSE_BLOCK_ROWS):
-        block = out[start : start + DENSE_BLOCK_ROWS]
+    for start in range(0, len(out), graph.BLOCK_ROWS):
+        block = out[start : start + graph.BLOCK_ROWS]
         if bias is not None:
             block += bias
         np.maximum(block, np.expm1(np.minimum(block, 0.0)), out=block)  # block > 0 keeps block; else expm1 >= block
@@ -346,7 +343,7 @@ def attention_layer(
     drops them at ``rate`` (inverted dropout, uniforms drawn column after
     column, as H dropouts of E x 1 would). Block h of the output is the ELU
     of sparse matrix h, the kept values, times block h of ``hw``. The
-    pattern's kernels do the row work, the products ``graph.BLOCK_RANKS``
+    pattern's kernels do the row work, the products ``graph.BLOCK_ROWS``
     rows at a time, and the ELU overwrites the product block by block.
 
     The rule keeps ``x``, ``w``, ``a_src``, ``a_dst``, the attention

@@ -14,7 +14,7 @@ a state, and the dueling head pools and centres each state's rows on their
 own. Targets are double-DQN: the online network picks the argmax action in
 the next state, the target network scores it. ``td_targets`` scores every
 non-terminal next state of a batch in one forward per network. Inference
-runs the node head ``DENSE_BLOCK_ROWS`` rows at a time, so its n x 256
+runs the node head ``graph.BLOCK_ROWS`` rows at a time, so its n x 256
 hidden layer never exists whole.
 
 Input features are memoised on the residual state they describe
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from critnet import autodiff as ad
+from critnet import autodiff as ad, graph
 from critnet.encoder import DROPOUT_PROFILES, EMBEDDING_DIM, EncoderParams, encode
 from critnet.features import aggregate_features, degree_only_features
 from critnet.graph import Graph, GraphBatch, _size, remove_nodes, scatter_alive
@@ -91,8 +91,8 @@ def _mlp(x: ad.Tensor, p: MlpParams) -> ad.Tensor:
         return ad.add_bias(ad.matmul(ad.dense_elu(x, p.w1, p.b1), p.w2), p.b2)
     # nothing is recorded, so the hidden layer can go a block of rows at a time
     out = np.empty((x.shape[0], p.w2.shape[1]))
-    for start in range(0, len(out), ad.DENSE_BLOCK_ROWS):
-        rows = slice(start, start + ad.DENSE_BLOCK_ROWS)
+    for start in range(0, len(out), graph.BLOCK_ROWS):
+        rows = slice(start, start + graph.BLOCK_ROWS)
         out[rows] = ad.dense_elu(ad.tensor(x.data[rows]), p.w1, p.b1).data @ p.w2.data
     return ad.add_bias(ad.tensor(out), p.b2)
 

@@ -124,9 +124,8 @@ def gat_layer(
     the ELU of their weighted sums of ``hw``'s rows. Its rule keeps ``x``,
     not ``hw``, and forms ``hw`` and the dropped values again in backward.
     ``x`` may be ``None`` under ``no_grad()``, where no rule reads it.
+    A ``mask`` whose row count is not ``hw``'s raises ``attention_layer``'s shape mismatch.
     """
-    if mask.n != hw.shape[0]:
-        raise ValueError(f"attention pattern of {mask.n} rows does not match {hw.shape[0]} nodes")
     return ad.attention_layer(
         x, layer.w, hw, layer.a_src, layer.a_dst, mask, ATTENTION_SLOPE, dropout_rate, rng, training
     )

@@ -17,7 +17,8 @@ renumbers the stored pattern's alive entries into the alive subgraph's CSR
 once per state, into its memo, and features, the encoder and the objective
 all read that object. A pattern also owns the attention kernels: row
 reductions over a slot-major layout the first of them builds and keeps,
-and per-entry dots in CSR order. A ``GraphBatch`` lays states' residual
+one permutation of the entries whose slot 0 holds every row, and
+per-entry dots in CSR order. A ``GraphBatch`` lays states' residual
 patterns side by side for one forward; one state is a batch of one.
 One engine on that CSR, a numpy pointer-jumping fixpoint, finds the
 components behind ``connected_components``, the exact pairwise-connectivity
@@ -41,62 +42,66 @@ class GraphParseError(ValueError):
     """Raised for malformed or empty edge-list input."""
 
 
-# A slot holding fewer rows than this ends the slot loop: the rows still open
-# finish with one ``reduceat`` over the rest of their entries. Per-slot numpy
-# calls cost more than the work of that few rows, and a hub of degree n - 1
-# would otherwise take n slots. Measured on BA, ER and WS graphs (n = 150 to
-# 5000, H = 8 heads), cut-offs 16 to 64 time alike; with none, the kernels
-# take 1.4x as long at BA n = 1000 and 13x on a 1000-node star.
+# A slot after slot 0 holding fewer rows than this ends the slot loop: the
+# rows still open finish with one ``reduceat`` over the rest of their entries.
+# Per-slot numpy calls cost more than the work of that few rows, and a hub of
+# degree n - 1 would otherwise take n slots. Measured on BA, ER and WS graphs
+# (n = 150 to 5000, H = 8 heads), cut-offs 16 to 64 time alike; with none, the
+# kernels take 1.4x as long at BA n = 1000 and 13x on a 1000-node star.
 TAIL_ROWS = 32
 
-# Rows per block of the kernels with n x H*d products, read at call time:
-# ``weighted_row_sums`` walks the slot layout's ranks a block at a time,
-# ``entry_dots`` the CSR entries, so each one's scratch is that many rows at
-# any degree. Per call in ms for the two, H = 8 heads of d = 12, one BLAS thread,
-# best of 7 in two runs: BA n = 5000, 8.8 and 9.7-10.7 with blocks of 32,
-# 5.1-5.8 and 3.7-3.8 with 256, 5.0-5.4 and 3.6-3.8 with 512, 5.8 and 6.7-7.1
-# unblocked; 8 graphs of 150 nodes, 1.2 and 0.74-0.79 with 256, 1.2 and 0.66
-# with 512, 1.3-1.6 and 1.2-1.4 unblocked. ``weighted_row_sums`` matches whole
-# slots bit for bit at any block size and H, ``entry_dots`` one product over
-# all entries at any block size for H = 4 and 8; for an odd H, OpenBLAS may
-# sum a few dots' d terms in another order.
-BLOCK_RANKS = 256
+# Rows per block of every loop over n x H*d or n x 256 rows, read at call
+# time: ``weighted_row_sums`` walks the slot layout's ranks a block at a time,
+# ``entry_dots`` the CSR entries, ``autodiff._elu_in_place`` a dense layer's
+# output rows and ``decoder._mlp`` the node head's input rows, so each one's
+# scratch is that many rows at any degree or graph size. Per call in ms for
+# the two kernels, H = 8 heads of d = 12, one BLAS thread, best of 7 in two
+# runs: BA n = 5000, 8.8 and 9.7-10.7 with blocks of 32, 5.1-5.8 and 3.7-3.8
+# with 256, 5.0-5.4 and 3.6-3.8 with 512, 5.8 and 6.7-7.1 unblocked; 8 graphs
+# of 150 nodes, 1.2 and 0.74-0.79 with 256, 1.2 and 0.66 with 512, 1.3-1.6 and
+# 1.2-1.4 unblocked. A whole ``q_full`` forward, BA n = 150, 1000 and 5000,
+# best of 9 in two runs, took 1.0-1.04, 5.1-5.2 and 26.4 ms with the dense
+# loops at 128 rows, 0.95, 4.7-4.8 and 25.5-25.8 ms at 256.
+# ``weighted_row_sums`` matches whole slots bit for bit at any block size and
+# H, ``entry_dots`` one product over all entries at any block size for H = 4
+# and 8; for an odd H, OpenBLAS may sum a few dots' d terms in another order.
+BLOCK_ROWS = 256
 
 
 class SlotLayout(NamedTuple):
     """A CSR pattern's entries in slot-major (jagged-diagonal) order (Saad, SIAM J. Sci. Stat. Comput. 1989).
 
-    Rows are ranked by degree, descending and stable: ``order[r]`` is the
-    row of rank ``r``, and the kernels write each rank's result to that row.
-    Slot ``j`` holds entry ``j`` of every row with more than ``j`` entries,
-    which are the ``counts[j]`` rows of lowest rank. ``perm`` lists the CSR
-    entries slot by slot, each slot by rank from ``offsets[j]``, and
-    ``cols`` are their columns. Slots end at the first one with fewer than
-    ``TAIL_ROWS`` rows. The ``len(tail_starts)`` rows still open then
-    follow from ``head = sum(counts)``: the rest of each row, in CSR order,
-    rank by rank, starting ``tail_starts[r]`` past ``head``. So every entry
-    is in exactly one slot or one tail. The layout holds the pattern's
-    structure only: how a kernel cuts its loop is the kernel's own. A
-    state's ``residual`` pattern keeps its layout, so each state's is built
-    once.
+    Rows are ranked by degree, descending and stable. Slot ``j`` holds entry
+    ``j`` of every row with more than ``j`` entries, which are the
+    ``counts[j]`` rows of lowest rank. ``perm`` lists the CSR entries slot by
+    slot, each slot by rank from ``offsets[j]``. Every row holds its
+    self-loop, so slot 0 holds every row, ``counts[0] == n``, and the row of
+    rank ``r`` is ``rows[perm[r]]``; a kernel reads the row order, and the
+    columns in slot order, through ``perm``. Slots after the first end at
+    the first one with fewer than ``TAIL_ROWS`` rows. The
+    ``len(tail_starts)`` rows still open then follow from
+    ``head = sum(counts)``: the rest of each row, in CSR order, rank by rank,
+    starting ``tail_starts[r]`` past ``head``. So every entry is in exactly
+    one slot or one tail, and the layout's arrays hold one integer per entry
+    and one per open row. The layout holds the pattern's structure only: how
+    a kernel cuts its loop is the kernel's own. A state's ``residual``
+    pattern keeps its layout, so each state's is built once.
     """
 
-    order: np.ndarray
     counts: tuple[int, ...]
     offsets: tuple[int, ...]
     head: int
     perm: np.ndarray
-    cols: np.ndarray
     tail_starts: np.ndarray
 
 
 def _slot_layout(p: "SparsePattern") -> SlotLayout:
     degree = np.diff(p.indptr)
     order = np.argsort(-degree, kind="stable")
-    # counts[j]: rows with more than j entries, the lowest ranks
+    # counts[j]: rows with more than j entries, the lowest ranks; slot 0, all n rows, is kept at any n
     counts = p.n - np.cumsum(np.bincount(degree))[:-1]
-    slots = int(np.count_nonzero(counts >= TAIL_ROWS))
-    kept = counts[:slots]
+    kept = counts[: max(1, np.count_nonzero(counts >= TAIL_ROWS))]
+    slots = len(kept)
     offsets = np.concatenate(([0], np.cumsum(kept)))
     starts = p.indptr[order]
     rank_in_slot = np.arange(offsets[-1]) - np.repeat(offsets[:-1], kept)
@@ -106,9 +111,7 @@ def _slot_layout(p: "SparsePattern") -> SlotLayout:
     tail_starts = np.concatenate(([0], np.cumsum(tails)))[:-1]
     tail = np.repeat(starts[: len(tails)] + slots - tail_starts, tails) + np.arange(tails.sum())
     perm = np.concatenate((entries, tail))
-    return SlotLayout(
-        order, tuple(kept.tolist()), tuple(offsets[:-1].tolist()), int(offsets[-1]), perm, p.cols[perm], tail_starts
-    )
+    return SlotLayout(tuple(kept.tolist()), tuple(offsets[:-1].tolist()), int(offsets[-1]), perm, tail_starts)
 
 
 class _Csr(NamedTuple):
@@ -139,12 +142,12 @@ class SparsePattern(_Csr):
     for as long as the state lives, a batch's union pattern for one forward.
     Nothing else builds one. It and ``memos``, the weak memo table of the
     views (see ``Graph``), are derived data, not among the four arrays, so a
-    copy or a pickle leaves them out. Each row is summed left to right in
-    column order, one slot at a time; a row still open after the last slot
-    adds the ``reduceat`` sum of its tail, in one step, ``_fold_tails``,
-    shared by all three.
+    copy or a pickle leaves them out. Each row starts from its first entry,
+    in slot 0, and adds the rest left to right in column order, one slot at
+    a time; a row still open after the last slot adds the ``reduceat`` sum
+    of its tail, in one step, ``_fold_tails``, shared by all three.
     ``weighted_row_sums``, whose products are n x H*d, walks the ranks
-    ``BLOCK_RANKS`` at a time, writing each block's rows into its result,
+    ``BLOCK_ROWS`` at a time, writing each block's rows into its result,
     so its scratch is that many rows; ``row_sums`` and ``row_max`` (H
     columns) run each slot whole. ``entry_dots``, one dot per entry, walks
     the CSR entries in blocks.
@@ -179,36 +182,36 @@ class SparsePattern(_Csr):
         """
         lay = self.layout
         if len(lay.tail_starts):
-            rows = lay.order[: len(lay.tail_starts)]
+            rows = np.take(self.rows, lay.perm[: len(lay.tail_starts)])
             sums = ufunc.reduceat(tail_values, lay.tail_starts, axis=0)
             out[rows] = ufunc(out[rows], sums, out=sums)
 
-    def _reduce(self, ufunc, values: np.ndarray, identity: float) -> np.ndarray:
+    def _reduce(self, ufunc, values: np.ndarray) -> np.ndarray:
         lay = self.layout
         by_slot = np.take(values, lay.perm, axis=0)
-        acc = np.full((self.n,) + values.shape[1:], identity)
-        for c, o in zip(lay.counts, lay.offsets):
+        acc = by_slot[: self.n]  # slot 0, every row's first entry: the later slots fold into it in place
+        for c, o in zip(lay.counts[1:], lay.offsets[1:]):
             ufunc(acc[:c], by_slot[o : o + c], out=acc[:c])
         out = np.empty_like(acc)
-        out[lay.order] = acc
+        out[np.take(self.rows, lay.perm[: self.n])] = acc
         self._fold_tails(ufunc, by_slot[lay.head :], out)
         return out
 
     def row_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of per-entry ``values`` (one leading row per entry) over each row."""
-        return self._reduce(np.add, values, 0.0)
+        return self._reduce(np.add, values)
 
     def row_max(self, values: np.ndarray) -> np.ndarray:
         """Largest of per-entry ``values`` (one leading row per entry) over each row."""
-        return self._reduce(np.maximum, values, -np.inf)
+        return self._reduce(np.maximum, values)
 
     def weighted_row_sums(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row ``i`` of H sparse matrices, one per column of ``w`` (E x H), times column blocks of ``x``.
 
         ``x`` (n x H*d) is split into H blocks of d columns; block h of row
         ``i`` is the sum over its entries ``e`` of ``w[e, h]`` times block h
-        of row ``cols[e]`` of ``x``. The ranks go ``BLOCK_RANKS`` at a time:
-        the first slot, which holds every rank, writes a block's sums into
+        of row ``cols[e]`` of ``x``. The ranks go ``BLOCK_ROWS`` at a time:
+        slot 0, which holds every rank, writes a block's products into
         scratch of that many rows, each later slot that reaches the block
         adds its piece to the leading ranks, and the block's rows go straight
         into the result. The open rows then add their tails' ``reduceat``
@@ -219,22 +222,22 @@ class SparsePattern(_Csr):
         lay, heads = self.layout, w.shape[1]
         x3 = x.reshape(self.n, heads, -1)
         w_slot = np.take(w, lay.perm, axis=0)[:, :, None]
-        # with no slots every row is a tail, folded into -0.0: -0.0 + s is s, bit for bit
-        out = np.empty(x3.shape) if lay.counts else np.full(x3.shape, -0.0)
-        acc, part = np.empty((2, min(BLOCK_RANKS, self.n)) + x3.shape[1:])
-        for lo in range(0, self.n if lay.counts else 0, BLOCK_RANKS):  # the first slot holds all n ranks
-            hi = lo + BLOCK_RANKS
+        cols = np.take(self.cols, lay.perm)
+        out = np.empty(x3.shape)
+        acc, part = np.empty((2, min(BLOCK_ROWS, self.n)) + x3.shape[1:])
+        for lo in range(0, self.n, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, self.n)
             for slot, (c, o) in enumerate(zip(lay.counts, lay.offsets)):
                 if c <= lo:  # counts descend: no later slot reaches the block
                     break
                 k = min(c, hi) - lo
                 dst = part[:k] if slot else acc[:k]
-                np.take(x3, lay.cols[o + lo : o + lo + k], axis=0, out=dst, mode="clip")
+                np.take(x3, cols[o + lo : o + lo + k], axis=0, out=dst, mode="clip")
                 dst *= w_slot[o + lo : o + lo + k]
                 if slot:
                     acc[:k] += dst
-            out[lay.order[lo:hi]] = acc[: min(hi, self.n) - lo]
-        tails = np.take(x3, lay.cols[lay.head :], axis=0)
+            out[np.take(self.rows, lay.perm[lo:hi])] = acc[: hi - lo]
+        tails = np.take(x3, cols[lay.head :], axis=0)
         tails *= w_slot[lay.head :]
         self._fold_tails(np.add, tails, out)
         return out.reshape(x.shape)
@@ -244,16 +247,16 @@ class SparsePattern(_Csr):
 
         ``a`` and ``b`` are n x H*d, split into H blocks of d columns; the
         result is E x H. Each entry's dots depend on no other entry, so the
-        entries go in CSR order, ``BLOCK_RANKS`` at a time, and a block's
+        entries go in CSR order, ``BLOCK_ROWS`` at a time, and a block's
         dots go straight into the result: the scratch holds that many rows
         of ``a`` and of ``b`` at any degree, and no layout is read.
         """
         a3, b3 = a.reshape(self.n, heads, -1), b.reshape(self.n, heads, -1)
         ones = np.ones(a3.shape[2])  # a product with it sums each head's d terms, several times faster than sum(axis=2)
         out = np.empty((len(self.rows), heads))
-        by_row, part = np.empty((2, min(BLOCK_RANKS, len(out))) + a3.shape[1:])
-        for lo in range(0, len(out), BLOCK_RANKS):
-            k = min(BLOCK_RANKS, len(out) - lo)
+        by_row, part = np.empty((2, min(BLOCK_ROWS, len(out))) + a3.shape[1:])
+        for lo in range(0, len(out), BLOCK_ROWS):
+            k = min(BLOCK_ROWS, len(out) - lo)
             np.take(a3, self.rows[lo : lo + k], axis=0, out=by_row[:k], mode="clip")
             np.take(b3, self.cols[lo : lo + k], axis=0, out=part[:k], mode="clip")
             part[:k] *= by_row[:k]

@@ -501,22 +501,20 @@ def slot_weighted_row_sums(pattern, w, x):
     lay, heads = pattern.layout, w.shape[1]
     x3 = x.reshape(pattern.n, heads, -1)
     w_slot = np.take(w, lay.perm, axis=0)[:, :, None]
+    cols = np.take(pattern.cols, lay.perm)
     acc, part = np.empty(x3.shape), np.empty(x3.shape)
-    for slot, (c, o) in enumerate(zip(lay.counts, lay.offsets)):
+    for slot, (c, o) in enumerate(zip(lay.counts, lay.offsets)):  # slot 0 holds every row
         dst = part[:c] if slot else acc
-        np.take(x3, lay.cols[o : o + c], axis=0, out=dst, mode="clip")
+        np.take(x3, cols[o : o + c], axis=0, out=dst, mode="clip")
         dst *= w_slot[o : o + c]
         if slot:
             acc[:c] += dst
     if len(lay.tail_starts):
-        tail = np.take(x3, lay.cols[lay.head :], axis=0)
+        tail = np.take(x3, cols[lay.head :], axis=0)
         tail *= w_slot[lay.head :]
-        sums = np.add.reduceat(tail, lay.tail_starts, axis=0)
-        if lay.counts:
-            acc[: len(sums)] += sums
-        else:
-            acc = sums
-    return np.take(acc, inverse(lay.order), axis=0, out=part, mode="clip").reshape(x.shape)
+        acc[: len(lay.tail_starts)] += np.add.reduceat(tail, lay.tail_starts, axis=0)
+    order = np.take(pattern.rows, lay.perm[: pattern.n])  # the row of rank r is rows[perm[r]]
+    return np.take(acc, inverse(order), axis=0, out=part, mode="clip").reshape(x.shape)
 
 
 def entry_dots_at_once(pattern, a, b, heads):

@@ -30,7 +30,7 @@ from conftest import (
 from critnet import encoder
 from critnet import autodiff as ad
 from critnet import graph as graph_module
-from critnet.graph import BLOCK_RANKS, build_graph, gen_ba, gen_ws, residual
+from critnet.graph import BLOCK_ROWS, build_graph, gen_ba, gen_ws, residual
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -469,7 +469,7 @@ class TestSlotKernelOracles:
         out = a.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # expm1 must not be evaluated past 709
-            ad._elu_in_place(out)  # more rows than one block of DENSE_BLOCK_ROWS
+            ad._elu_in_place(out)  # more rows than one block of BLOCK_ROWS
             assert np.array_equal(elu(ad.tensor(a)).data, out, equal_nan=True)
         assert np.array_equal(out, where_elu(a), equal_nan=True)
 
@@ -581,7 +581,7 @@ class TestFusedOracles:
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("block", [BLOCK_RANKS, 1, 7])
+    @pytest.mark.parametrize("block", [BLOCK_ROWS, 1, 7])
     @pytest.mark.parametrize("d", [8, 12])
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
     def test_aggregate_and_its_gradients_are_bit_equal_to_the_chain(self, d, block, p, seed):
@@ -591,7 +591,7 @@ class TestFusedOracles:
         for product in (aggregate, chain_aggregate):
             rng = np.random.default_rng(seed)
             values, x = ad.tensor(rng.random((len(p.rows), 8)), True), rand_tensor(rng, (p.n, 8 * d))
-            with mock.patch.object(graph_module, "BLOCK_RANKS", block):
+            with mock.patch.object(graph_module, "BLOCK_ROWS", block):
                 out = product(values, p, x)
                 ad.mse_loss(out, rng.standard_normal(out.shape)).backward()
             runs.append((out.data, values.grad, x.grad))
@@ -699,12 +699,12 @@ class TestAttentionLayer:
             ad.mse_loss(h, rng.standard_normal(h.shape)).backward()
         return [h.data, x.grad] + [t.grad for t in params.parameters()]
 
-    @pytest.mark.parametrize("block", [BLOCK_RANKS, 1, 7])
+    @pytest.mark.parametrize("block", [BLOCK_ROWS, 1, 7])
     @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "no_grad"])
     @pytest.mark.parametrize("profile", list(encoder.DROPOUT_PROFILES))
     @given(p=sparse_patterns(), seed=st.integers(0, 2**31 - 1))
     def test_output_and_gradients_are_bit_equal_to_the_chain(self, profile, recorded, block, p, seed):
-        with mock.patch.object(graph_module, "BLOCK_RANKS", block):  # the forward's and backward's kernels
+        with mock.patch.object(graph_module, "BLOCK_ROWS", block):  # the forward's and backward's kernels
             got = self.run(layer, p, profile, recorded, seed)
         want = self.run(fused_chain, p, profile, recorded, seed)
         assert len(got) == len(want) == 8 and np.array_equal(got[0], want[0])
@@ -821,12 +821,12 @@ class TestAttentionLayer:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # the output, the attention values and the kernel's copy of them in slot order, two blocks of kernel
-        # scratch, two of ELU temporaries and numpy's 64 KB ufunc buffer; with two heads, one more n x 96
-        # array would exceed it
+        # the output, the attention values and the kernel's copy of them and of the columns in slot order,
+        # two blocks of kernel scratch, two of ELU temporaries and numpy's 64 KB ufunc buffer; with two
+        # heads, one more n x 96 array would exceed it
         values = len(p.rows) * heads * 8
-        blocks = 2 * (BLOCK_RANKS + ad.DENSE_BLOCK_ROWS) * 96 * 8
-        assert peak < out.data.nbytes + 2 * values + blocks + 128 * 1024
+        blocks = 4 * BLOCK_ROWS * 96 * 8
+        assert peak < out.data.nbytes + 2 * values + p.cols.nbytes + blocks + 128 * 1024
 
     def test_training_dropout_keeps_a_boolean_mask(self):
         a = rand_tensor(np.random.default_rng(62), (4000, 8))
@@ -887,7 +887,7 @@ class TestGradientBuffers:
 
 
 class TestDenseElu:
-    @pytest.mark.parametrize("rows", [1, ad.DENSE_BLOCK_ROWS, 2 * ad.DENSE_BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("rows", [1, BLOCK_ROWS, 2 * BLOCK_ROWS + 5])
     def test_matches_the_composed_layer_bit_for_bit(self, rows):
         runs = []
         for fused in (True, False):
@@ -918,7 +918,22 @@ class TestDenseElu:
             finally:
                 tracemalloc.stop()
         # the output plus two blocks of bias-and-ELU temporaries
-        assert peak < out.data.nbytes + 2 * ad.DENSE_BLOCK_ROWS * 256 * 8 + 64 * 1024
+        assert peak < out.data.nbytes + 2 * BLOCK_ROWS * 256 * 8 + 64 * 1024
+
+    def test_the_block_size_is_read_when_the_layer_runs(self):
+        rng = np.random.default_rng(49)
+        x, w, b = rand_tensor(rng, (2000, 96)), rand_tensor(rng, (96, 256)), rand_tensor(rng, (1, 256))
+        with ad.no_grad(), mock.patch.object(graph_module, "BLOCK_ROWS", 16):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = ad.dense_elu(x, w, b)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        # two blocks of 16 rows: two blocks of BLOCK_ROWS rows would exceed it
+        assert peak < out.data.nbytes + 2 * 16 * 256 * 8 + 64 * 1024
+        assert np.array_equal(out.data, elu(ad.add_bias(ad.matmul(x, w), b)).data)
 
     def test_rejects_a_bias_of_another_width(self):
         with pytest.raises(ValueError, match=r"bias shape \(1, 4\) incompatible"):

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from conftest import corpus_graphs, grad_check, loop_td_targets
 from critnet import autodiff as ad
 from critnet import decoder as decoder_module
+from critnet import graph as graph_module
 from critnet.decoder import (
     Model,
     ReplayBuffer,
@@ -501,7 +502,7 @@ class TestGraphBatch:
         rng = np.random.default_rng(seed)
         m = Model(init_encoder_params(rng), init_decoder_params(rng, dueling=dueling))
         states = [t.next_state() for t in TestTdTargets.mixed_batch(seed, size=7)]
-        states.append(remove_nodes(gen_ba(300, 2, seed), [0]))  # rows past one DENSE_BLOCK_ROWS block
+        states.append(remove_nodes(gen_ba(300, 2, seed), [0]))  # rows past one BLOCK_ROWS block
         qs = m.q_full(GraphBatch.of(states))
         assert len(qs) == len(states)
         for g, q in zip(states, qs):
@@ -675,6 +676,21 @@ class TestModel:
             finally:
                 tracemalloc.stop()
         assert peak < 2000 * 256 * 8 / 2  # half of one n x 256 array
+        np.testing.assert_allclose(q, q_from_embeddings(emb, m.decoder).q.data, rtol=0, atol=1e-12)
+
+    def test_the_inference_head_reads_the_block_size_when_it_runs(self):
+        m = model(78)
+        emb = ad.tensor(np.random.default_rng(79).standard_normal((2000, EMBEDDING_DIM)))
+        with ad.no_grad(), mock.patch.object(graph_module, "BLOCK_ROWS", 16):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                q = q_from_embeddings(emb, m.decoder).q.data
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        # a block's hidden layer and its two ELU temporaries, 16 x 256 each: one block of 256 rows would exceed it
+        assert peak < 3 * 16 * 256 * 8 + 64 * 1024
         np.testing.assert_allclose(q, q_from_embeddings(emb, m.decoder).q.data, rtol=0, atol=1e-12)
 
     def test_q_full_on_a_10000_node_graph(self):

@@ -338,9 +338,11 @@ class TestPerHeadOracle:
         self.check(remove_nodes(gen_ba_like(400), [0, 3]), "original", 40)
 
     def test_layer_rejects_a_mismatched_pattern(self):
-        g = gen_er(6, 0.5, 42)
-        with pytest.raises(ValueError, match="6 rows does not match 5 nodes"):
-            gat_layer(None, np.zeros((5, HIDDEN_DIM)), attention_mask(GraphBatch.of([g])), params().layer1, 0.0, False)
+        # the attention layer's own shape check: gat_layer keeps no second one
+        mask = attention_mask(GraphBatch.of([gen_er(6, 0.5, 42)]))
+        for rows in (5, 7):
+            with pytest.raises(ValueError, match=rf"attention shape mismatch: hw \({rows}, {HIDDEN_DIM}\).*pattern of 6 rows"):
+                gat_layer(None, np.zeros((rows, HIDDEN_DIM)), mask, params().layer1, 0.0, False)
 
 
 class TestPerLayerTensors:

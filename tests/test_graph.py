@@ -36,7 +36,7 @@ from critnet.decoder import Model, init_decoder_params
 from critnet.encoder import attention_mask, init_encoder_params
 from critnet.features import aggregate_features, degree_vector
 from critnet.graph import (
-    BLOCK_RANKS,
+    BLOCK_ROWS,
     TAIL_ROWS,
     Graph,
     GraphBatch,
@@ -638,7 +638,7 @@ class TestMemoTable:
 CUTOFFS = {"module-cutoff": TAIL_ROWS, "no-tail": 1}
 # sparse_patterns() stops at 4 * TAIL_ROWS rows, one module block: 1 and 7 reach later blocks,
 # blocks that end inside a slot, and (with 7) blocks whose rank count is not a multiple of 4
-BLOCKS = {"module-block": BLOCK_RANKS, "one-row": 1, "seven-rows": 7}
+BLOCKS = {"module-block": BLOCK_ROWS, "one-row": 1, "seven-rows": 7}
 
 
 class TestSlotLayout:
@@ -646,26 +646,32 @@ class TestSlotLayout:
     @given(p=sparse_patterns())
     def test_every_entry_is_visited_exactly_once(self, cutoff, p):
         lay = with_layout(p, cutoff).layout
-        # perm and order are permutations: of the entries and of the rows
+        # perm is a permutation of the entries; its first n, slot 0, name every row once, by degree
         assert np.array_equal(np.sort(lay.perm), np.arange(len(p.rows)))
-        assert np.array_equal(np.sort(lay.order), np.arange(p.n))
+        order = p.rows[lay.perm[: p.n]]
         degree = np.diff(p.indptr)
-        assert np.array_equal(lay.order, np.argsort(-degree, kind="stable"))
-        assert all(c >= cutoff for c in lay.counts) and list(lay.counts) == sorted(lay.counts, reverse=True)
-        assert lay.head == sum(lay.counts) and np.array_equal(lay.cols, p.cols[lay.perm])
+        assert np.array_equal(order, np.argsort(-degree, kind="stable"))
+        assert lay.counts[0] == p.n and all(c >= cutoff for c in lay.counts[1:])
+        assert list(lay.counts) == sorted(lay.counts, reverse=True) and lay.head == sum(lay.counts)
         for slot, (c, o) in enumerate(zip(lay.counts, lay.offsets)):
             # slot j holds entry j of the c rows of lowest rank, by rank
-            assert np.array_equal(lay.perm[o : o + c], p.indptr[lay.order[:c]] + slot)
+            assert np.array_equal(lay.perm[o : o + c], p.indptr[order[:c]] + slot)
         # each open row's tail is the rest of its entries, in column order
         bounds = np.append(lay.tail_starts, len(p.rows) - lay.head) + lay.head
         for rank, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            row = lay.order[rank]
+            row = order[rank]
             assert np.array_equal(lay.perm[lo:hi], np.arange(p.indptr[row] + len(lay.counts), p.indptr[row + 1]))
-        if lay.counts:
-            assert lay.counts[0] == p.n
-            assert len(lay.tail_starts) == np.count_nonzero(degree > len(lay.counts)) < cutoff
-        else:
-            assert len(lay.tail_starts) == p.n
+        assert len(lay.tail_starts) == np.count_nonzero(degree > len(lay.counts)) < cutoff
+
+    @given(p=sparse_patterns())
+    def test_slot_0_holds_every_row_and_the_arrays_one_integer_per_entry(self, p):
+        # edgeless, one-node and under-TAIL_ROWS patterns too: there is no layout without a slot
+        lay = p.layout
+        assert lay.counts[0] == p.n and lay.offsets[0] == 0
+        assert np.array_equal(p.rows[lay.perm[: p.n]], np.argsort(-np.diff(p.indptr), kind="stable"))
+        # perm, one per entry, and tail_starts, one per open row: fewer than TAIL_ROWS of them at any n
+        sizes = [a.size for a in lay if isinstance(a, np.ndarray)]
+        assert sum(sizes) <= len(p.rows) + TAIL_ROWS and len(sizes) == 2
 
     def test_the_blocked_kernels_form_no_n_by_hd_scratch(self):
         # a WS lattice: almost every row ends in the slots, so the tails are a few entries
@@ -673,9 +679,10 @@ class TestSlotLayout:
         rng = np.random.default_rng(12)
         w, (x, y) = rng.standard_normal((len(p.rows), 8)), rng.standard_normal((2, p.n, 96))
         p.layout
-        block = 2 * BLOCK_RANKS * 96 * 8
+        block = 2 * BLOCK_ROWS * 96 * 8
         for kernel, result, scratch in (
-            (lambda: p.weighted_row_sums(w, x), x.nbytes, w.nbytes + block),  # w in slot order, acc and part
+            # w and the columns in slot order, acc and part
+            (lambda: p.weighted_row_sums(w, x), x.nbytes, w.nbytes + p.cols.nbytes + block),
             (lambda: p.entry_dots(y, x, 8), w.nbytes, block),  # by_row and part
         ):
             tracemalloc.start()
@@ -693,7 +700,7 @@ class TestSlotLayout:
         rng = np.random.default_rng(14)
         w, x = rng.standard_normal((len(p.rows), 8)), rng.standard_normal((p.n, 96))
         p.layout
-        with mock.patch.object(graph_module, "BLOCK_RANKS", 16):
+        with mock.patch.object(graph_module, "BLOCK_ROWS", 16):
             tracemalloc.start()
             try:
                 sums = p.weighted_row_sums(w, x)
@@ -701,23 +708,24 @@ class TestSlotLayout:
             finally:
                 tracemalloc.stop()
         assert np.array_equal(sums, slot_weighted_row_sums(p, w, x))
-        # w in slot order, acc and part of 16 rows each: blocks of BLOCK_RANKS rows would exceed it
-        assert peak < sums.nbytes + w.nbytes + 2 * 16 * 96 * 8 + 128 * 1024
+        # w and the columns in slot order, acc and part of 16 rows each: blocks of BLOCK_ROWS rows would exceed it
+        assert peak < sums.nbytes + w.nbytes + p.cols.nbytes + 2 * 16 * 96 * 8 + 128 * 1024
 
-    @pytest.mark.parametrize("g", [path_graph(5), gen_ba(100, 2, 15)], ids=["no-slot", "slots"])
+    @pytest.mark.parametrize("g", [path_graph(5), gen_ba(100, 2, 15)], ids=["under-cutoff", "slots"])
     def test_the_kernels_keep_their_sign_of_zero_on_every_path(self, g):
-        # rows of -0.0: a weighted sum starts from its first product, a reduction from its identity +0.0
+        # rows of -0.0: every kernel starts from the row's first entry, in slot 0, as reduceat does
         p = residual(g)
         zeros = np.full((len(p.rows), 8), -0.0)
-        assert bool(p.layout.counts) == (p.n >= TAIL_ROWS) and len(p.layout.tail_starts)
+        assert p.layout.counts[0] == p.n and len(p.layout.tail_starts)
         assert np.signbit(p.weighted_row_sums(zeros, np.ones((p.n, 16)))).all()
-        assert not np.signbit(p.row_sums(zeros)).any()
+        assert np.signbit(p.row_sums(zeros)).all() and np.signbit(reduceat_row_sums(p, zeros)).all()
         assert np.signbit(p.row_max(zeros)).all()
 
     def test_a_star_hub_finishes_in_the_tail(self):
-        lay = residual(star_graph(3 * TAIL_ROWS)).layout
+        p = residual(star_graph(3 * TAIL_ROWS))
+        lay = p.layout
         assert lay.counts == (3 * TAIL_ROWS, 3 * TAIL_ROWS)  # every leaf holds the hub and itself
-        assert lay.order[0] == 0 and lay.tail_starts.tolist() == [0] and len(lay.perm) - lay.head == 3 * TAIL_ROWS - 2
+        assert p.rows[lay.perm[0]] == 0 and lay.tail_starts.tolist() == [0] and len(lay.perm) - lay.head == 3 * TAIL_ROWS - 2
 
     @pytest.mark.parametrize("cutoff", CUTOFFS.values(), ids=CUTOFFS.keys())
     @given(p=sparse_patterns(), heads=st.sampled_from([1, 8]), seed=st.integers(0, 2**31 - 1))
@@ -737,7 +745,7 @@ class TestSlotLayout:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((len(p.rows), 8))
         x, y = rng.standard_normal((2, p.n, 8 * d))
-        with mock.patch.object(graph_module, "BLOCK_RANKS", block):  # read at call time
+        with mock.patch.object(graph_module, "BLOCK_ROWS", block):  # read at call time
             sums, dots = p.weighted_row_sums(w, x), p.entry_dots(y, x, 8)
         assert np.array_equal(sums, slot_weighted_row_sums(p, w, x))
         assert np.array_equal(dots, entry_dots_at_once(p, y, x, 8))
@@ -773,15 +781,15 @@ class TestSlotLayout:
 
 
 class TestEntryDots:
-    """``entry_dots`` walks the CSR entries ``BLOCK_RANKS`` at a time and reads no slot layout."""
+    """``entry_dots`` walks the CSR entries ``BLOCK_ROWS`` at a time and reads no slot layout."""
 
-    @pytest.mark.parametrize("block", [1, 7, BLOCK_RANKS])
+    @pytest.mark.parametrize("block", [1, 7, BLOCK_ROWS])
     @pytest.mark.parametrize("heads", [1, 3, 4, 5, 8])
     @given(p=sparse_patterns(), d=st.sampled_from([8, 12]), seed=st.integers(0, 2**31 - 1))
     def test_any_block_matches_one_product_over_all_entries(self, block, heads, p, d, seed):
         p = SparsePattern(*p)  # a fresh pattern, with no layout yet
         a, b = np.random.default_rng(seed).standard_normal((2, p.n, heads * d))
-        with mock.patch.object(graph_module, "BLOCK_RANKS", block):
+        with mock.patch.object(graph_module, "BLOCK_ROWS", block):
             dots = p.entry_dots(a, b, heads)
         want = entry_dots_at_once(p, a, b, heads)
         if heads % 4:  # OpenBLAS may sum a few dots' d terms in another order
@@ -800,7 +808,7 @@ class TestEntryDots:
         finally:
             tracemalloc.stop()
         # the result and two blocks of rows, by_row and part; the hub's 3001 rows of b alone would exceed it
-        assert peak < dots.nbytes + 2 * BLOCK_RANKS * 96 * 8 + 128 * 1024
+        assert peak < dots.nbytes + 2 * BLOCK_ROWS * 96 * 8 + 128 * 1024
 
 
 class TestGenerators:
