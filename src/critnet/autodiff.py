@@ -18,12 +18,13 @@ Graph attention runs over a residual graph's closed-neighbourhood CSR, a
 ``graph.SparsePattern``: one value per stored entry of a structurally
 symmetric n x n matrix in CSR order, one column per attention head (E x H).
 A layer is one primitive, ``attention_layer``: it scores the layer's
-transformed node rows into those per-entry values, drops some while
-training, and sums them back into node rows. Its rule keeps the layer's
-input, weights, attention values, masks and output, and forms the
-n x H*d transform and the dropped values again in backward, trading two
-cheap recomputations for the tape's two largest arrays (Chen et al.,
-"Training Deep Nets with Sublinear Memory Cost", 2016). Every sum or max
+transformed node rows into those per-entry values with the fixed leaky-ReLU
+slope ``ATTENTION_SLOPE``, drops some at its rate, and sums them back into
+node rows under a fixed ELU. Its rule keeps the layer's input, weights,
+attention values, masks and output, and forms the n x H*d transform and
+the dropped values again in backward, trading two cheap recomputations for
+the tape's two largest arrays (Chen et al., "Training Deep Nets with
+Sublinear Memory Cost", 2016). Every sum or max
 over a row's entries, forward or backward, is one of the pattern's slot
 kernels (``SparsePattern.row_sums`` and its siblings); the attention
 gradient, one dot per entry and head, is ``SparsePattern.entry_dots``,
@@ -36,7 +37,6 @@ recorded.
 from __future__ import annotations
 
 import contextlib
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,6 +320,9 @@ def row_softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     return _make(p, (logits,), backward)
 
 
+ATTENTION_SLOPE = 0.2  # attention_layer's leaky-ReLU slope, fixed as its ELU is (Velickovic et al., 2018)
+
+
 def attention_layer(
     x: Tensor | None,
     w: Tensor,
@@ -327,10 +330,8 @@ def attention_layer(
     a_src: Tensor,
     a_dst: Tensor,
     pattern: SparsePattern,
-    slope: float,
     rate: float,
     rng: np.random.Generator | None,
-    training: bool,
 ) -> Tensor:
     """One H-head graph attention layer over ``pattern`` on its transform ``hw = x.data @ w.data``: n x H*d.
 
@@ -338,13 +339,13 @@ def attention_layer(
     are H x d. Head h's source and destination logits are block h of ``hw``
     dotted with row h of ``a_src`` and ``a_dst``, as one product with an
     H*d x H block-diagonal matrix each. Entry e's score is
-    ``leaky_relu(src[rows[e]] + dst[cols[e]], slope)``, and each row's
-    scores are softmaxed per head into E x H attention values. Training
-    drops them at ``rate`` (inverted dropout, uniforms drawn column after
-    column, as H dropouts of E x 1 would). Block h of the output is the ELU
-    of sparse matrix h, the kept values, times block h of ``hw``. The
-    pattern's kernels do the row work, the products ``graph.BLOCK_ROWS``
-    rows at a time, and the ELU overwrites the product block by block.
+    ``leaky_relu(src[rows[e]] + dst[cols[e]], ATTENTION_SLOPE)``, and each
+    row's scores are softmaxed per head into E x H attention values. A
+    ``rate`` above 0 drops them (``_keep_mask``); rate 0 needs no ``rng``.
+    Block h of the output is the ELU of sparse matrix h, the kept values,
+    times block h of ``hw``. The pattern's kernels do the row work, the
+    products ``graph.BLOCK_ROWS`` rows at a time, and the ELU overwrites the
+    product block by block.
 
     The rule keeps ``x``, ``w``, ``a_src``, ``a_dst``, the attention
     values, a boolean "score > 0" mask, the boolean dropout mask and the
@@ -360,19 +361,17 @@ def attention_layer(
     if hw.ndim != 2 or hw.shape != (pattern.n, heads * d) or a_dst.shape != a_src.shape or heads == 0:
         shapes = f"hw {hw.shape}, a_src {a_src.shape}, a_dst {a_dst.shape}, pattern of {pattern.n} rows"
         raise ValueError(f"attention shape mismatch: {shapes}")
-    if not 0.0 < slope <= 1.0:
-        raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
     parents = (w, a_src, a_dst) if x is None else (x, w, a_src, a_dst)
     records = _records(parents)
     if records and x is None:
         raise ValueError("a recorded attention layer needs its input x")
-    keep, scale = _keep_mask((len(pattern.rows), heads), rate, rng, training), 1.0 / (1.0 - rate)
+    keep, scale = _keep_mask((len(pattern.rows), heads), rate, rng), 1.0 / (1.0 - rate)
     diagonal = (np.arange(heads * d), np.repeat(np.arange(heads), d))
     b_src, b_dst = np.zeros((2, heads * d, heads))
     b_src[diagonal], b_dst[diagonal] = a_src.data.reshape(-1), a_dst.data.reshape(-1)
     p = np.take(hw @ b_src, pattern.rows, axis=0)
     p += np.take(hw @ b_dst, pattern.cols, axis=0)
-    np.maximum(p, p * slope, out=p)  # for a slope in (0, 1], positive exactly where the sum is
+    np.maximum(p, p * ATTENTION_SLOPE, out=p)  # the slope is in (0, 1]: positive exactly where the sum is
     positive = p > 0 if records else None
     np.subtract(p, np.take(pattern.row_max(p), pattern.rows, axis=0), out=p)
     np.exp(p, out=p)
@@ -397,7 +396,7 @@ def attention_layer(
         gp = np.take(pattern.row_sums(g_att * p), pattern.rows, axis=0)
         np.subtract(g_att, gp, out=gp)
         gp *= p
-        g_att = gp * slope
+        g_att = gp * ATTENTION_SLOPE
         np.copyto(g_att, gp, where=positive)
         del gp
         # one pass for both ends: entry transpose[e] carries the gradient of dst[cols[e]]
@@ -415,23 +414,23 @@ def attention_layer(
     return _make(out, parents, backward)
 
 
-def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None, training: bool) -> np.ndarray | None:
-    """Inverted dropout's boolean keep mask of ``shape``, or ``None`` when nothing drops (not training, or rate 0).
+def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted dropout's boolean keep mask of ``shape``, drawn from ``rng``, or ``None`` at rate 0, which draws nothing.
 
     The uniforms fill the mask column after column, as H dropouts of E x 1 would for an E x H mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return None
     if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
+        raise ValueError(f"dropout at rate {rate} needs an rng")
     return rng.random(shape[::-1]).T >= rate
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
-    keep = _keep_mask(a.shape, rate, rng, training)
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout at ``rate``; ``a`` itself at rate 0, where ``rng`` may be ``None``."""
+    keep = _keep_mask(a.shape, rate, rng)
     if keep is None:
         return a
     scale = 1.0 / (1.0 - rate)
@@ -471,7 +470,7 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
 def pick(a: Tensor, row: int, col: int = 0) -> Tensor:
     """Extract one entry of a matrix as a (1, 1) tensor; a negative, out-of-range or non-integer index raises."""
     try:
-        row, col = operator.index(row), operator.index(col)
+        row, col = graph._index(row), graph._index(col)
     except TypeError:
         raise ValueError(f"pick({row!r}, {col!r}) needs integer indices") from None
     if a.data.ndim != 2 or not (0 <= row < a.shape[0] and 0 <= col < a.shape[1]):

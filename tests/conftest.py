@@ -279,10 +279,9 @@ def layer_transform(x, hw, layer):
     return ad.tensor(hw) if x is None else ad.matmul(x, layer.w)
 
 
-def dense_gat_layer(x, hw, mask, layer, dropout_rate, training, rng=None):
+def dense_gat_layer(x, hw, mask, layer, dropout_rate, rng=None):
     """The encoder's attention layer over dense n x n logits, masks and softmaxes."""
     from critnet import autodiff as ad
-    from critnet.encoder import ATTENTION_SLOPE
 
     hw = layer_transform(x, hw, layer)
     n = hw.shape[0]
@@ -293,8 +292,8 @@ def dense_gat_layer(x, hw, mask, layer, dropout_rate, training, rng=None):
         src = ad.matmul(head_hw, a_src)
         dst = ad.matmul(head_hw, a_dst)
         logits = ad.add(ad.matmul(src, ones_row), ad.matmul(ones_col, transpose(dst)))
-        att = ad.row_softmax_masked(ad.leaky_relu(logits, ATTENTION_SLOPE), mask)
-        att = ad.dropout(att, dropout_rate, rng, training)
+        att = ad.row_softmax_masked(ad.leaky_relu(logits, ad.ATTENTION_SLOPE), mask)
+        att = ad.dropout(att, dropout_rate, rng)
         outputs.append(ad.matmul(att, head_hw))
     return elu(ad.concat(outputs, axis=1))
 
@@ -408,14 +407,13 @@ def chain_aggregate(values, pattern, x):
     return elu(spmm(values, pattern, x))
 
 
-def chain_gat_layer(x, hw, mask, layer, dropout_rate, training, rng=None):
+def chain_gat_layer(x, hw, mask, layer, dropout_rate, rng=None):
     """The encoder's attention layer on the chain of separate primitives."""
     from critnet import autodiff as ad
-    from critnet.encoder import ATTENTION_SLOPE
 
     hw = layer_transform(x, hw, layer)
-    att = chain_attention(hw, layer.a_src, layer.a_dst, mask, ATTENTION_SLOPE)
-    return chain_aggregate(ad.dropout(att, dropout_rate, rng, training), mask, hw)
+    att = chain_attention(hw, layer.a_src, layer.a_dst, mask, ad.ATTENTION_SLOPE)
+    return chain_aggregate(ad.dropout(att, dropout_rate, rng), mask, hw)
 
 
 # --- the two fused GAT primitives ------------------------------------------------
@@ -605,10 +603,9 @@ def sparse_patterns(draw):
 # --- per-head attention oracle ------------------------------------------------
 
 
-def per_head_gat_layer(x, hw, mask, layer, dropout_rate, training, rng=None):
+def per_head_gat_layer(x, hw, mask, layer, dropout_rate, rng=None):
     """The encoder's attention layer run one head at a time, each with its own E x 1 chain and ``reduceat`` product."""
     from critnet import autodiff as ad
-    from critnet.encoder import ATTENTION_SLOPE
 
     if mask.n != hw.shape[0]:
         raise ValueError(f"attention pattern of {mask.n} rows does not match {hw.shape[0]} nodes")
@@ -617,8 +614,8 @@ def per_head_gat_layer(x, hw, mask, layer, dropout_rate, training, rng=None):
     for head_hw, a_src, a_dst in layer_heads(hw, layer):
         src = gather_rows(ad.matmul(head_hw, a_src), mask)
         dst = gather_rows(ad.matmul(head_hw, a_dst), mask, columns=True)
-        att = segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
-        att = ad.dropout(att, dropout_rate, rng, training)
+        att = segment_softmax(ad.leaky_relu(ad.add(src, dst), ad.ATTENTION_SLOPE), mask)
+        att = ad.dropout(att, dropout_rate, rng)
         outputs.append(per_head_spmm(att, mask, head_hw))
     return elu(ad.concat(outputs, axis=1))
 
@@ -658,16 +655,15 @@ def per_head_leaves(layer):
     ]
 
 
-def concat_gat_layer(h, mask, heads, dropout_rate, training, rng=None):
+def concat_gat_layer(h, mask, heads, dropout_rate, rng=None):
     """The attention layer on per-head leaves: one product with their concatenated transforms, and block-diagonal attention vectors."""
     from critnet import autodiff as ad
-    from critnet.encoder import ATTENTION_SLOPE
 
     hw = ad.matmul(h, ad.concat([head.w for head in heads], axis=1))
     src = gather_rows(ad.matmul(hw, block_diag([head.a_src for head in heads])), mask)
     dst = gather_rows(ad.matmul(hw, block_diag([head.a_dst for head in heads])), mask, columns=True)
-    att = segment_softmax(ad.leaky_relu(ad.add(src, dst), ATTENTION_SLOPE), mask)
-    att = ad.dropout(att, dropout_rate, rng, training)
+    att = segment_softmax(ad.leaky_relu(ad.add(src, dst), ad.ATTENTION_SLOPE), mask)
+    att = ad.dropout(att, dropout_rate, rng)
     return elu(spmm(att, mask, hw))
 
 

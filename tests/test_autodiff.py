@@ -37,10 +37,10 @@ def rand_tensor(rng, shape, requires_grad=True):
     return ad.tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
-def layer(x, w, a_src, a_dst, pattern, slope=0.2, rate=0.0, rng=None, training=False):
+def layer(x, w, a_src, a_dst, pattern, rate=0.0, rng=None):
     """``attention_layer`` as ``encode`` calls it: on ``x``'s transform, with ``x`` only while gradients are on."""
     x_in = x if ad.grad_enabled() else None
-    return ad.attention_layer(x_in, w, x.data @ w.data, a_src, a_dst, pattern, slope, rate, rng, training)
+    return ad.attention_layer(x_in, w, x.data @ w.data, a_src, a_dst, pattern, rate, rng)
 
 
 class TestPrimitives:
@@ -88,7 +88,7 @@ class TestPrimitives:
         with pytest.raises(ValueError, match=rf"pick\({row}, {col}\) is outside a tensor of shape \(3, 2\)"):
             ad.pick(a, row, col)
 
-    @pytest.mark.parametrize("row, col", [(1.5, 0), (0, 1.0), ("1", 0)])
+    @pytest.mark.parametrize("row, col", [(1.5, 0), (0, 1.0), ("1", 0), (True, 0), (0, np.False_)])
     def test_pick_rejects_an_index_that_is_not_an_integer(self, row, col):
         a = ad.tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         with pytest.raises(ValueError, match=re.escape(f"pick({row!r}, {col!r}) needs integer indices")):
@@ -159,29 +159,28 @@ class TestPrimitives:
         err = grad_check(lambda: ad.mse_loss(ad.add(a, b), target), [a, b])
         assert err < 1e-6
 
-    def test_dropout_eval_is_identity(self):
+    def test_dropout_at_rate_0_is_identity_and_draws_nothing(self):
         x = ad.tensor(np.ones((4, 4)))
         rng = np.random.default_rng(5)
-        assert ad.dropout(x, 0.5, rng, training=False) is x
-        assert ad.dropout(x, 0.0, rng, training=True) is x
+        assert ad.dropout(x, 0.0, rng) is x
+        assert rng.random() == np.random.default_rng(5).random()
 
     def test_dropout_needs_rng_only_when_it_draws(self):
         x = ad.tensor(np.ones((3, 3)))
-        assert ad.dropout(x, 0.5, None, training=False) is x
-        assert ad.dropout(x, 0.0, None, training=True) is x
-        with pytest.raises(ValueError, match="needs an rng"):
-            ad.dropout(x, 0.5, None, training=True)
+        assert ad.dropout(x, 0.0, None) is x
+        with pytest.raises(ValueError, match=re.escape("dropout at rate 0.5 needs an rng")):
+            ad.dropout(x, 0.5, None)
 
     @pytest.mark.parametrize("rate", [-0.1, 1.0])
-    @pytest.mark.parametrize("training", [True, False])
-    def test_dropout_rejects_a_rate_outside_its_range(self, rate, training):
+    @pytest.mark.parametrize("rng", [np.random.default_rng(7), None], ids=["rng", "no-rng"])
+    def test_dropout_rejects_a_rate_outside_its_range(self, rate, rng):
         with pytest.raises(ValueError, match="dropout rate must be in"):
-            ad.dropout(ad.tensor(np.ones((3, 2))), rate, np.random.default_rng(7), training)
+            ad.dropout(ad.tensor(np.ones((3, 2))), rate, rng)
 
     def test_dropout_train_scales_kept_entries(self):
         x = ad.tensor(np.ones((50, 50)), requires_grad=True)
         rng = np.random.default_rng(6)
-        out = ad.dropout(x, 0.4, rng, training=True)
+        out = ad.dropout(x, 0.4, rng)
         vals = np.unique(out.data)
         assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.6, 12)}
         # inverted scaling keeps the expectation near 1
@@ -189,9 +188,9 @@ class TestPrimitives:
 
     def test_column_dropout_draws_column_after_column(self):
         x = ad.tensor(np.ones((7, 3)))
-        got = ad.dropout(x, 0.5, np.random.default_rng(8), True).data
+        got = ad.dropout(x, 0.5, np.random.default_rng(8)).data
         rng = np.random.default_rng(8)
-        want = np.concatenate([ad.dropout(ad.tensor(np.ones((7, 1))), 0.5, rng, True).data for _ in range(3)], axis=1)
+        want = np.concatenate([ad.dropout(ad.tensor(np.ones((7, 1))), 0.5, rng).data for _ in range(3)], axis=1)
         assert np.array_equal(got, want)
 
     def test_column_dropout_gradient(self):
@@ -200,7 +199,7 @@ class TestPrimitives:
         target = rng.standard_normal((6, 3))
 
         def forward():
-            return ad.mse_loss(ad.dropout(a, 0.4, np.random.default_rng(10), True), target)
+            return ad.mse_loss(ad.dropout(a, 0.4, np.random.default_rng(10)), target)
 
         assert grad_check(forward, [a]) < 1e-6
 
@@ -358,7 +357,7 @@ class TestSparsePrimitives:
         a_src, a_dst = ad.tensor(np.ones(src_shape)), ad.tensor(np.ones(dst_shape or src_shape))
         p, w = closed_pattern(3, [(0, 1)]), ad.tensor(np.ones((4, 6)))
         with ad.no_grad():
-            return ad.attention_layer(None, w, np.zeros(hw_shape), a_src, a_dst, p, 0.2, 0.0, None, False)
+            return ad.attention_layer(None, w, np.zeros(hw_shape), a_src, a_dst, p, 0.0, None)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match=r"attention shape mismatch: hw \(4, 6\).*pattern of 3 rows"):
@@ -413,7 +412,7 @@ class TestSingleUseGraph:
         rng = np.random.default_rng(43)
         x, w = rand_tensor(rng, (p.n, 64)), rand_tensor(rng, (64, 96))
         a_src, a_dst = TestAttentionLayer.vectors(rng, 8, 12)
-        out = layer(x, w, a_src, a_dst, p, rate=0.3, rng=rng, training=True)
+        out = layer(x, w, a_src, a_dst, p, rate=0.3, rng=rng)
         loss = ad.mse_loss(out, np.zeros(out.shape))
         loss.backward()
         assert out._parents == () and out._backward is ad._spent
@@ -605,7 +604,7 @@ class TestFusedOracles:
         for attend, product in ((attention, aggregate), (chain_attention, chain_aggregate)):
             rng = np.random.default_rng(59)
             hw, a_src, a_dst = self.leaves(rng, p.n, 4, 3)
-            out = product(ad.dropout(attend(hw, a_src, a_dst, p, 0.2), 0.5, rng, True), p, hw)
+            out = product(ad.dropout(attend(hw, a_src, a_dst, p, 0.2), 0.5, rng), p, hw)
             ad.mse_loss(out, rng.standard_normal(out.shape)).backward()
             runs.append((out.data, hw.grad, a_src.grad, a_dst.grad))
         for got, want in zip(*runs):
@@ -668,10 +667,10 @@ def logits(hw, a_src, a_dst, p):
     return (hw3 * a_src.data).sum(axis=2)[p.rows] + (hw3 * a_dst.data).sum(axis=2)[p.cols]
 
 
-def fused_chain(x, w, a_src, a_dst, p, slope=0.2, rate=0.0, rng=None, training=False):
+def fused_chain(x, w, a_src, a_dst, p, rate=0.0, rng=None):
     """``matmul`` -> ``attention`` -> ``dropout`` -> ``aggregate``: the chain ``attention_layer`` fuses."""
     hw = ad.matmul(x, w)
-    return aggregate(ad.dropout(attention(hw, a_src, a_dst, p, slope), rate, rng, training), p, hw)
+    return aggregate(ad.dropout(attention(hw, a_src, a_dst, p, ad.ATTENTION_SLOPE), rate, rng), p, hw)
 
 
 class TestAttentionLayer:
@@ -683,7 +682,7 @@ class TestAttentionLayer:
 
     @staticmethod
     def run(layer_fn, p, profile, recorded, seed):
-        """Two training-mode layers at the encoder's widths, stacked as ``encode`` stacks them on a leaf input.
+        """Two layers at the encoder's widths and a profile's training rates, stacked as ``encode`` stacks them on a leaf input.
 
         Returns the output and the gradients of the input and of every parameter (``None`` under ``no_grad``).
         """
@@ -693,8 +692,8 @@ class TestAttentionLayer:
         x = h = rand_tensor(rng, (p.n, encoder.IN_FEATURES))
         with contextlib.nullcontext() if recorded else ad.no_grad():
             for lp, in_rate, att_rate in ((params.layer1, in1, att1), (params.layer2, in2, att2)):
-                h = ad.dropout(h, in_rate, rng, True)
-                h = layer_fn(h, lp.w, lp.a_src, lp.a_dst, p, encoder.ATTENTION_SLOPE, att_rate, rng, True)
+                h = ad.dropout(h, in_rate, rng)
+                h = layer_fn(h, lp.w, lp.a_src, lp.a_dst, p, att_rate, rng)
         if recorded:
             ad.mse_loss(h, rng.standard_normal(h.shape)).backward()
         return [h.data, x.grad] + [t.grad for t in params.parameters()]
@@ -749,43 +748,35 @@ class TestAttentionLayer:
 
         def loss():
             rng_once = np.random.default_rng(seed)  # every call draws the same dropout mask
-            return ad.mse_loss(layer(x, w, a_src, a_dst, p, rate=0.5, rng=rng_once, training=True), target)
+            return ad.mse_loss(layer(x, w, a_src, a_dst, p, rate=0.5, rng=rng_once), target)
 
         err = grad_check(loss, [x, w, a_src, a_dst], eps=eps, sample=12, rng=rng, floor=1e-11 / eps)
         assert err < 1e-4
 
     @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "no_grad"])
-    def test_training_without_an_rng_raises(self, recorded):
+    def test_a_rate_above_0_without_an_rng_raises(self, recorded):
         p = closed_pattern(*PATTERNS["isolated-node"])
         rng = np.random.default_rng(72)
         x, w, (a_src, a_dst) = rand_tensor(rng, (p.n, 2)), rand_tensor(rng, (2, 6)), self.vectors(rng, 2, 3)
         with contextlib.nullcontext() if recorded else ad.no_grad():
-            with pytest.raises(ValueError, match="training-mode dropout needs an rng"):
-                layer(x, w, a_src, a_dst, p, rate=0.3, training=True)
-            layer(x, w, a_src, a_dst, p, rate=0.3, training=False)  # no dropout, no draws
-            layer(x, w, a_src, a_dst, p, rate=0.0, training=True)
+            with pytest.raises(ValueError, match=re.escape("dropout at rate 0.3 needs an rng")):
+                layer(x, w, a_src, a_dst, p, rate=0.3)
+            layer(x, w, a_src, a_dst, p, rate=0.0)  # no dropout, no draws
 
     @pytest.mark.parametrize("rate", [-0.1, 1.0, float("nan")])
     def test_rejects_a_dropout_rate_outside_0_1(self, rate):
         p = closed_pattern(3, [(0, 1)])
         x, w, a = ad.tensor(np.ones((3, 2))), ad.tensor(np.ones((2, 4))), ad.tensor(np.ones((2, 2)))
         with pytest.raises(ValueError, match=re.escape(f"dropout rate must be in [0, 1), got {rate}")):
-            layer(x, w, a, a, p, rate=rate, rng=np.random.default_rng(0), training=True)
-
-    @pytest.mark.parametrize("slope", [0.0, 1.5, float("nan")])
-    def test_rejects_a_slope_outside_0_1(self, slope):
-        p = closed_pattern(3, [(0, 1)])
-        x, w, a = ad.tensor(np.ones((3, 2))), ad.tensor(np.ones((2, 4))), ad.tensor(np.ones((2, 2)))
-        with pytest.raises(ValueError, match=re.escape(f"slope must be in (0, 1], got {slope}")):
-            layer(x, w, a, a, p, slope=slope)
+            layer(x, w, a, a, p, rate=rate, rng=np.random.default_rng(0))
 
     def test_a_recorded_layer_needs_its_input(self):
         p = closed_pattern(3, [(0, 1)])
         w, a = ad.tensor(np.ones((2, 4)), requires_grad=True), ad.tensor(np.ones((2, 2)))
         with pytest.raises(ValueError, match="a recorded attention layer needs its input x"):
-            ad.attention_layer(None, w, np.ones((3, 4)), a, a, p, 0.2, 0.0, None, False)
+            ad.attention_layer(None, w, np.ones((3, 4)), a, a, p, 0.0, None)
         with ad.no_grad():
-            assert ad.attention_layer(None, w, np.ones((3, 4)), a, a, p, 0.2, 0.0, None, False).shape == (3, 4)
+            assert ad.attention_layer(None, w, np.ones((3, 4)), a, a, p, 0.0, None).shape == (3, 4)
 
     def test_the_rule_keeps_no_transform_and_no_dropped_values(self):
         p = gen_ba(300, 2, 60).pattern
@@ -796,7 +787,7 @@ class TestAttentionLayer:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = ad.attention_layer(x, w, hw, a_src, a_dst, p, 0.2, 0.3, rng, True)
+            out = ad.attention_layer(x, w, hw, a_src, a_dst, p, 0.3, rng)
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
@@ -817,7 +808,7 @@ class TestAttentionLayer:
         with ad.no_grad():
             tracemalloc.start()
             try:
-                out = ad.attention_layer(None, w, hw, a_src, a_dst, p, 0.2, 0.0, None, False)
+                out = ad.attention_layer(None, w, hw, a_src, a_dst, p, 0.0, None)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -828,12 +819,12 @@ class TestAttentionLayer:
         blocks = 4 * BLOCK_ROWS * 96 * 8
         assert peak < out.data.nbytes + 2 * values + p.cols.nbytes + blocks + 128 * 1024
 
-    def test_training_dropout_keeps_a_boolean_mask(self):
+    def test_dropout_keeps_a_boolean_mask(self):
         a = rand_tensor(np.random.default_rng(62), (4000, 8))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = ad.dropout(a, 0.3, np.random.default_rng(63), True)
+            out = ad.dropout(a, 0.3, np.random.default_rng(63))
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()

@@ -46,21 +46,22 @@ class TestGatLayer:
         g = build_graph(1, [])
         p = params()
         h = ad.tensor(np.array([[0.1, 0.4, 0.0, 0.9]]))
-        out = gat_layer(h, h.data @ p.layer1.w.data, attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False)
+        out = gat_layer(h, h.data @ p.layer1.w.data, attention_mask(GraphBatch.of([g])), p.layer1, 0.0)
         expect = h.data @ p.layer1.w.data
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, expect)
 
-    def test_zero_dropout_training_equals_eval(self):
+    def test_rate_0_draws_nothing_and_equals_the_rng_less_layer(self):
         g = gen_er(12, 0.3, 1)
         p = params()
         h = ad.tensor(np.random.default_rng(2).random((12, 4)))
         hw = h.data @ p.layer1.w.data
         mask = attention_mask(GraphBatch.of([g]))
         rng = np.random.default_rng(3)
-        out_train = gat_layer(h, hw, mask, p.layer1, 0.0, True, rng)
-        out_eval = gat_layer(h, hw, mask, p.layer1, 0.0, False)
-        assert np.array_equal(out_train.data, out_eval.data)
+        out_rng = gat_layer(h, hw, mask, p.layer1, 0.0, rng)
+        out = gat_layer(h, hw, mask, p.layer1, 0.0)
+        assert np.array_equal(out_rng.data, out.data)
+        assert rng.random() == np.random.default_rng(3).random()
 
     def test_attention_rows_sum_to_one_per_head(self):
         # with identical input rows, every node's output is its attention row
@@ -70,7 +71,7 @@ class TestGatLayer:
         p = params()
         row = np.array([[0.3, -0.8, 0.5, 1.2]])
         h = ad.tensor(np.repeat(row, 13, axis=0))
-        out = gat_layer(h, h.data @ p.layer1.w.data, attention_mask(GraphBatch.of([g])), p.layer1, 0.0, False)
+        out = gat_layer(h, h.data @ p.layer1.w.data, attention_mask(GraphBatch.of([g])), p.layer1, 0.0)
         expect = row @ p.layer1.w.data
         expect = np.where(expect > 0, expect, np.expm1(expect))
         assert np.allclose(out.data, np.repeat(expect, 13, axis=0), rtol=0, atol=1e-14)
@@ -81,14 +82,14 @@ class TestGatLayer:
         p = params()
         feats = rng.random((10, 4))
         mask = attention_mask(GraphBatch.of([g]))
-        base = gat_layer(ad.tensor(feats), feats @ p.layer1.w.data, mask, p.layer1, 0.0, False).data
+        base = gat_layer(ad.tensor(feats), feats @ p.layer1.w.data, mask, p.layer1, 0.0).data
         for _ in range(5):
             perm = rng.permutation(10)
             gp = build_graph(10, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
             fp = np.empty_like(feats)
             fp[perm] = feats
             mask = attention_mask(GraphBatch.of([gp]))
-            out = gat_layer(ad.tensor(fp), fp @ p.layer1.w.data, mask, p.layer1, 0.0, False).data
+            out = gat_layer(ad.tensor(fp), fp @ p.layer1.w.data, mask, p.layer1, 0.0).data
             assert np.allclose(out[perm], base, atol=1e-10)
 
 
@@ -242,13 +243,13 @@ class TestDropoutProfiles:
         rng = np.random.default_rng(24)
         mask = attention_mask(GraphBatch.of([g]))
         if profile == "original":
-            h = ad.dropout(ad.tensor(feats), 0.6, rng, True)
-            h = gat_layer(h, h.data @ p.layer1.w.data, mask, p.layer1, 0.6, True, rng)
-            h = ad.dropout(h, 0.6, rng, True)
-            want = gat_layer(h, h.data @ p.layer2.w.data, mask, p.layer2, 0.6, True, rng).data
+            h = ad.dropout(ad.tensor(feats), 0.6, rng)
+            h = gat_layer(h, h.data @ p.layer1.w.data, mask, p.layer1, 0.6, rng)
+            h = ad.dropout(h, 0.6, rng)
+            want = gat_layer(h, h.data @ p.layer2.w.data, mask, p.layer2, 0.6, rng).data
         else:
-            h = gat_layer(ad.tensor(feats), feats @ p.layer1.w.data, mask, p.layer1, 0.0, True, rng)
-            want = gat_layer(h, h.data @ p.layer2.w.data, mask, p.layer2, 0.3, True, rng).data
+            h = gat_layer(ad.tensor(feats), feats @ p.layer1.w.data, mask, p.layer1, 0.0, rng)
+            want = gat_layer(h, h.data @ p.layer2.w.data, mask, p.layer2, 0.3, rng).data
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("profile", ["reduced", "original"])
@@ -256,6 +257,16 @@ class TestDropoutProfiles:
         g = gen_er(8, 0.4, 25)
         with pytest.raises(ValueError, match="needs an rng"):
             encode(GraphBatch.of([g]), aggregate_features(g), params(), training=True, rng=None, profile=profile)
+
+    @pytest.mark.parametrize("profile", ["reduced", "original"])
+    def test_eval_draws_nothing_from_a_given_rng(self, profile):
+        # encode alone turns training into rates: an eval forward runs every layer at rate 0
+        g = remove_nodes(gen_er(16, 0.3, 27), [4])
+        feats, p = aggregate_features(g), params(seed=28)
+        rng = np.random.default_rng(29)
+        got = encode(GraphBatch.of([g]), feats, p, rng=rng, profile=profile).data
+        assert np.array_equal(got, encode(GraphBatch.of([g]), feats, p, profile=profile).data)
+        assert rng.bit_generator.state == np.random.default_rng(29).bit_generator.state
 
     def test_unknown_profile_names_known_ones(self):
         g = gen_er(8, 0.4, 26)
@@ -342,7 +353,7 @@ class TestPerHeadOracle:
         mask = attention_mask(GraphBatch.of([gen_er(6, 0.5, 42)]))
         for rows in (5, 7):
             with pytest.raises(ValueError, match=rf"attention shape mismatch: hw \({rows}, {HIDDEN_DIM}\).*pattern of 6 rows"):
-                gat_layer(None, np.zeros((rows, HIDDEN_DIM)), mask, params().layer1, 0.0, False)
+                gat_layer(None, np.zeros((rows, HIDDEN_DIM)), mask, params().layer1, 0.0)
 
 
 class TestPerLayerTensors:
@@ -359,20 +370,20 @@ class TestPerLayerTensors:
                 assert np.array_equal(layer.a_dst.data[h], ad.glorot(rng, d, 1).data[:, 0])
         assert all(t.requires_grad for t in p.parameters()) and len(p.parameters()) == 6
 
-    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("rate", [0.0, 0.6], ids=["eval", "train"])
     @given(g=corpus_graphs(max_n=60))
-    def test_layer_and_gradients_are_bit_equal_to_per_head_leaves(self, training, g):
+    def test_layer_and_gradients_are_bit_equal_to_per_head_leaves(self, rate, g):
         rng = np.random.default_rng(g.n)
         p = params(seed=g.n)
         mask = attention_mask(GraphBatch.of([g]))
         h = ad.tensor(rng.standard_normal((g.n_alive(), HIDDEN_PER_HEAD * N_HEADS)), requires_grad=True)
         target = rng.standard_normal((g.n_alive(), N_HEADS * OUT_PER_HEAD))
-        got = gat_layer(h, h.data @ p.layer2.w.data, mask, p.layer2, 0.6, training, np.random.default_rng(1))
+        got = gat_layer(h, h.data @ p.layer2.w.data, mask, p.layer2, rate, np.random.default_rng(1))
         ad.mse_loss(got, target).backward()
         got_h = h.grad
         h.zero_grad()
         heads = per_head_leaves(p.layer2)
-        want = concat_gat_layer(h, mask, heads, 0.6, training, np.random.default_rng(1))
+        want = concat_gat_layer(h, mask, heads, rate, np.random.default_rng(1))
         ad.mse_loss(want, target).backward()
         assert np.array_equal(got.data, want.data)
         assert np.array_equal(got_h, h.grad)
@@ -389,15 +400,15 @@ class TestChainOracle:
     @staticmethod
     def run(layer_fn, batch, profile, training, seed):
         """Both layers as ``encode`` stacks them, with a leaf input: the output and every gradient."""
-        in1, att1, in2, att2 = DROPOUT_PROFILES[profile]
+        in1, att1, in2, att2 = DROPOUT_PROFILES[profile] if training else (0.0,) * 4
         rng = np.random.default_rng(seed)
         p = params(seed)
         mask = attention_mask(batch)
         h = ad.tensor(rng.standard_normal((mask.n, IN_FEATURES)), requires_grad=True)
         x = h
         for layer, in_rate, att_rate in ((p.layer1, in1, att1), (p.layer2, in2, att2)):
-            h = ad.dropout(h, in_rate, rng, training)
-            h = layer_fn(h, h.data @ layer.w.data, mask, layer, att_rate, training, rng)
+            h = ad.dropout(h, in_rate, rng)
+            h = layer_fn(h, h.data @ layer.w.data, mask, layer, att_rate, rng)
         out = h
         ad.mse_loss(out, rng.standard_normal(out.shape)).backward()
         return [out.data, x.grad] + [t.grad for t in p.parameters()]
