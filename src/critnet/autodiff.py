@@ -112,10 +112,16 @@ class Tensor:
         Each interior tensor is spent once its rule has run: its gradient,
         parents and rule are dropped, so the graph is released as it is
         consumed. A graph that reaches a spent tensor, from an earlier
-        ``backward()``, raises ``ValueError`` before any gradient changes.
+        ``backward()``, raises ``ValueError`` before any gradient changes, and
+        so does an output that recorded nothing (made under ``no_grad()`` or
+        from constants only), which would leave every gradient unset.
         """
         if self.data.size != 1:
             raise ValueError("backward() starts from a scalar output")
+        if self._backward is None and not self.requires_grad:
+            raise ValueError(
+                "backward() from a tensor that recorded no graph: it was made under no_grad() or from constants only"
+            )
         if not np.isfinite(self.data).all():
             raise ValueError(f"backward() from a non-finite value {self.item()}; the forward pass diverged")
         order: list[Tensor] = []

@@ -123,9 +123,10 @@ def q_from_embeddings(emb: ad.Tensor, params: DecoderParams, offsets=None) -> QO
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator | None) -> int:
     """Epsilon-greedy over alive nodes.
 
-    Dead nodes are -inf and never chosen; a NaN or +inf anywhere in ``q``,
-    an ``epsilon`` outside [0, 1], or an ``epsilon`` > 0 without ``rng``
-    raises.
+    ``q`` holds one value per node id, as a 1-D array. Dead nodes are -inf
+    and never chosen; a ``q`` of another shape, a NaN or +inf anywhere in
+    ``q``, an ``epsilon`` outside [0, 1], or an ``epsilon`` > 0 without
+    ``rng`` raises.
     Bit-equal maxima go to the lowest id, but structurally equivalent nodes can
     get Q-values that differ by rounding, so which of them is picked is not
     promised.
@@ -134,6 +135,9 @@ def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator | None
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if epsilon > 0 and rng is None:
         raise ValueError(f"epsilon {epsilon} > 0 draws, so it needs an rng")
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 1:
+        raise ValueError(f"Q-values must be 1-D, one per node id, got shape {q.shape}")
     for name, bad in (("NaN", np.isnan(q)), ("+inf", q == np.inf)):
         if bad.any():
             raise ValueError(f"Q-values are {name} at node(s) {np.flatnonzero(bad)[:5].tolist()}")
@@ -150,12 +154,13 @@ class Transition:
     """One environment step, with residual states stored as alive masks.
 
     ``alive_after`` is ``alive_before`` with only ``action`` cleared, as the
-    graph layer checks, and a non-terminal step leaves some node alive. Both
-    masks are kept as read-only copies. ``state()`` and ``next_state()``
-    build their view, ``Graph(graph.pattern, mask)``, on first call and keep
-    it, so each state's memo, features included, lives at least as long as
-    the transition sits in a replay buffer. A deep copy shares the graph,
-    the read-only masks and the views built so far, in a dict of its own.
+    graph layer checks; ``terminal`` is a ``bool`` or ``np.bool_``, and a
+    non-terminal step leaves some node alive. Both masks are kept as
+    read-only copies. ``state()`` and ``next_state()`` build their view,
+    ``Graph(graph.pattern, mask)``, on first call and keep it, so each
+    state's memo, features included, lives at least as long as the
+    transition sits in a replay buffer. A deep copy shares the graph, the
+    read-only masks and the views built so far, in a dict of its own.
     """
 
     graph: Graph
@@ -167,6 +172,8 @@ class Transition:
     _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.terminal, (bool, np.bool_)):
+            raise ValueError(f"terminal must be a bool, got {self.terminal!r}")
         if not np.isfinite(self.reward):
             raise ValueError(f"reward {self.reward} is not finite")
         if self.reward < 0:
@@ -241,7 +248,8 @@ class Model:
     def features(self, g: Graph) -> np.ndarray:
         """Read-only ``n_alive x 4`` input matrix of ``g``, memoised on its state per feature mode.
 
-        Models with the same ``feature_mode`` share one matrix per state.
+        Models with the same ``feature_mode`` share one matrix per state. A
+        state with no alive node raises ``ValueError``, before any encoding.
         """
         feats = g.memo.get(self.feature_mode)
         if feats is None:
@@ -251,8 +259,6 @@ class Model:
         return feats
 
     def embed(self, batch: GraphBatch, training: bool = False, rng: np.random.Generator | None = None) -> ad.Tensor:
-        if any(s.n_alive() == 0 for s in batch.graphs):
-            raise ValueError("no alive nodes to score")
         features = np.concatenate([self.features(s) for s in batch.graphs])
         return encode(batch, features, self.encoder, training, rng, self.dropout_profile)
 

@@ -14,6 +14,8 @@ and converges within 118 of its 200 steps. The eigenvector column runs
 Lanczos (1950) with full reorthogonalisation from the uniform vector and
 stops once the residual ``||(A + I)x - theta x||`` of its Ritz pair falls
 to ``EIGENVECTOR_TOL * theta``, within ``EIGENVECTOR_MAX_STEPS`` steps.
+Neither centrality is defined on a graph with no node, so every function
+but ``degree_vector`` refuses a state with no alive node (``ValueError``).
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from critnet.graph import Graph, residual
+from critnet.graph import Graph, SparsePattern, residual
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-8
@@ -38,8 +40,16 @@ EIGENVECTOR_FIRST_CHECK = 20
 
 
 def degree_vector(g: Graph) -> np.ndarray:
-    """Degree of each alive node counting alive neighbors only."""
+    """Degree of each alive node counting alive neighbors only; empty when no node is alive."""
     return np.diff(residual(g).indptr) - 1.0
+
+
+def _scored(g: Graph) -> SparsePattern:
+    """``residual(g)``, or ``ValueError`` when no node is alive: no metric is defined on an empty graph."""
+    sub = residual(g)
+    if sub.n == 0:
+        raise ValueError("no alive nodes to score")
+    return sub
 
 
 class Centrality(NamedTuple):
@@ -48,7 +58,7 @@ class Centrality(NamedTuple):
 
 
 def eigenvector_centrality(g: Graph) -> Centrality:
-    """Dominant-eigenvector scores of the alive subgraph, L2-normalized and non-negative.
+    """Dominant-eigenvector scores of the alive subgraph, L2-normalized and non-negative; refuses an empty one.
 
     Lanczos on A + I from the uniform vector: after the three-term
     recurrence, one classical Gram-Schmidt pass orthogonalises each new
@@ -59,10 +69,8 @@ def eigenvector_centrality(g: Graph) -> Centrality:
     power iteration would end too. A start vector that is already an
     eigenvector (a regular graph) ends the recurrence at its first step.
     """
-    sub = residual(g)
+    sub = _scored(g)
     n = sub.n
-    if n == 0:
-        return Centrality(np.zeros(0), True)
     steps = min(n, EIGENVECTOR_MAX_STEPS)
     basis = np.empty((steps, n))
     basis[0] = 1.0 / math.sqrt(n)
@@ -103,15 +111,14 @@ def pagerank(g: Graph) -> Centrality:
     """PageRank over the alive subgraph, edges treated as bidirectional.
 
     Isolated (dangling) nodes redistribute their mass uniformly; the scores
-    sum to 1 whenever any node is alive. With damping d the update is an L1
-    contraction with factor d, and the first step moves the uniform start by
-    at most 2d, so step k changes the scores by at most 2 d^k: below the
-    1e-8 tolerance from k = 118 at d = 0.85, short of the 200-step cap.
+    sum to 1, and no alive node raises ``ValueError``. With damping d the
+    update is an L1 contraction with factor d, and the first step moves the
+    uniform start by at most 2d, so step k changes the scores by at most
+    2 d^k: below the 1e-8 tolerance from k = 118 at d = 0.85, short of the
+    200-step cap.
     """
-    sub = residual(g)
+    sub = _scored(g)
     n = sub.n
-    if n == 0:
-        return Centrality(np.zeros(0), True)
     deg = np.diff(sub.indptr) - 1.0
     dangling = deg == 0
     some_dangle = bool(dangling.any())
@@ -142,15 +149,13 @@ def _minmax_column(col: np.ndarray) -> np.ndarray:
 
 
 def aggregate_features(g: Graph) -> np.ndarray:
-    """All four metrics on the residual graph, each column scaled to [0, 1].
+    """All four metrics on the residual graph, each column scaled to [0, 1]; no alive node raises ``ValueError``.
 
     Constant columns (e.g. on regular graphs) map to all zeros. Rows follow
     alive node ids in increasing order. Min-max scaling removes degree
     centrality's 1 / (n_alive - 1) factor, so the first two columns are
     equal up to rounding; both are kept as the paper's four metrics.
     """
-    if g.n_alive() == 0:
-        return np.zeros((0, 4))
     deg = degree_vector(g)
     cols = [
         deg,
@@ -162,9 +167,6 @@ def aggregate_features(g: Graph) -> np.ndarray:
 
 
 def degree_only_features(g: Graph) -> np.ndarray:
-    """Normalized degree replicated into all four columns (ablation input)."""
-    n = g.n_alive()
-    if n == 0:
-        return np.zeros((0, 4))
-    col = _minmax_column(degree_vector(g))
+    """Normalized degree replicated into all four columns (ablation input); no alive node raises ``ValueError``."""
+    col = _minmax_column(np.diff(_scored(g).indptr) - 1.0)
     return np.column_stack([col, col, col, col])

@@ -65,6 +65,10 @@ class TestPrimitives:
         p = ad.row_softmax_masked(logits, np.zeros((1, 3))).data
         assert (p == 0).all()
 
+    def test_masked_softmax_rejects_a_mask_of_another_shape(self):
+        with pytest.raises(ValueError, match=re.escape("mask shape (1, 3) != logits shape (2, 3)")):
+            ad.row_softmax_masked(ad.tensor(np.zeros((2, 3))), np.ones((1, 3)))
+
     def test_masked_entries_get_no_gradient(self):
         rng = np.random.default_rng(1)
         logits = rand_tensor(rng, (4, 4))
@@ -419,6 +423,30 @@ class TestSingleUseGraph:
         assert all(t.grad is not None for t in (x, w, a_src, a_dst))
         with pytest.raises(ValueError, match=r"an earlier backward\(\) freed"):
             loss.backward()
+
+
+class TestBackwardStart:
+    """backward() starts from a scalar that recorded a graph, or from a trained leaf."""
+
+    def test_a_non_scalar_output_raises(self):
+        x = rand_tensor(np.random.default_rng(45), (2, 2))
+        with pytest.raises(ValueError, match="starts from a scalar output"):
+            ad.scale(x, 2.0).backward()
+        assert x.grad is None
+
+    @pytest.mark.parametrize("trained", [True, False], ids=["no_grad", "constants"])
+    def test_an_output_that_recorded_nothing_raises(self, trained):
+        x = rand_tensor(np.random.default_rng(46), (3, 3), requires_grad=trained)
+        with ad.no_grad() if trained else contextlib.nullcontext():
+            loss = ad.mse_loss(ad.matmul(x, x), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="recorded no graph"):
+            loss.backward()
+        assert x.grad is None and loss.grad is None
+
+    def test_a_trained_leaf_gets_a_unit_gradient(self):
+        w = ad.tensor([[3.0]], requires_grad=True)
+        w.backward()
+        assert w.grad.tolist() == [[1.0]]
 
 
 class TestSlotKernelOracles:
@@ -1032,6 +1060,16 @@ class TestAdam:
     def test_rejects_a_learning_rate_that_is_not_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match=f"learning rate must be finite and > 0, got {lr}"):
             ad.AdamState(lr=lr)
+
+    def test_a_parameter_with_no_gradient_is_skipped(self):
+        a = ad.tensor(np.ones(2), requires_grad=True)
+        b = ad.tensor(np.ones(3), requires_grad=True)
+        a.grad = np.ones(2)
+        state = ad.AdamState(lr=0.1)
+        ad.adam_step([a, b], state)
+        assert not np.array_equal(a.data, np.ones(2))
+        assert np.array_equal(b.data, np.ones(3))
+        assert not state.m[1].any() and not state.v[1].any()
 
     def test_parameter_list_must_keep_its_length(self):
         a = ad.tensor(np.ones(2), requires_grad=True)

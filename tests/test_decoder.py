@@ -142,6 +142,18 @@ class TestSelectAction:
             select_action(np.array([1.0, 2.0]), epsilon, None)
         assert select_action(np.array([1.0, 2.0]), 0.0, None) == 1
 
+    def test_a_list_is_read_as_an_array(self):
+        assert select_action([1.0, 5.0, -np.inf], 0.0, None) == 1
+
+    @pytest.mark.parametrize("shape", [(2, 3), ()], ids=["2-D", "0-D"])
+    def test_q_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"Q-values must be 1-D, one per node id, got shape {shape}")):
+            select_action(np.zeros(shape), 0.0, None)
+
+    def test_every_node_dead_rejected(self):
+        with pytest.raises(ValueError, match="no alive nodes to act on"):
+            select_action(np.full(3, -np.inf), 0.0, None)
+
     def test_all_nan_is_reported_as_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             select_action(np.full(3, np.nan), 0.0, np.random.default_rng(0))
@@ -256,6 +268,10 @@ class TestReplayBuffer:
             Transition(g, g.alive.copy(), 0, 1.0, dead[:5], False)
         with pytest.raises(ValueError, match=r"shape \(5,\) does not match 6 nodes"):
             Transition(g, g.alive[:5].copy(), 0, 1.0, dead, False)
+        for terminal in ("no", 0, None):
+            with pytest.raises(ValueError, match=f"terminal must be a bool, got {terminal!r}"):
+                Transition(g, g.alive.copy(), 0, 1.0, dead, terminal)
+        assert not Transition(g, g.alive.copy(), 0, 1.0, dead, np.False_).terminal
 
     def test_transition_masks_must_differ_by_the_action(self):
         g = gen_er(6, 0.5, 6)
@@ -724,14 +740,17 @@ class TestModel:
             Model(init_encoder_params(rng), init_decoder_params(rng), dropout_profile="bogus")
 
     @pytest.mark.parametrize("profile", ["reduced", "original"])
-    def test_no_alive_nodes_rejected_before_encoding(self, profile):
-        m = model(13, dropout_profile=profile)
+    def test_no_alive_nodes_rejected_before_encoding(self, profile, monkeypatch):
         g = gen_er(6, 0.5, 14)
         empty = remove_nodes(g, range(g.n))
-        with pytest.raises(ValueError, match="no alive nodes to score"):
-            m.q_full(empty)
-        with pytest.raises(ValueError, match="no alive nodes to score"):
-            m.q_output(empty, training=True, rng=np.random.default_rng(15))
+        monkeypatch.setattr(decoder_module, "encode", mock.Mock(side_effect=AssertionError("encode ran")))
+        for mode in ("aggregate", "degree"):
+            m = model(13, dropout_profile=profile, feature_mode=mode)
+            with pytest.raises(ValueError, match="no alive nodes to score"):
+                m.q_full(empty)
+            with pytest.raises(ValueError, match="no alive nodes to score"):
+                m.q_output(empty, training=True, rng=np.random.default_rng(15))
+            assert mode not in empty.memo
 
     @pytest.mark.parametrize("profile", ["reduced", "original"])
     def test_embed_uses_the_model_profile(self, profile):

@@ -92,6 +92,22 @@ class TestDegree:
         assert degree_vector(g).tolist() == [0, 0]
 
 
+class TestEmptyState:
+    """A state with no alive node has an empty degree vector and no other metric."""
+
+    @staticmethod
+    def empty():
+        return remove_nodes(path_graph(3), [0, 1, 2])
+
+    def test_degree_vector_is_empty(self):
+        assert degree_vector(self.empty()).shape == (0,)
+
+    @pytest.mark.parametrize("metric", [eigenvector_centrality, pagerank, aggregate_features, degree_only_features])
+    def test_every_other_metric_refuses_it(self, metric):
+        with pytest.raises(ValueError, match="no alive nodes to score"):
+            metric(self.empty())
+
+
 class TestDegreeCentrality:
     def test_path(self):
         assert degree_centrality(path_graph(3)).tolist() == [0.5, 1.0, 0.5]

@@ -75,6 +75,10 @@ class TestParse:
         with pytest.raises(GraphParseError, match="line 2"):
             parse_edge_list("0 1\n2 x")
 
+    def test_negative_id_reports_line(self):
+        with pytest.raises(GraphParseError, match="line 2: negative node id in '3 -1'"):
+            parse_edge_list("0 1\n3 -1")
+
     def test_single_token_line(self):
         with pytest.raises(GraphParseError, match="line 1"):
             parse_edge_list("7")
