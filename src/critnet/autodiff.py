@@ -8,8 +8,8 @@ Only the primitives the attention encoder and Q-heads need are provided;
 there is no broadcasting beyond the explicit bias/row cases below.
 
 A recorded graph is single-use. Backward frees it as it goes: once an
-interior tensor's rule has run, its gradient, parents and rule are dropped
-and the tensor is marked spent; its ``.data`` stays readable. A later
+interior tensor's rule has run, it is spent: its gradient and rule are
+dropped, its parents are ``None`` and its ``.data`` stays readable. A later
 ``backward()`` whose graph reaches a spent tensor raises ``ValueError``
 before it touches any gradient, so rebuild the forward pass for each
 backward. Leaves keep accumulating into ``.grad`` until it is zeroed.
@@ -47,14 +47,6 @@ from critnet.graph import SparsePattern
 _grad_enabled = True
 
 
-def _spent(grad: np.ndarray) -> None:
-    """The rule of an interior tensor whose graph a backward() has freed.
-
-    A function, not a bare sentinel, so copies and pickles keep it by identity.
-    """
-    raise ValueError("this tensor's graph was freed by an earlier backward(); rebuild the forward pass")
-
-
 def grad_enabled() -> bool:
     """Whether new ops record their backward rules (False inside ``no_grad()``)."""
     return _grad_enabled
@@ -79,7 +71,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None once a backward() has spent the tensor
         self._backward = None
 
     @property
@@ -87,20 +79,19 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
+        """The value of a tensor that holds exactly one; any other shape raises ``ValueError``."""
+        if self.data.size != 1:
+            raise ValueError(f"item() needs a tensor of one value, got shape {self.shape}")
+        return self.data.item()
 
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        """Add ``g``, an array other tensors may also receive, to ``.grad``; the first one is copied."""
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
-
     def _adopt(self, g: np.ndarray) -> None:
-        """Add ``g``, a fresh array no one else holds, to ``.grad``; the first one becomes ``.grad`` uncopied."""
+        """Add ``g`` to ``.grad``; the first one becomes ``.grad`` uncopied, so no other tensor may hold it.
+
+        Every rule hands each parent its gradient this way, copying only where two parents would share one.
+        """
         if self.grad is None:
             self.grad = g
         else:
@@ -109,16 +100,17 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``, freeing the graph.
 
-        Each interior tensor is spent once its rule has run: its gradient,
-        parents and rule are dropped, so the graph is released as it is
-        consumed. A graph that reaches a spent tensor, from an earlier
-        ``backward()``, raises ``ValueError`` before any gradient changes, and
-        so does an output that recorded nothing (made under ``no_grad()`` or
-        from constants only), which would leave every gradient unset.
+        Each interior tensor is spent once its rule has run: its gradient and
+        rule are dropped and its parents become ``None``, so the graph is
+        released as it is consumed. A graph that reaches a spent tensor, from
+        an earlier ``backward()``, raises ``ValueError`` before any gradient
+        changes, and so does an output that does not require grad (made under
+        ``no_grad()`` or from constants only), which would leave every
+        gradient unset.
         """
         if self.data.size != 1:
             raise ValueError("backward() starts from a scalar output")
-        if self._backward is None and not self.requires_grad:
+        if not self.requires_grad:
             raise ValueError(
                 "backward() from a tensor that recorded no graph: it was made under no_grad() or from constants only"
             )
@@ -134,7 +126,7 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._backward is _spent:
+            if node._parents is None:
                 raise ValueError(
                     f"backward() reached a {node.shape} tensor whose graph an earlier backward() freed; "
                     "rebuild the forward pass"
@@ -151,7 +143,7 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            node.grad, node._parents, node._backward = None, (), _spent
+            node.grad, node._parents, node._backward = None, None, None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -168,14 +160,17 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 
 
 def _records(parents: tuple[Tensor, ...]) -> bool:
-    """Whether an op on ``parents`` records its rule: gradients are on, and one of them is trained or has a rule."""
-    return _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+    """Whether an op on ``parents`` records its rule: gradients are on, and one of them requires grad.
+
+    A recorded output requires grad itself, so a parent with a rule always does.
+    """
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if _records(parents):
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = True
         out._parents = parents
         out._backward = backward
     return out
@@ -197,17 +192,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
 
     def backward(g):
-        a._accumulate(g)
-        b._accumulate(g)
+        a._adopt(g.copy())
+        b._adopt(g)
 
     return _make(a.data + b.data, (a, b), backward)
 
 
 def _segments(n: int, offsets) -> list[tuple[int, int]]:
-    """The (start, stop) rows of each segment ``offsets[i]:offsets[i + 1]``; ``None`` is all ``n`` rows as one."""
+    """The (start, stop) rows of each segment ``offsets[i]:offsets[i + 1]``; ``None`` is all ``n`` rows as one.
+
+    An offset that is not an integer, a bool among them, raises ``ValueError`` rather than being truncated.
+    """
     if offsets is None:
         return [(0, n)]
-    offsets = [int(o) for o in offsets]
+    try:
+        offsets = [graph._index(o) for o in offsets]
+    except TypeError:
+        raise ValueError(f"row offsets {offsets} must be integers") from None
     bounds = list(zip(offsets[:-1], offsets[1:]))
     if not bounds or offsets[0] != 0 or offsets[-1] != n or any(hi <= lo for lo, hi in bounds):
         raise ValueError(f"row offsets {offsets} do not split {n} rows into non-empty segments")
@@ -226,7 +227,7 @@ def add_bias(a: Tensor, bias: Tensor, offsets=None) -> Tensor:
     rows = bias.data if offsets is None else np.repeat(bias.data, [hi - lo for lo, hi in bounds], axis=0)
 
     def backward(g):
-        a._accumulate(g)
+        a._adopt(g)
         bias._adopt(np.concatenate([g[lo:hi].sum(axis=0, keepdims=True) for lo, hi in bounds]))
 
     return _make(a.data + rows, (a, bias), backward)
@@ -384,7 +385,7 @@ def attention_layer(
     p /= np.take(pattern.row_sums(p), pattern.rows, axis=0)
     out = pattern.weighted_row_sums(p if keep is None else p * (keep * scale), hw)
     _elu_in_place(out)
-    x_in_graph = records and (x.requires_grad or bool(x._parents))
+    x_in_graph = records and x.requires_grad
 
     def backward(g):
         hw = x.data @ w.data
@@ -468,7 +469,7 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
 
     def backward(g):
         for p, part in zip(parts, np.split(g, offsets[1:-1], axis=axis)):
-            p._accumulate(part)
+            p._adopt(part.copy())
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 

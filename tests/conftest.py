@@ -216,7 +216,7 @@ def transpose(a):
     from critnet import autodiff as ad
 
     def backward(g):
-        a._accumulate(g.T)
+        a._adopt(g.T)
 
     return ad._make(a.data.T.copy(), (a,), backward)
 
@@ -248,7 +248,7 @@ def cut(a, index):
     def backward(g):
         full = np.zeros_like(a.data)
         full[index] = g
-        a._accumulate(full)
+        a._adopt(full)
 
     return ad._make(a.data[index].copy(), (a,), backward)
 
@@ -565,12 +565,12 @@ def per_head_spmm(values, pattern, x):
 
     def backward(g):
         g_rows = g[pattern.rows]
-        values._accumulate((g_rows * x_cols).reshape(len(w), heads, d).sum(axis=2))
+        values._adopt((g_rows * x_cols).reshape(len(w), heads, d).sum(axis=2))
         w_t, g_cols = w[pattern.transpose], g[pattern.cols]
         gx = np.empty(x.shape)
         for k, b in enumerate(blocks):
             gx[:, b] = reduceat_row_sums(pattern, w_t[:, k : k + 1] * g_cols[:, b])
-        x._accumulate(gx)
+        x._adopt(gx)
 
     return ad._make(out, (values, x), backward)
 
@@ -635,7 +635,7 @@ def block_diag(parts):
 
     def backward(g):
         for p, b in zip(parts, blocks):
-            p._accumulate(g[b])
+            p._adopt(g[b])
 
     return ad._make(out, tuple(parts), backward)
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import itertools
 import pickle
 import re
 import tracemalloc
@@ -98,6 +99,13 @@ class TestPrimitives:
         with pytest.raises(ValueError, match=re.escape(f"pick({row!r}, {col!r}) needs integer indices")):
             ad.pick(a, row, col)
         assert ad.pick(a, np.int64(2), np.int32(1)).item() == 5.0
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2), (0,), (0, 1)])
+    def test_item_needs_exactly_one_value(self, shape):
+        t = ad.tensor(np.arange(float(np.prod(shape))).reshape(shape))
+        with pytest.raises(ValueError, match=re.escape(f"one value, got shape {shape}")):
+            t.item()
+        assert ad.tensor([[2.5]]).item() == ad.tensor(2.5).item() == 2.5
 
     def test_mse_rejects_a_target_of_another_shape(self):
         pred = ad.tensor(np.arange(3.0).reshape(3, 1), requires_grad=True)
@@ -419,7 +427,7 @@ class TestSingleUseGraph:
         out = layer(x, w, a_src, a_dst, p, rate=0.3, rng=rng)
         loss = ad.mse_loss(out, np.zeros(out.shape))
         loss.backward()
-        assert out._parents == () and out._backward is ad._spent
+        assert out._parents is None
         assert all(t.grad is not None for t in (x, w, a_src, a_dst))
         with pytest.raises(ValueError, match=r"an earlier backward\(\) freed"):
             loss.backward()
@@ -447,6 +455,57 @@ class TestBackwardStart:
         w = ad.tensor([[3.0]], requires_grad=True)
         w.backward()
         assert w.grad.tolist() == [[1.0]]
+
+
+# each recording primitive: its tensor parents' shapes, and the op on them
+RECORDING_OPS = {
+    "matmul": ([(3, 4), (4, 2)], ad.matmul),
+    "add": ([(3, 2), (3, 2)], ad.add),
+    "add_bias": ([(3, 2), (2, 2)], lambda a, b: ad.add_bias(a, b, [0, 1, 3])),
+    "scale": ([(3, 2)], lambda a: ad.scale(a, -2.0)),
+    "dense_elu": ([(3, 4), (4, 2), (1, 2)], ad.dense_elu),
+    "dropout": ([(3, 2)], lambda a: ad.dropout(a, 0.5, np.random.default_rng(67))),
+    "mean_rows": ([(3, 2)], lambda a: ad.mean_rows(a, [0, 2, 3])),
+    "concat": ([(3, 2), (3, 1)], lambda a, b: ad.concat([a, b])),
+    "pick": ([(3, 2)], lambda a: ad.pick(a, 2, 1)),
+    "mse_loss": ([(3, 2)], lambda a: ad.mse_loss(a, np.ones((3, 2)))),
+    "leaky_relu": ([(3, 2)], lambda a: ad.leaky_relu(a, 0.2)),
+    "row_softmax_masked": ([(3, 3)], lambda a: ad.row_softmax_masked(a, np.tri(3))),
+    "attention_layer": (
+        [(3, 4), (4, 4), (2, 2), (2, 2)],
+        lambda *tensors: layer(*tensors, closed_pattern(3, [(0, 1), (1, 2)]), 0.5, np.random.default_rng(67)),
+    ),
+}
+
+
+class TestRecording:
+    """An op records exactly when gradients are on and one of its parents requires grad, and then its output does."""
+
+    @staticmethod
+    def parents(shapes, trained, interior):
+        """Leaves of ``shapes``, the ``trained`` ones requiring grad; ``interior`` wraps those in a recorded op."""
+        rng = np.random.default_rng(68)
+        out = []
+        for shape, t in zip(shapes, trained):
+            leaf = rand_tensor(rng, shape, requires_grad=t)
+            out.append(ad.scale(leaf, 1.0) if t and interior else leaf)
+        return out
+
+    @pytest.mark.parametrize("interior", [False, True], ids=["leaves", "interior"])
+    @pytest.mark.parametrize("name", RECORDING_OPS)
+    def test_the_output_requires_grad_when_a_parent_does(self, name, interior):
+        shapes, op = RECORDING_OPS[name]
+        for trained in itertools.product([False, True], repeat=len(shapes)):
+            out = op(*self.parents(shapes, trained, interior))
+            assert out.requires_grad == any(trained), trained
+            assert (out._backward is not None) == any(trained), trained
+
+    @pytest.mark.parametrize("name", RECORDING_OPS)
+    def test_no_grad_records_nothing(self, name):
+        shapes, op = RECORDING_OPS[name]
+        with ad.no_grad():
+            out = op(*self.parents(shapes, [True] * len(shapes), interior=False))
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 class TestSlotKernelOracles:
@@ -551,6 +610,17 @@ class TestSegments:
             ad.mean_rows(a, offsets)
         with pytest.raises(ValueError, match="do not split 9 rows"):
             ad.add_bias(a, ad.tensor(np.ones((len(offsets) - 1, 2))), offsets)
+
+    @pytest.mark.parametrize(
+        "offsets", [[0, 1.5, 3], np.array([0.0, 2.7, 3.0]), [0, True, 3], [0, np.float64(2.0), 3], [np.False_, 1, 3]]
+    )
+    def test_offsets_must_be_integers(self, offsets):
+        a = ad.tensor(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="must be integers"):
+            ad.mean_rows(a, offsets)
+        with pytest.raises(ValueError, match="must be integers"):
+            ad.add_bias(a, ad.tensor(np.ones((2, 2))), offsets)
+        assert np.array_equal(ad.mean_rows(a, np.array([0, 1, 3])).data, np.ones((2, 2)))
 
     def test_bias_needs_one_row_per_segment(self):
         with pytest.raises(ValueError, match="in 3 segment"):
@@ -875,7 +945,10 @@ class TestNonFiniteLoss:
 
 
 class TestGradientBuffers:
-    """A rule's fresh array becomes ``.grad`` uncopied; an array two tensors receive is copied."""
+    """Each rule hands each parent an array only that parent holds, and it becomes ``.grad`` uncopied.
+
+    Where two parents would share one array, a rule hands one of them a copy.
+    """
 
     def test_add_parents_never_share_a_buffer(self):
         rng = np.random.default_rng(56)
@@ -895,6 +968,17 @@ class TestGradientBuffers:
             assert p.grad.base is None and p.grad.flags.owndata
             for q in parts[i + 1 :]:
                 assert not np.shares_memory(p.grad, q.grad)
+
+    @pytest.mark.parametrize("offsets", [None, [0, 1, 4]])
+    def test_add_bias_hands_its_input_the_incoming_gradient(self, offsets):
+        rng = np.random.default_rng(59)
+        a, bias = rand_tensor(rng, (4, 3)), rand_tensor(rng, (1 if offsets is None else 2, 3))
+        out = ad.add_bias(a, bias, offsets)
+        g = rng.standard_normal((4, 3))
+        out._backward(g)
+        assert a.grad is g
+        starts = [0] if offsets is None else offsets[:-1]
+        np.testing.assert_allclose(bias.grad, np.add.reduceat(g, starts, axis=0), rtol=1e-12)
 
     def test_a_leaf_reached_twice_gets_the_sum(self):
         # the first contribution, a fresh product, becomes w.grad, and the second is added into it
