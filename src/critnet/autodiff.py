@@ -2,8 +2,9 @@
 
 Tensors wrap float64 numpy arrays. Each primitive records its backward rule
 on the value it produces; ``Tensor.backward()`` walks the recorded graph in
-reverse topological order and accumulates exact gradients into the leaves'
-``.grad``.
+reverse topological order and accumulates exact gradients into the
+``.grad`` of each leaf that requires grad. A constant, or a parameter set to
+``requires_grad=False``, gets none, so an update leaves a frozen one as it is.
 Only the primitives the attention encoder and Q-heads need are provided;
 there is no broadcasting beyond the explicit bias/row cases below.
 
@@ -88,25 +89,29 @@ class Tensor:
         self.grad = None
 
     def _adopt(self, g: np.ndarray) -> None:
-        """Add ``g`` to ``.grad``; the first one becomes ``.grad`` uncopied, so no other tensor may hold it.
+        """Add ``g`` to ``.grad`` if grad is required; the first one is kept uncopied, so no other tensor may hold it.
 
         Every rule hands each parent its gradient this way, copying only where two parents would share one.
+        This is the one place that decides which tensors get one: a constant or a frozen parameter never does.
         """
+        if not self.requires_grad:
+            return
         if self.grad is None:
             self.grad = g
         else:
             self.grad += g
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``, freeing the graph.
+        """Accumulate d(self)/d(leaf) into the ``.grad`` of every reachable leaf that requires grad, freeing the graph.
 
-        Each interior tensor is spent once its rule has run: its gradient and
-        rule are dropped and its parents become ``None``, so the graph is
-        released as it is consumed. A graph that reaches a spent tensor, from
-        an earlier ``backward()``, raises ``ValueError`` before any gradient
-        changes, and so does an output that does not require grad (made under
-        ``no_grad()`` or from constants only), which would leave every
-        gradient unset.
+        Every recorded tensor requires grad, so its consumers have handed it
+        its whole gradient by the time its rule runs. Each interior tensor is
+        spent once its rule has run: its gradient and rule are dropped and its
+        parents become ``None``, so the graph is released as it is consumed. A
+        graph that reaches a spent tensor, from an earlier ``backward()``,
+        raises ``ValueError`` before any gradient changes, and so does an
+        output that does not require grad (made under ``no_grad()`` or from
+        constants only), which would leave every gradient unset.
         """
         if self.data.size != 1:
             raise ValueError("backward() starts from a scalar output")
@@ -141,8 +146,7 @@ class Tensor:
             node = order.pop()  # the list lets go of each tensor as it is consumed
             if node._backward is None:
                 continue
-            if node.grad is not None:
-                node._backward(node.grad)
+            node._backward(node.grad)
             node.grad, node._parents, node._backward = None, None, None
 
     def __repr__(self) -> str:
@@ -362,7 +366,8 @@ def attention_layer(
     in reverse, so every value and gradient is bit-equal to that chain's.
     ``x`` is needed only for a recorded rule: pass ``None`` under
     ``no_grad()``, so the caller can free the input before the attention
-    runs. An ``x`` outside the recorded graph gets no gradient product.
+    runs. An ``x`` that does not require grad, as layer 1's features do not,
+    gets no gradient: its product is formed and dropped.
     """
     heads, d = a_src.shape
     if hw.ndim != 2 or hw.shape != (pattern.n, heads * d) or a_dst.shape != a_src.shape or heads == 0:
@@ -385,7 +390,6 @@ def attention_layer(
     p /= np.take(pattern.row_sums(p), pattern.rows, axis=0)
     out = pattern.weighted_row_sums(p if keep is None else p * (keep * scale), hw)
     _elu_in_place(out)
-    x_in_graph = records and x.requires_grad
 
     def backward(g):
         hw = x.data @ w.data
@@ -414,8 +418,7 @@ def attention_layer(
             a._adopt((hw.T @ part)[diagonal].reshape(heads, d))
         del hw
         # the transform's step
-        if x_in_graph:
-            x._adopt(g_hw @ w.data.T)
+        x._adopt(g_hw @ w.data.T)
         w._adopt(x.data.T @ g_hw)
 
     return _make(out, parents, backward)

@@ -9,8 +9,9 @@ Each metric helper takes a ``Graph`` and reads the residual graph's
 closed-neighbourhood CSR from ``graph.residual``: the degree is the row
 length minus the self-loop, and both iterative metrics multiply by
 ``A + I`` with one O(m) ``bincount`` over the CSR entries. Both report
-``converged``. PageRank's power loop is an L1 contraction with factor 0.85
-and converges within 118 of its 200 steps. The eigenvector column runs
+``converged``, and ``aggregate_features`` warns when either did not.
+PageRank's power loop is an L1 contraction with factor 0.85 and converges
+within 118 of its 200 steps. The eigenvector column runs
 Lanczos (1950) with full reorthogonalisation from the uniform vector and
 stops once the residual ``||(A + I)x - theta x||`` of its Ritz pair falls
 to ``EIGENVECTOR_TOL * theta``, within ``EIGENVECTOR_MAX_STEPS`` steps.
@@ -20,6 +21,7 @@ but ``degree_vector`` refuses a state with no alive node (``ValueError``).
 from __future__ import annotations
 
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -154,14 +156,20 @@ def aggregate_features(g: Graph) -> np.ndarray:
     Constant columns (e.g. on regular graphs) map to all zeros. Rows follow
     alive node ids in increasing order. Min-max scaling removes degree
     centrality's 1 / (n_alive - 1) factor, so the first two columns are
-    equal up to rounding; both are kept as the paper's four metrics.
+    equal up to rounding; both are kept as the paper's four metrics. A
+    centrality that did not converge keeps its last iterate and raises a
+    ``RuntimeWarning`` naming it and the alive-node count.
     """
     deg = degree_vector(g)
+    eigen, rank = eigenvector_centrality(g), pagerank(g)
+    for name, c in (("eigenvector centrality", eigen), ("PageRank", rank)):
+        if not c.converged:
+            warnings.warn(f"{name} did not converge on {len(deg)} alive nodes", RuntimeWarning, stacklevel=2)
     cols = [
         deg,
         deg / max(len(deg) - 1, 1),  # degree centrality; one alive node has degree 0
-        eigenvector_centrality(g).scores,
-        pagerank(g).scores,
+        eigen.scores,
+        rank.scores,
     ]
     return np.column_stack([_minmax_column(c) for c in cols])
 

@@ -808,8 +808,8 @@ class TestAttentionLayer:
         for a, b in zip(got[1:], want[1:]):
             assert np.array_equal(a, b) if recorded else a is b is None
 
-    def test_a_constant_input_gets_no_gradient_product(self):
-        # layer 1's input is the feature matrix: the rule forms no gradient for it
+    def test_a_constant_input_gets_no_gradient(self):
+        # layer 1's input is the feature matrix: its product is formed and dropped
         p = gen_ba(60, 2, 70).pattern
         rng = np.random.default_rng(71)
         x, w = rand_tensor(rng, (p.n, 4), requires_grad=False), rand_tensor(rng, (4, 64))
@@ -942,6 +942,36 @@ class TestNonFiniteLoss:
         assert h._parents == (x, x)  # the tape was not freed
         ad.mse_loss(h, np.zeros((3, 3))).backward()
         np.testing.assert_allclose(x.grad, (2.0 / 9) * (h.data @ x.data.T + x.data.T @ h.data), rtol=1e-12)
+
+
+# the primitives with more than one tensor parent, and each parent's position
+MULTI_PARENT = [
+    (name, i)
+    for name in ("matmul", "add", "add_bias", "dense_elu", "concat", "attention_layer")  # attention: x, w, a_src, a_dst
+    for i in range(len(RECORDING_OPS[name][0]))
+]
+
+
+class TestConstantParents:
+    """Only a tensor that requires grad gets a gradient, and a constant parent leaves the others' unchanged."""
+
+    @staticmethod
+    def gradients(name, trained):
+        shapes, op = RECORDING_OPS[name]
+        parents = TestRecording.parents(shapes, trained, interior=False)
+        out = op(*parents)
+        ad.mse_loss(out, np.ones(out.shape)).backward()
+        return [p.grad for p in parents]
+
+    @pytest.mark.parametrize("name, constant", MULTI_PARENT, ids=[f"{n}-{i}" for n, i in MULTI_PARENT])
+    def test_a_constant_parent_gets_no_gradient(self, name, constant):
+        count = len(RECORDING_OPS[name][0])
+        want = self.gradients(name, [True] * count)
+        got = self.gradients(name, [i != constant for i in range(count)])
+        assert got[constant] is None
+        for i in set(range(count)) - {constant}:
+            assert got[i].dtype == want[i].dtype and got[i].shape == want[i].shape
+            assert got[i].tobytes() == want[i].tobytes(), i
 
 
 class TestGradientBuffers:

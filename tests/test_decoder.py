@@ -99,6 +99,23 @@ def test_parameters_follow_named_parameters(dueling):
         assert all(a is b for a, b in zip(tensors, params.parameters()))
 
 
+def test_a_frozen_parameter_stays_byte_equal_through_an_update():
+    m = model(seed=16)
+    frozen = (m.encoder.layer1.w, m.decoder.node_head.w2)
+    for t in frozen:
+        t.requires_grad = False
+    before = [p.data.copy() for p in m.parameters()]
+    out = m.q_output(gen_ba(60, 2, 17), training=True, rng=np.random.default_rng(18))
+    ad.mse_loss(out.q, np.random.default_rng(19).standard_normal(out.q.shape)).backward()
+    ad.adam_step(m.parameters(), ad.AdamState(lr=1e-3))
+    for p, old in zip(m.parameters(), before):
+        if any(p is t for t in frozen):
+            assert p.grad is None and p.data.tobytes() == old.tobytes()
+        else:
+            # the dueling head's node bias cancels in Q, so its gradient is 0 up to rounding
+            assert p.grad is not None and (not np.array_equal(p.data, old) or not p.grad.any())
+
+
 class TestSelectAction:
     def test_greedy_picks_argmax(self):
         q = np.array([1.0, 5.0, -np.inf, 3.0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,29 @@ class TestAggregateFeatures:
                     break
                 v = int(rng.choice(g.alive_ids()))
                 g = remove_nodes(g, [v])
+
+
+class TestAggregateFeaturesReportsNonconvergence:
+    @pytest.mark.parametrize(
+        "cap, value, g, name",
+        [
+            ("EIGENVECTOR_MAX_STEPS", 5, gen_ws(150, 4, 0.1, 2), "eigenvector centrality"),
+            ("PAGERANK_MAX_ITER", 2, star_graph(6), "PageRank"),
+        ],
+        ids=["eigenvector", "pagerank"],
+    )
+    def test_a_capped_centrality_warns(self, cap, value, g, name, monkeypatch):
+        monkeypatch.setattr(features, cap, value)
+        with pytest.warns(RuntimeWarning, match=f"^{name} did not converge on {g.n} alive nodes$"):
+            aggregate_features(g)
+
+    @pytest.mark.parametrize(
+        "g", [gen_ba(150, 2, 3), gen_er(150, 4 / 149, 4), gen_ws(150, 4, 0.1, 5)], ids=["ba", "er", "ws"]
+    )
+    def test_the_defaults_do_not_warn(self, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            aggregate_features(g)
 
 
 class TestDegreeOnlyFeatures:
